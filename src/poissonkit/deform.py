@@ -11,6 +11,7 @@ double precision.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations_with_replacement, product
 from math import factorial
 
@@ -20,9 +21,15 @@ from .automorphisms import (DiagonalScaling, ElementaryAutomorphism,
                             Translation, TriangularShear, pushforward)
 from .diagonal import DiagonalSpec, is_generic
 from .multivectors import Multivector, curl
-from .polynomials import Polynomial, VariableTable, parse_polynomial
+from .polynomials import (FloatPolynomials, Polynomial, VariableTable,
+                          parse_polynomial)
 from .scalars import GaussRational
 from .structures import PoissonStructure
+
+
+# Each field evaluates at one point laid out as the family table's slots:
+# the coordinates, then the parameter.  The Jacobian is flat, row-major.
+_NewtonSystem = namedtuple("_NewtonSystem", "residual jacobian jet0 jet1")
 
 
 class DeformationFamily:
@@ -47,6 +54,7 @@ class DeformationFamily:
         self.path = tuple(path)
         self._bivector = None
         self._curl = None
+        self._system = None
 
     @classmethod
     def build(cls, base: DiagonalSpec, steps, parameter: str = "t"):
@@ -104,6 +112,25 @@ class DeformationFamily:
             self._curl = curl(self.bivector())
         return self._curl
 
+    def _newton_system(self) -> "_NewtonSystem":
+        """Float forms of curl(Pi_t), its Jacobian in the coordinates and
+        the jet polynomials of Pi_t, compiled on first use."""
+        if self._system is None:
+            table = self.table
+            components = [self.curl_field().coefficient((i,))
+                          for i in range(self.n)]
+            coefficients = list(self.bivector().terms.values())
+
+            def partials(polys):
+                return FloatPolynomials(table, (
+                    f.partial_derivative(name)
+                    for f in polys for name in table.coordinates))
+
+            self._system = _NewtonSystem(
+                FloatPolynomials(table, components), partials(components),
+                FloatPolynomials(table, coefficients), partials(coefficients))
+        return self._system
+
     def at(self, t_value) -> PoissonStructure:
         """Exact member structure at a Gaussian-rational parameter value."""
         if not isinstance(t_value, GaussRational):
@@ -140,40 +167,21 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
                            initial_step: float = 1e-2,
                            min_step: float = 1e-6) -> TrackResult:
     """Newton continuation for the zero of curl(Pi_t) near the origin."""
-    names = family.table.coordinates
-    n = len(names)
-    field = family.curl_field()
-    components = [field.coefficient((i,)) for i in range(n)]
-    jacobian = [
-        [components[i].partial_derivative(name) for name in names]
-        for i in range(n)
-    ]
-
-    def assignments(gamma, t_value):
-        values = {name: gamma[i] for i, name in enumerate(names)}
-        values[family.parameter] = t_value
-        return values
-
-    def residual_vector(gamma, t_value):
-        values = assignments(gamma, t_value)
-        return np.array([c.evaluate_float(values) for c in components],
-                        dtype=complex)
+    n = family.n
+    system = family._newton_system()
 
     def newton(gamma, t_value):
-        gamma = np.array(gamma, dtype=complex)
+        point = np.append(gamma, t_value)
         for iteration in range(max_iter):
-            fvec = residual_vector(gamma, t_value)
-            if float(np.max(np.abs(fvec))) <= tol:
-                return gamma, iteration
-            values = assignments(gamma, t_value)
-            jmat = np.array(
-                [[entry.evaluate_float(values) for entry in row]
-                 for row in jacobian], dtype=complex)
+            fvec = system.residual(point)
+            if float(np.abs(fvec).max()) <= tol:
+                return point[:n], iteration
+            jmat = system.jacobian(point).reshape(n, n)
             try:
                 delta = np.linalg.solve(jmat, fvec)
             except np.linalg.LinAlgError:
                 raise ValueError("non-simple singularity") from None
-            gamma = gamma - delta
+            point[:n] -= delta
         raise _NonConvergence
 
     t = complex(t)
@@ -189,22 +197,18 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
             try:
                 gamma, iters = newton(gamma, direction * tau_next)
             except _NonConvergence:
+                if step / 2 < min_step:
+                    raise ValueError(
+                        f"left basin; reduce step (reached tau={tau:.6g} "
+                        f"of {radius:.6g}, last step {step:.3g})") from None
                 step /= 2
-                if step < min_step:
-                    raise ValueError("left basin; reduce step") from None
                 continue
             total_iters += iters
             tau = tau_next
-    final = residual_vector(gamma, t)
-    residual = float(np.max(np.abs(final))) if n else 0.0
-    values = assignments(gamma, t)
-    jet0 = 0.0
-    jet1 = 0.0
-    for coeff in family.bivector().terms.values():
-        jet0 = max(jet0, abs(coeff.evaluate_float(values)))
-        for name in names:
-            jet1 = max(jet1, abs(
-                coeff.partial_derivative(name).evaluate_float(values)))
+    point = np.append(gamma, t)
+    residual = float(np.abs(system.residual(point)).max(initial=0.0))
+    jet0 = float(np.abs(system.jet0(point)).max(initial=0.0))
+    jet1 = float(np.abs(system.jet1(point)).max(initial=0.0))
     return TrackResult(t, [complex(z) for z in gamma], residual, jet0, jet1,
                        total_iters)
 
@@ -223,6 +227,7 @@ def jet_vanishing(structure, point, r: int = 3, tol: float = 1e-6) -> int:
     table = bivector.table
     coefficients = list(bivector.terms.values())
     for order in range(r + 1):
+        derived, scales = [], []
         for combo in combinations_with_replacement(table.coordinates, order):
             scale = 1.0
             counts = {}
@@ -231,22 +236,15 @@ def jet_vanishing(structure, point, r: int = 3, tol: float = 1e-6) -> int:
             for c in counts.values():
                 scale /= factorial(c)
             for f in coefficients:
-                derived = f
                 for name in combo:
-                    derived = derived.partial_derivative(name)
-                if derived.is_zero():
-                    continue
-                if abs(derived.evaluate_float(point)) * scale > tol:
-                    return order
+                    f = f.partial_derivative(name)
+                if not f.is_zero():
+                    derived.append(f)
+                    scales.append(scale)
+        values = FloatPolynomials(table, derived).evaluate(point)
+        if any(abs(v) * scale > tol for v, scale in zip(values, scales)):
+            return order
     return r + 1
-
-
-def evaluate_float(a: Multivector, point, params=None) -> dict:
-    """Complex wedge coefficients of a multivector at a point."""
-    values = dict(point)
-    if params:
-        values.update(params)
-    return a.evaluate_float(values)
 
 
 def scan_degenerate_points(ps: PoissonStructure, samples) -> list:

@@ -141,10 +141,10 @@ def _spec_from_document(doc: dict) -> DiagonalSpec:
     entries = {}
     for record in doc["entries"]:
         value = record["value"]
-        try:
+        # a bare identifier other than the imaginary unit names a parameter
+        if isinstance(value, str) and (not value.isidentifier()
+                                       or value == "i"):
             value = parse_scalar(value)
-        except Exception:
-            pass  # parameter name, kept as a string
         entries[(int(record["i"]), int(record["j"]))] = value
     return DiagonalSpec(int(doc["n"]), entries)
 

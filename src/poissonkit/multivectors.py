@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .polynomials import Polynomial, VariableTable
+from .polynomials import FloatPolynomials, Polynomial, VariableTable
 from .scalars import GaussRational
 
 
@@ -195,7 +195,10 @@ class _SuperElement:
 
     def evaluate_float(self, values: Mapping[str, complex]) -> dict:
         """Complex-double wedge coefficients in canonical index order."""
-        return {ix: c.evaluate_float(values) for ix, c in self.sorted_terms()}
+        terms = self.sorted_terms()
+        compiled = FloatPolynomials(self.table, (c for _, c in terms))
+        return {ix: complex(v) for (ix, _), v in
+                zip(terms, compiled.evaluate(values))}
 
     def __repr__(self):
         if self.is_zero():

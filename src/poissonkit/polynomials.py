@@ -364,19 +364,8 @@ class Polynomial:
         return total
 
     def evaluate_float(self, values: Mapping[str, complex]) -> complex:
-        """Complex-double evaluation with deterministic term order."""
-        names = self.table.names
-        missing = sorted(self.variables_present() - set(values))
-        if missing:
-            raise KeyError(f"unassigned variable: {missing[0]!r}")
-        total = 0j
-        for exps, coeff in self.sorted_terms():
-            acc = complex(coeff)
-            for pos, e in enumerate(exps):
-                if e:
-                    acc *= complex(values[names[pos]]) ** e
-            total += acc
-        return total
+        """Complex-double evaluation through the compiled float form."""
+        return complex(FloatPolynomials(self.table, [self]).evaluate(values)[0])
 
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Ring homomorphism sending each named variable to a polynomial on
@@ -408,6 +397,63 @@ class Polynomial:
 
     def __repr__(self):
         return f"<Polynomial {format_polynomial(self)}>"
+
+
+class FloatPolynomials:
+    """Polynomials on one table compiled for complex-double evaluation.
+
+    The monomials of all the polynomials, in canonical term order, form
+    the rows of an exponent matrix E; the coefficients form a complex
+    matrix C with one row per polynomial.  The values at a point x are
+    C @ prod(x ** E, axis=1), so a whole system costs one vectorized
+    evaluation.  Build once and reuse; numpy loads on first use.
+    """
+
+    __slots__ = ("table", "exponents", "coefficients", "_present")
+
+    def __init__(self, table: VariableTable, polynomials: Iterable[Polynomial]):
+        import numpy as np
+
+        polynomials = list(polynomials)
+        rows = {}
+        entries = []
+        for k, f in enumerate(polynomials):
+            if f.table != table:
+                raise ValueError("polynomials live on different variable tables")
+            for exps, coeff in f.sorted_terms():
+                entries.append((k, rows.setdefault(exps, len(rows)),
+                                complex(coeff)))
+        exponents = np.array(list(rows), dtype=np.int64).reshape(
+            len(rows), table.width)
+        coefficients = np.zeros((len(polynomials), len(rows)), dtype=complex)
+        for k, m, value in entries:
+            coefficients[k, m] = value
+        present = exponents.any(axis=0)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "_present", frozenset(
+            name for name, used in zip(table.names, present) if used))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FloatPolynomials is immutable")
+
+    def __call__(self, point):
+        """Values at a point given as one complex number per table slot,
+        coordinates first, then parameters."""
+        import numpy as np
+
+        powers = np.asarray(point, dtype=complex) ** self.exponents
+        return self.coefficients @ powers.prod(axis=1)
+
+    def evaluate(self, values: Mapping[str, complex]):
+        """Values at named variables; every variable present must be
+        assigned (the error names the first unassigned symbol)."""
+        missing = sorted(self._present - set(values))
+        if missing:
+            raise KeyError(f"unassigned variable: {missing[0]!r}")
+        return self([complex(values[name]) if name in self._present else 0j
+                     for name in self.table.names])
 
 
 # -- monomial order ------------------------------------------------------
@@ -498,10 +544,16 @@ def _tokenize(text: str):
     return tokens
 
 
+# The parser recurses once per parenthesis; deeper input is rejected as a
+# syntax error long before Python's recursion limit is reached.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, table: VariableTable):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.table = table
 
     def peek(self):
@@ -579,11 +631,15 @@ class _Parser:
             except KeyError:
                 raise PolynomialSyntaxError(f"unknown variable {value!r}") from None
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING}")
             self.advance()
+            self.depth += 1
             inner = self.expr()
             if self.peek()[0] != ")":
                 self.fail("expected closing parenthesis")
             self.advance()
+            self.depth -= 1
             return inner
         self.fail("expected a term")
 

@@ -255,6 +255,37 @@ def test_exit_code_two_on_bad_input(corpus, tmp_path):
         assert code == 2, f"{argv} gave {code}"
 
 
+def test_deep_nesting_exits_two_without_traceback(tmp_path):
+    coeff = "(" * 3000 + "1" + ")" * 3000
+    doc = {"kind": "multivector", "coordinates": ["x1", "x2"],
+           "parameters": [], "degree": 2,
+           "terms": [{"coeff": coeff, "exponents": {"x1": 1, "x2": 1},
+                      "indices": [0, 1]}]}
+    deep = tmp_path / "deep.mv"
+    deep.write_text(json.dumps(doc))
+    code, stdout, stderr = run_cli("parse", "--in", str(deep))
+    assert (code, stdout) == (2, "")
+    assert "Traceback" not in stderr
+    assert "nested deeper than 100" in stderr and "position 100" in stderr
+
+
+def test_spec_entry_errors_surface(tmp_path):
+    def spec_file(value):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "diagonal-spec", "n": 2, "entries": [
+            {"i": 1, "j": 2, "value": value}]}))
+        return str(path)
+
+    code, _, stderr = run_cli("diagonal", "--in", spec_file("3/0"))
+    assert code == 2
+    assert "zero denominator" in stderr and "invalid variable" not in stderr
+    # a bare identifier is a parameter name, but i is the imaginary unit
+    code, stdout, _ = run_cli("diagonal", "--in", spec_file("l12"))
+    assert code == 0 and json.loads(stdout)["parameters"] == ["l12"]
+    code, stdout, _ = run_cli("diagonal", "--in", spec_file("i"))
+    assert code == 0 and json.loads(stdout)["parameters"] == []
+
+
 def test_main_returns_int_in_process(corpus):
     assert main(["jacobi", "--in", str(corpus / "diag4.mv")]) == 0
     assert main(["nonsense-verb"]) == 2

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from poissonkit import (DeformationFamily, DiagonalSpec, GaussRational,
-                        Multivector, PoissonStructure, VariableTable,
-                        jacobi_check, jet_vanishing, parse_polynomial,
-                        scan_degenerate_points, schouten,
+                        Multivector, PoissonStructure, Polynomial,
+                        VariableTable, jacobi_check, jet_vanishing,
+                        parse_polynomial, scan_degenerate_points, schouten,
                         track_degenerate_point)
 
 BASE = DiagonalSpec(4, {
@@ -78,8 +78,54 @@ def test_tracking_with_shear():
 
 def test_tracking_error_paths():
     fam = build([("translation", "x1", "t")])
-    with pytest.raises(ValueError):
+    # Newton never converges, so the step halves from 1e-2 until the next
+    # halving would fall below min_step: the last step tried is 1e-2 / 2^13
+    with pytest.raises(ValueError, match=r"left basin; reduce step "
+                       r"\(reached tau=0 of 0\.05, last step 1\.22e-06\)"):
         track_degenerate_point(fam, 0.05, max_iter=0)
+
+
+# Reference Newton iteration counts and tracked points for the families
+# above, recorded with a term-by-term evaluator; compiling the Newton system
+# reorders float sums but must not move either.
+TRACKED = [
+    ([("translation", "x1", "1/2*t"), ("translation", "x3", "-2*t")],
+     [(0.1, 10, (0.05, 0, -0.2, 0)), (-0.1, 10, (-0.05, 0, 0.2, 0)),
+      (0.05, 5, (0.025, 0, -0.1, 0)),
+      (0.03 + 0.04j, 5, (0.015 + 0.02j, 0, -0.06 - 0.08j, 0))]),
+    ([("shear", "x1", "t*x2^2 - t"), ("translation", "x2", "t")],
+     [(0.08, 16, (-0.08, 0.08, 0, 0))]),
+    ([("translation", "x1", "1/2*t"), ("shear", "x3", "-2*t + t*x4^2")],
+     [(0.05, 5, (0.025, 0, -0.1, 0)), (0.1j, 10, (0.05j, 0, -0.2j, 0))]),
+]
+
+
+def test_tracking_iterations_and_points_are_unchanged():
+    for steps, cases in TRACKED:
+        fam = build(steps)
+        for t, iters, gamma in cases:
+            result = track_degenerate_point(fam, t)
+            assert result.newton_iters == iters
+            for value, expected in zip(result.gamma, gamma):
+                assert abs(value - expected) <= 1e-12
+
+
+def test_tracking_compiles_the_newton_system_once(monkeypatch):
+    fam = build([("translation", "x1", "1/2*t"),
+                 ("shear", "x3", "-2*t + t*x4^2")])
+    first = track_degenerate_point(fam, 0.05)
+    calls = []
+    derivative = Polynomial.partial_derivative
+
+    def counted(self, name):
+        calls.append(name)
+        return derivative(self, name)
+
+    monkeypatch.setattr(Polynomial, "partial_derivative", counted)
+    second = track_degenerate_point(fam, 0.05)
+    assert calls == []
+    assert second.gamma == first.gamma
+    assert second.newton_iters == first.newton_iters
 
 
 def test_jet_orders():

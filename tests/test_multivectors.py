@@ -188,6 +188,18 @@ def test_volume_curl_evaluate():
         assert abs(out.get(ix, 0j) - expected) < 1e-12
 
 
+def test_evaluate_float_through_compiled_coefficients():
+    a = mv(T3, {(0, 1): "x1*x2 + 1/2*i", (0, 2): "x3^2 - x1",
+                (1, 2): "(2 - i)*x2*x3^3"})
+    values = {"x1": 1.5, "x2": -2.0, "x3": 0.0}
+    out = a.evaluate_float(values)
+    assert list(out) == [(0, 1), (0, 2), (1, 2)]
+    assert out == {(0, 1): -3 + 0.5j, (0, 2): -1.5, (1, 2): 0}
+    assert Multivector.zero(T3, 2).evaluate_float(values) == {}
+    with pytest.raises(KeyError, match="'x3'"):
+        a.evaluate_float({"x1": 1.0, "x2": 1.0})
+
+
 def test_schouten_rejects_mismatched_tables():
     other = Multivector.basis(VariableTable(("y1",)), (0,))
     with pytest.raises(Exception):

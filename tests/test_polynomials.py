@@ -1,5 +1,6 @@
 """Sparse polynomial ring: arithmetic, order, reduction, text syntax."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from poissonkit import (GaussRational, Polynomial, PolynomialSyntaxError,
                         VariableTable, format_polynomial, parse_polynomial,
                         reduce_mod)
+from poissonkit.polynomials import MAX_NESTING, FloatPolynomials
+from poissonkit.randomized import random_polynomial, random_scalar
 
 T = VariableTable(("x1", "x2", "x3"), ("a",))
 
@@ -77,6 +80,56 @@ def test_evaluate_exact_and_float():
     assert abs(approx - 5.0) < 1e-12
 
 
+def test_evaluate_float_names_first_unassigned_variable():
+    with pytest.raises(KeyError, match="'x2'"):
+        p("x3 + a*x2").evaluate_float({"a": 1.0})
+    # a variable absent from the polynomial need not be assigned
+    assert p("x1 + 2").evaluate_float({"x1": 1.0}) == 3
+
+
+def _compiled_matches_exact(rng, zeros):
+    polys = [random_polynomial(rng, T, max_terms=6, max_degree=4, bound=5)
+             for _ in range(5)]
+    point = {name: random_scalar(rng, 3) for name in T.names}
+    for name in zeros:
+        point[name] = GaussRational(0)
+    values = FloatPolynomials(T, polys).evaluate(point)
+    assert len(values) == len(polys)
+    for f, value in zip(polys, values):
+        exact = complex(f.evaluate(point))
+        assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact))
+        assert f.evaluate_float(point) == pytest.approx(exact, rel=1e-12,
+                                                        abs=1e-12)
+
+
+def test_compiled_evaluation_matches_exact():
+    rng = random.Random(1312)
+    for _ in range(40):
+        _compiled_matches_exact(rng, ())
+
+
+def test_compiled_evaluation_at_zero_coordinates():
+    # 0^0 = 1: a zero coordinate kills only the monomials that contain it
+    rng = random.Random(3596)
+    for _ in range(40):
+        _compiled_matches_exact(rng, rng.sample(T.names, rng.randint(1, 4)))
+    f = p("3 + x1^2*x2 + a")
+    assert f.evaluate_float({"x1": 0.0, "x2": 5.0, "a": 0.0}) == 3
+
+
+def test_compiled_form_layout():
+    compiled = FloatPolynomials(T, [p("x1^2 + 2*x2"), p("x2 - i*a"), p("0")])
+    # monomials in canonical order of first appearance, one row each
+    assert compiled.exponents.tolist() == [[2, 0, 0, 0], [0, 1, 0, 0],
+                                           [0, 0, 0, 1]]
+    assert compiled.coefficients.tolist() == [[1, 2, 0], [0, 1, -1j],
+                                              [0, 0, 0]]
+    assert compiled([1.0, 2.0, 0.0, 3.0]).tolist() == [5, 2 - 3j, 0]
+    with pytest.raises(ValueError):
+        FloatPolynomials(T, [p("x1"), p("y", VariableTable(("y",)))])
+    assert FloatPolynomials(T, []).evaluate({}).tolist() == []
+
+
 def test_substitute_is_a_ring_map():
     f = p("x1*x2 + x3")
     image = f.substitute({"x1": p("x1 + 1")})
@@ -130,6 +183,18 @@ def test_parser_rejects_bad_input():
     for bad in ("x9", "x1 +* x2", "x1^", "(x1", "x1^-2"):
         with pytest.raises(PolynomialSyntaxError):
             p(bad)
+
+
+def test_parser_bounds_nesting_depth():
+    deepest = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    assert p(deepest) == p("x1")
+    for depth in (MAX_NESTING + 1, 3000):
+        text = "(" * depth + "x1" + ")" * depth
+        with pytest.raises(PolynomialSyntaxError,
+                           match=f"position {MAX_NESTING}"):
+            p(text)
+    # depth counts open parentheses, not parenthesized groups in a row
+    assert p(" + ".join(["(x1)"] * (2 * MAX_NESTING))) == p(f"{2 * MAX_NESTING}*x1")
 
 
 def test_parser_grammar():
