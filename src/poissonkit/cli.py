@@ -23,8 +23,8 @@ from .diagonal import (DiagonalSpec, curl_eigenvalues, log_annihilator,
 from .multivectors import Multivector, curl, schouten
 from .polynomials import format_polynomial, parse_polynomial
 from .randomized import run_suites
-from .rigidity import (diagonality_constraints, simplex_multiplicity_filter,
-                       solve_rigidity)
+from .rigidity import (MAX_DIM, diagonality_constraints,
+                       simplex_multiplicity_filter, solve_rigidity)
 from .structures import (PoissonStructure, chart_extend, degeneracy_ideal,
                          hamiltonian, invariant_hypersurface, jacobi_check,
                          poisson_bracket, rank_at, restrict_hyperplane)
@@ -223,6 +223,8 @@ def cmd_logform(args) -> int:
 def cmd_rigidity(args) -> int:
     if args.dim < 2:
         raise ValueError("--dim must be at least 2")
+    if args.dim > MAX_DIM:
+        raise ValueError(f"--dim must be at most {MAX_DIM}")
     system = diagonality_constraints(args.dim)
     try:
         dimension, basis = solve_rigidity(system)

@@ -15,7 +15,7 @@ from .diagonal import DiagonalSpec
 from .multivectors import DifferentialForm, Multivector, VolumeCurl
 from .polynomials import Polynomial, VariableTable, format_polynomial
 from .scalars import format_scalar, parse_scalar
-from .structures import PoissonStructure
+from .structures import PoissonStructure, jacobi_check
 
 
 def _term_records(element) -> list:
@@ -132,8 +132,15 @@ def _element_from_document(doc: dict):
         terms[indices] = terms.get(indices, zero) + mono
     element = cls(table, degree, terms)
     if "integrable" in doc:
-        flag = {"true": True, "false": False, "unknown": None}[doc["integrable"]]
-        return PoissonStructure(element, flag)
+        claim = doc["integrable"]
+        flag = {"true": True, "false": False, "unknown": None}[claim]
+        ps = PoissonStructure(element, None)
+        # a stated flag is kept only when the Schouten bracket confirms it
+        if flag is not None and jacobi_check(ps).is_zero() != flag:
+            actual = "is not" if flag else "is"
+            raise ValueError(f"document claims integrable: {claim}, "
+                             f"but [Pi, Pi] {actual} zero")
+        return ps
     return element
 
 

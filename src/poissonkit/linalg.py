@@ -19,40 +19,46 @@ def _clean(row: dict) -> dict:
 
 
 def rref(rows: list, ncols: int) -> tuple[list, list]:
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    work = [_clean(dict(r)) for r in rows]
-    work = [r for r in work if r]
+    """Reduced row echelon form; returns (rows, pivot column list).
+
+    A column -> rows index keeps each step to the rows that hold the
+    pivot column: the pivot is the lowest-indexed unused row holding it.
+    """
+    work = [_clean(r) for r in rows]
+    holders = {}
+    for idx, row in enumerate(work):
+        for c in row:
+            holders.setdefault(c, set()).add(idx)
+    open_rows = {idx for idx, row in enumerate(work) if row}
     pivots = []
     done = []
-    col = 0
-    while col < ncols and work:
-        hit = None
-        for idx, row in enumerate(work):
-            if col in row:
-                hit = idx
-                break
-        if hit is None:
-            col += 1
+    for col in range(ncols):
+        if not open_rows:
+            break
+        here = holders.get(col, set())
+        candidates = here & open_rows
+        if not candidates:
             continue
-        pivot_row = work.pop(hit)
-        inv = _ONE / pivot_row[col]
-        pivot_row = {c: v * inv for c, v in pivot_row.items()}
-        for target in (work, done):
-            for idx, row in enumerate(target):
-                if col in row:
-                    factor = row[col]
-                    new = dict(row)
-                    for c, v in pivot_row.items():
-                        acc = new.get(c, _ZERO) - factor * v
-                        if acc.is_zero():
-                            new.pop(c, None)
-                        else:
-                            new[c] = acc
-                    target[idx] = new
-        work = [r for r in work if r]
+        hit = min(candidates)
+        open_rows.discard(hit)
+        inv = _ONE / work[hit][col]
+        pivot_row = {c: v * inv for c, v in work[hit].items()}
+        work[hit] = pivot_row
+        for idx in here - {hit}:
+            row = work[idx]
+            factor = row[col]
+            for c, v in pivot_row.items():
+                acc = row.get(c, _ZERO) - factor * v
+                if not acc.is_zero():
+                    if c not in row:
+                        holders.setdefault(c, set()).add(idx)
+                    row[c] = acc
+                elif row.pop(c, None) is not None:
+                    holders[c].discard(idx)
+            if not row:
+                open_rows.discard(idx)
         done.append(pivot_row)
         pivots.append(col)
-        col += 1
     return done, pivots
 
 
@@ -87,31 +93,3 @@ def dense_rank(matrix: list) -> int:
     ncols = len(matrix[0])
     rows = [{j: v for j, v in enumerate(r) if not v.is_zero()} for r in matrix]
     return rank(rows, ncols)
-
-
-def determinant(matrix: list) -> GaussRational:
-    """Exact determinant by elimination with row swaps."""
-    n = len(matrix)
-    work = [list(row) for row in matrix]
-    det = _ONE
-    for col in range(n):
-        hit = None
-        for idx in range(col, n):
-            if not work[idx][col].is_zero():
-                hit = idx
-                break
-        if hit is None:
-            return _ZERO
-        if hit != col:
-            work[col], work[hit] = work[hit], work[col]
-            det = -det
-        pivot = work[col][col]
-        det = det * pivot
-        inv = _ONE / pivot
-        for idx in range(col + 1, n):
-            factor = work[idx][col] * inv
-            if factor.is_zero():
-                continue
-            for j in range(col, n):
-                work[idx][j] = work[idx][j] - factor * work[col][j]
-    return det

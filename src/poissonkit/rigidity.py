@@ -19,47 +19,23 @@ from itertools import combinations_with_replacement
 from . import linalg
 from .multivectors import Multivector, contract, exterior_derivative
 from .polynomials import Polynomial, VariableTable, reduce_mod
-from .scalars import GaussRational
 
-
-def _unknown_name(i, j, k, l):
-    return f"a{i}{j}_{k}{l}"
+# Largest N the command line accepts: N = 12 already has 5,148 unknowns.
+MAX_DIM = 12
 
 
 class RigiditySystem:
     """Homogeneous exact linear constraints on the a_ij^kl unknowns."""
 
-    def __init__(self, N: int, unknowns, rows, table: VariableTable,
-                 bivector: Multivector):
+    def __init__(self, N: int, unknowns, rows, table: VariableTable):
         self.N = N
         self.unknowns = tuple(unknowns)  # (i, j, k, l) quadruples
         self.rows = rows                 # sparse column -> scalar maps
-        self.table = table
-        self.bivector = bivector         # the general symbolic bivector
+        self.table = table               # the N coordinates, no parameters
 
     @property
     def n_unknowns(self) -> int:
         return len(self.unknowns)
-
-    def satisfied_by(self, vector) -> bool:
-        """Check an assignment (dense scalar list) against every row."""
-        zero = GaussRational.zero()
-        for row in self.rows:
-            acc = zero
-            for col, coeff in row.items():
-                acc = acc + coeff * vector[col]
-            if not acc.is_zero():
-                return False
-        return True
-
-    def diagonal_vector(self, m: int, mp: int):
-        """Indicator assignment of the diagonal unknown a_mm'^mm'."""
-        if m > mp:
-            m, mp = mp, m
-        target = (m, mp, m, mp)
-        one = GaussRational.one()
-        zero = GaussRational.zero()
-        return [one if u == target else zero for u in self.unknowns]
 
     def __repr__(self):
         return (f"<RigiditySystem N={self.N} unknowns={self.n_unknowns} "
@@ -67,7 +43,15 @@ class RigiditySystem:
 
 
 def diagonality_constraints(N: int) -> RigiditySystem:
-    """Invariance of all coordinate hyperplanes as a linear system."""
+    """Invariance of all coordinate hyperplanes as a linear system.
+
+    Row (m, m', monomial) is the coefficient of that monomial in the
+    xi_m' component of the Hamiltonian field of x_m, reduced mod x_m'.
+    The field is linear in the unknowns, so column c is read off the
+    basis bivector x_i x_j xi_k ^ xi_l of unknowns[c] alone, whose field
+    of x_m is nonzero only for m in {k, l}.  Rows run over m, then m',
+    then sorted monomial; a row repeating an earlier one is dropped.
+    """
     if N < 2:
         raise ValueError("need at least two coordinates")
     unknowns = [
@@ -75,45 +59,34 @@ def diagonality_constraints(N: int) -> RigiditySystem:
         for i in range(1, N + 1) for j in range(i, N + 1)
         for k in range(1, N + 1) for l in range(k + 1, N + 1)
     ]
-    column = {u: idx for idx, u in enumerate(unknowns)}
-    coords = tuple(f"x{m}" for m in range(1, N + 1))
-    params = tuple(_unknown_name(*u) for u in unknowns)
-    table = VariableTable(coords, params)
-    terms = {}
-    for (i, j, k, l) in unknowns:
-        coeff = Polynomial.monomial(
-            table, {_unknown_name(i, j, k, l): 1, f"x{i}": 1}) * Polynomial.monomial(
-            table, {f"x{j}": 1})
-        key = (k - 1, l - 1)
-        terms[key] = terms.get(key, Polynomial.zero(table)) + coeff
-    bivector = Multivector(table, 2, terms)
+    table = VariableTable(tuple(f"x{m}" for m in range(1, N + 1)))
+    variables = [Polynomial.variable(table, name)
+                 for name in table.coordinates]
+    differentials = [exterior_derivative(x) for x in variables]
+    quadratics = {(i, j): variables[i - 1] * variables[j - 1]
+                  for i in range(1, N + 1) for j in range(i, N + 1)}
+    entries = {}  # (m, m', monomial) -> {column: scalar}, indices from 0
+    remainders = {}  # (component, m') -> remainder; components recur
+    for col, (i, j, k, l) in enumerate(unknowns):
+        basis = Multivector(table, 2, {(k - 1, l - 1): quadratics[i, j]})
+        for m in (k - 1, l - 1):
+            field = contract(differentials[m], basis)
+            for (mp,), component in field.terms.items():
+                key = (component, mp)
+                if key not in remainders:
+                    remainders[key] = reduce_mod(component, variables[mp])[1]
+                for exps, value in remainders[key].terms.items():
+                    entries.setdefault((m, mp, exps), {})[col] = value
 
-    n_coords = len(coords)
     rows = []
     seen = set()
-    for m in range(1, N + 1):
-        field = contract(
-            exterior_derivative(Polynomial.variable(table, f"x{m}")), bivector)
-        for mp in range(1, N + 1):
-            if mp == m:
-                continue
-            component = field.coefficient((mp - 1,))
-            _, remainder = reduce_mod(
-                component, Polynomial.variable(table, f"x{mp}"))
-            grouped = {}
-            for exps, value in remainder.terms.items():
-                # each term is linear in exactly one unknown
-                param_part = exps[n_coords:]
-                hot = param_part.index(1)
-                grouped.setdefault(exps[:n_coords], {})[hot] = value
-            for key in sorted(grouped):
-                row = grouped[key]
-                fingerprint = tuple(sorted(
-                    (c, v.re, v.im) for c, v in row.items()))
-                if fingerprint not in seen:
-                    seen.add(fingerprint)
-                    rows.append(row)
-    return RigiditySystem(N, unknowns, rows, table, bivector)
+    for key in sorted(entries):
+        row = entries[key]
+        fingerprint = tuple(sorted((c, v.re, v.im) for c, v in row.items()))
+        if fingerprint not in seen:
+            seen.add(fingerprint)
+            rows.append(row)
+    return RigiditySystem(N, unknowns, rows, table)
 
 
 def solve_rigidity(system: RigiditySystem):
@@ -125,8 +98,7 @@ def solve_rigidity(system: RigiditySystem):
     """
     vectors = linalg.nullspace(system.rows, system.n_unknowns)
     basis = []
-    coords = tuple(f"x{m}" for m in range(1, system.N + 1))
-    table = VariableTable(coords, ())
+    table = system.table
     for vec in vectors:
         support = [idx for idx, v in enumerate(vec) if not v.is_zero()]
         quads = [system.unknowns[idx] for idx in support]

@@ -189,11 +189,20 @@ def test_logform_verb(corpus):
     assert code == 2  # even count is unusable input
 
 
-def test_rigidity_verb():
+def test_rigidity_verb(capsys):
     code, stdout, _ = run_cli("rigidity", "--dim", "5")
     assert code == 0
     assert "dimension: 10" in stdout
     assert "diagonal: true" in stdout
+    for dim, bound in (("1", "at least 2"), ("13", "at most 12")):
+        assert main(["rigidity", "--dim", dim]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and bound in captured.err
+
+
+def test_rigidity_certifies_dimension_twelve(capsys):
+    assert main(["rigidity", "--dim", "12"]) == 0
+    assert capsys.readouterr().out == "dimension: 66\ndiagonal: true\n"
 
 
 def test_simplex_verb():
@@ -253,6 +262,29 @@ def test_exit_code_two_on_bad_input(corpus, tmp_path):
     for argv in cases:
         code, _, stderr = run_cli(*argv)
         assert code == 2, f"{argv} gave {code}"
+
+
+def test_integrable_flag_is_verified_on_load(corpus, tmp_path):
+    # 1 xi1^xi2 + x1 xi3^xi4 is not Poisson: [Pi, Pi] = -2 xi1^xi2^xi3
+    claimed = tmp_path / "claimed.mv"
+    claimed.write_text(json.dumps({
+        "kind": "multivector", "coordinates": ["x1", "x2", "x3", "x4"],
+        "parameters": [], "degree": 2, "integrable": "true",
+        "terms": [{"coeff": "1", "exponents": {}, "indices": [0, 1]},
+                  {"coeff": "1", "exponents": {"x1": 1}, "indices": [2, 3]}]}))
+    for argv in (("parse",), ("chart", "--target", "1"), ("jacobi",)):
+        code, stdout, stderr = run_cli(argv[0], "--in", str(claimed),
+                                       *argv[1:])
+        assert (code, stdout) == (2, ""), argv
+        assert "Traceback" not in stderr
+        assert "claims integrable: true" in stderr
+    doc = json.loads((corpus / "diag4.mv").read_text())
+    doc["integrable"] = "false"
+    denied = tmp_path / "denied.mv"
+    denied.write_text(json.dumps(doc))
+    code, stdout, stderr = run_cli("parse", "--in", str(denied))
+    assert (code, stdout) == (2, "")
+    assert "claims integrable: false" in stderr
 
 
 def test_deep_nesting_exits_two_without_traceback(tmp_path):

@@ -4,10 +4,78 @@ from math import comb
 
 import pytest
 
-from poissonkit import (PoissonStructure, VariableTable, check_multiplicity,
-                        diagonality_constraints, jacobi_check,
-                        parse_polynomial, simplex_multiplicity_filter,
+from poissonkit import (GaussRational, Multivector, PoissonStructure,
+                        Polynomial, VariableTable, check_multiplicity,
+                        contract, diagonality_constraints,
+                        exterior_derivative, jacobi_check, parse_polynomial,
+                        reduce_mod, simplex_multiplicity_filter,
                         solve_rigidity)
+
+
+def _reference_constraints(N):
+    """The rows built on one ring with every unknown a_ij^kl a parameter.
+
+    The Hamiltonian field of each x_m under the general quadratic
+    bivector is reduced mod each x_m'; every remainder term is linear in
+    exactly one unknown, whose parameter slot names the column.
+    """
+    unknowns = [
+        (i, j, k, l)
+        for i in range(1, N + 1) for j in range(i, N + 1)
+        for k in range(1, N + 1) for l in range(k + 1, N + 1)
+    ]
+    coords = tuple(f"x{m}" for m in range(1, N + 1))
+    params = tuple(f"a{i}{j}_{k}{l}" for (i, j, k, l) in unknowns)
+    table = VariableTable(coords, params)
+    terms = {}
+    for name, (i, j, k, l) in zip(params, unknowns):
+        coeff = Polynomial.monomial(
+            table, {name: 1, f"x{i}": 1}) * Polynomial.monomial(
+            table, {f"x{j}": 1})
+        key = (k - 1, l - 1)
+        terms[key] = terms.get(key, Polynomial.zero(table)) + coeff
+    bivector = Multivector(table, 2, terms)
+
+    rows = []
+    seen = set()
+    for m in range(1, N + 1):
+        field = contract(
+            exterior_derivative(Polynomial.variable(table, f"x{m}")), bivector)
+        for mp in range(1, N + 1):
+            if mp == m:
+                continue
+            component = field.coefficient((mp - 1,))
+            _, remainder = reduce_mod(
+                component, Polynomial.variable(table, f"x{mp}"))
+            grouped = {}
+            for exps, value in remainder.terms.items():
+                hot = exps[N:].index(1)
+                grouped.setdefault(exps[:N], {})[hot] = value
+            for key in sorted(grouped):
+                row = grouped[key]
+                fingerprint = tuple(sorted(
+                    (c, v.re, v.im) for c, v in row.items()))
+                if fingerprint not in seen:
+                    seen.add(fingerprint)
+                    rows.append(row)
+    return unknowns, rows
+
+
+def _satisfied_by(system, vector):
+    """Check an assignment (dense scalar list) against every row."""
+    for row in system.rows:
+        acc = GaussRational.zero()
+        for col, coeff in row.items():
+            acc = acc + coeff * vector[col]
+        if not acc.is_zero():
+            return False
+    return True
+
+
+def _diagonal_vector(system, m, mp):
+    """Indicator assignment of the diagonal unknown a_mm'^mm'."""
+    target = (min(m, mp), max(m, mp)) * 2
+    return [GaussRational(1 if u == target else 0) for u in system.unknowns]
 
 
 def test_unknown_count():
@@ -17,8 +85,18 @@ def test_unknown_count():
     assert len(system.unknowns) == 150
 
 
+def test_constraints_match_the_parameter_ring_reference():
+    for N in range(2, 7):
+        unknowns, rows = _reference_constraints(N)
+        system = diagonality_constraints(N)
+        assert list(system.unknowns) == unknowns
+        assert system.rows == rows
+        assert system.table == VariableTable(
+            tuple(f"x{m}" for m in range(1, N + 1)))
+
+
 def test_solution_space_dimension():
-    for N in (2, 3, 4, 5):
+    for N in range(2, 9):
         system = diagonality_constraints(N)
         dimension, basis = solve_rigidity(system)
         assert dimension == comb(N, 2)
@@ -43,7 +121,10 @@ def test_diagonal_vectors_satisfy_the_system():
     system = diagonality_constraints(3)
     for m in range(1, 4):
         for mp in range(m + 1, 4):
-            assert system.satisfied_by(system.diagonal_vector(m, mp))
+            assert _satisfied_by(system, _diagonal_vector(system, m, mp))
+    off_diagonal = [GaussRational(1 if u == (1, 1, 1, 2) else 0)
+                    for u in system.unknowns]
+    assert not _satisfied_by(system, off_diagonal)
 
 
 def test_simplex_filter_unique_survivor():
