@@ -16,7 +16,7 @@ from .documents import (from_document, loads, load_path, save_path,
                         serialize, to_document)
 from .multivectors import (BV_SIGN, DifferentialForm, Multivector,
                            VolumeCurl, bv_laplacian, contract, curl,
-                           exterior_derivative, odd_partial, schouten,
+                           exterior_derivative, schouten,
                            volume_isomorphism, volume_isomorphism_inverse,
                            wedge)
 from .polynomials import (Polynomial, PolynomialSyntaxError, VariableTable,
@@ -80,7 +80,6 @@ __all__ = [
     "loads",
     "log_annihilator",
     "make_diagonal",
-    "odd_partial",
     "parse_polynomial",
     "parse_scalar",
     "pfaffian",

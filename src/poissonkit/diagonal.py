@@ -287,7 +287,7 @@ def is_generic(spec: DiagonalSpec) -> bool:
     mu = [m.constant_value() for m in curl_eigenvalues(spec)]
     if any(m.is_zero() for m in mu):
         return False
-    return len({(m.re, m.im) for m in mu}) == len(mu)
+    return len(set(mu)) == len(mu)
 
 
 def random_generic_spec(n: int, rng: random.Random, bound: int = 10 ** 6,

@@ -138,22 +138,22 @@ class _SuperElement:
             acc = terms.get(indices)
             total = coeff if acc is None else acc + coeff
             terms[indices] = total
-        return type(self)(self.table, self.degree, terms)
+        return _trusted(type(self), self.table, self.degree, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.table, self.degree,
-                          {ix: -c for ix, c in self.terms.items()})
+        return _trusted(type(self), self.table, self.degree,
+                        {ix: -c for ix, c in self.terms.items()})
 
     def __mul__(self, factor):
         if isinstance(factor, (int, Fraction, GaussRational)):
             factor = Polynomial.constant(self.table, factor)
         if not isinstance(factor, Polynomial):
             return NotImplemented
-        return type(self)(self.table, self.degree,
-                          {ix: c * factor for ix, c in self.terms.items()})
+        return _trusted(type(self), self.table, self.degree,
+                        {ix: c * factor for ix, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -191,7 +191,7 @@ class _SuperElement:
                 add = c1 * c2 if sign > 0 else -(c1 * c2)
                 acc = terms.get(merged)
                 terms[merged] = add if acc is None else acc + add
-        return type(self)(self.table, degree, terms)
+        return _trusted(type(self), self.table, degree, terms)
 
     def evaluate_float(self, values: Mapping[str, complex]) -> dict:
         """Complex-double wedge coefficients in canonical index order."""
@@ -208,6 +208,16 @@ class _SuperElement:
             gens = "^".join(f"{self._prefix}{k}" for k in indices)
             bits.append(f"({coeff}){'*' + gens if gens else ''}")
         return f"<{type(self).__name__} {' + '.join(bits)}>"
+
+
+def _trusted(cls, table: VariableTable, degree: int, terms: dict):
+    """Trusted constructor for results built from valid elements."""
+    element = object.__new__(cls)
+    object.__setattr__(element, "table", table)
+    object.__setattr__(element, "degree", degree)
+    object.__setattr__(element, "terms",
+                       {ix: c for ix, c in terms.items() if c})
+    return element
 
 
 class Multivector(_SuperElement):
@@ -237,7 +247,8 @@ def _slot_contract(element, k: int):
             continue
         reduced = indices[:pos] + indices[pos + 1:]
         terms[reduced] = coeff if pos % 2 == 0 else -coeff
-    return type(element)(element.table, max(element.degree - 1, 0), terms)
+    return _trusted(type(element), element.table, max(element.degree - 1, 0),
+                    terms)
 
 
 def contract(eta: DifferentialForm, a: Multivector) -> Multivector:
@@ -280,21 +291,15 @@ def exterior_derivative(omega) -> DifferentialForm:
             sign, merged = _merge_sign((k,), indices)
             add = dc if sign > 0 else -dc
             acc = terms.get(merged)
-            total = add if acc is None else acc + add
-            terms[merged] = total
+            terms[merged] = add if acc is None else acc + add
     if omega.degree >= table.n_coordinates:
         return DifferentialForm.zero(table, table.n_coordinates)
-    return DifferentialForm(table, omega.degree + 1, terms)
+    return _trusted(DifferentialForm, table, omega.degree + 1, terms)
 
 
 def _even_partial(a, name: str):
-    return type(a)(a.table, a.degree,
-                   {ix: c.partial_derivative(name) for ix, c in a.terms.items()})
-
-
-def odd_partial(a: Multivector, k: int) -> Multivector:
-    """Left derivative with respect to generator k (move to front, drop)."""
-    return _slot_contract(a, k)
+    return _trusted(type(a), a.table, a.degree,
+                    {ix: c.partial_derivative(name) for ix, c in a.terms.items()})
 
 
 def schouten(a: Multivector, b: Multivector) -> Multivector:
@@ -317,20 +322,15 @@ def schouten(a: Multivector, b: Multivector) -> Multivector:
     degree = min(max(a.degree + b.degree - 1, 0), table.n_coordinates)
     total = Multivector.zero(table, degree)
     first_sign = -1 if a.degree % 2 == 0 else 1
-    for k, name in enumerate(table.coordinates):
-        left = _slot_contract(a, k)
-        if not left.is_zero():
-            right = _even_partial(b, name)
-            if not right.is_zero():
-                total = total + left.wedge(right) * first_sign
     # dA/dx_k ^ d_L B/dxi_k, rewritten with the odd factor in front
     second_sign = -1 if (a.degree * (b.degree + 1)) % 2 == 0 else 1
-    for k, name in enumerate(table.coordinates):
-        left = _slot_contract(b, k)
-        if not left.is_zero():
-            right = _even_partial(a, name)
-            if not right.is_zero():
-                total = total + left.wedge(right) * second_sign
+    for odd, even, sign in ((a, b, first_sign), (b, a, second_sign)):
+        for k, name in enumerate(table.coordinates):
+            left = _slot_contract(odd, k)
+            if not left.is_zero():
+                right = _even_partial(even, name)
+                if not right.is_zero():
+                    total = total + left.wedge(right) * sign
     return total
 
 

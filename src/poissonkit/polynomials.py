@@ -14,9 +14,10 @@ as coefficients: division never reorders the coordinate-level structure.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
-from .scalars import GaussRational, format_scalar
+from .scalars import GaussRational, _power, format_scalar
 
 
 class PolynomialSyntaxError(ValueError):
@@ -208,18 +209,6 @@ class Polynomial:
             return degrees.pop()
         return None
 
-    def monomial_content(self) -> tuple:
-        """Componentwise minimum exponent tuple over all terms."""
-        if not self.terms:
-            return (0,) * self.table.width
-        its = iter(self.terms)
-        acc = list(next(its))
-        for exps in its:
-            for k, e in enumerate(exps):
-                if e < acc[k]:
-                    acc[k] = e
-        return tuple(acc)
-
     def sorted_terms(self) -> list:
         """Terms in canonical (descending) monomial order."""
         key = _order_key_fn(self.table)
@@ -245,12 +234,8 @@ class Polynomial:
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
             acc = terms.get(exps)
-            total = coeff if acc is None else acc + coeff
-            if total.is_zero():
-                terms.pop(exps, None)
-            else:
-                terms[exps] = total
-        return Polynomial(self.table, terms)
+            terms[exps] = coeff if acc is None else acc + coeff
+        return _trusted(self.table, terms)
 
     __radd__ = __add__
 
@@ -267,7 +252,7 @@ class Polynomial:
         return other + (-self)
 
     def __neg__(self):
-        return Polynomial(self.table, {e: -c for e, c in self.terms.items()})
+        return _trusted(self.table, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -277,33 +262,21 @@ class Polynomial:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
+                exps = tuple(map(add, e1, e2))
                 acc = terms.get(exps)
-                total = prod if acc is None else acc + prod
-                if total.is_zero():
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = total
-        return Polynomial(self.table, terms)
+                terms[exps] = c1 * c2 if acc is None else acc + c1 * c2
+        return _trusted(self.table, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.one(self.table)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Polynomial.one(self.table))
 
     def scale(self, value) -> "Polynomial":
         value = _as_scalar(value)
-        return Polynomial(self.table, {e: c * value for e, c in self.terms.items()})
+        return _trusted(self.table, {e: c * value for e, c in self.terms.items()})
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -338,14 +311,9 @@ class Polynomial:
             if not e:
                 continue
             lowered = exps[:slot] + (e - 1,) + exps[slot + 1:]
-            add = coeff * e
             acc = terms.get(lowered)
-            total = add if acc is None else acc + add
-            if total.is_zero():
-                terms.pop(lowered, None)
-            else:
-                terms[lowered] = total
-        return Polynomial(self.table, terms)
+            terms[lowered] = coeff * e if acc is None else acc + coeff * e
+        return _trusted(self.table, terms)
 
     def evaluate(self, values: Mapping[str, object]) -> GaussRational:
         """Exact evaluation; every variable present in the polynomial must
@@ -355,7 +323,7 @@ class Polynomial:
         if missing:
             raise KeyError(f"unassigned variable: {missing[0]!r}")
         total = GaussRational.zero()
-        for exps, coeff in self.sorted_terms():
+        for exps, coeff in self.terms.items():
             acc = coeff
             for pos, e in enumerate(exps):
                 if e:
@@ -388,7 +356,7 @@ class Polynomial:
                     residual[slot] = 0
                     piece = img ** e
                     factor = piece if factor is None else factor * piece
-            base = Polynomial(table, {tuple(residual): coeff})
+            base = _trusted(table, {tuple(residual): coeff})
             result = result + (base if factor is None else base * factor)
         return result
 
@@ -397,6 +365,14 @@ class Polynomial:
 
     def __repr__(self):
         return f"<Polynomial {format_polynomial(self)}>"
+
+
+def _trusted(table: VariableTable, terms: dict) -> Polynomial:
+    """Trusted constructor for results built from valid polynomials."""
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "table", table)
+    object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+    return p
 
 
 class FloatPolynomials:
@@ -508,7 +484,7 @@ def reduce_mod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
                     work[target] = acc
         else:
             remainder[m] = c
-    return Polynomial(table, quotient), Polynomial(table, remainder)
+    return _trusted(table, quotient), _trusted(table, remainder)
 
 
 # -- text syntax -----------------------------------------------------------

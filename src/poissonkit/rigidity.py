@@ -50,7 +50,7 @@ def diagonality_constraints(N: int) -> RigiditySystem:
     The field is linear in the unknowns, so column c is read off the
     basis bivector x_i x_j xi_k ^ xi_l of unknowns[c] alone, whose field
     of x_m is nonzero only for m in {k, l}.  Rows run over m, then m',
-    then sorted monomial; a row repeating an earlier one is dropped.
+    then sorted monomial.
     """
     if N < 2:
         raise ValueError("need at least two coordinates")
@@ -78,14 +78,7 @@ def diagonality_constraints(N: int) -> RigiditySystem:
                 for exps, value in remainders[key].terms.items():
                     entries.setdefault((m, mp, exps), {})[col] = value
 
-    rows = []
-    seen = set()
-    for key in sorted(entries):
-        row = entries[key]
-        fingerprint = tuple(sorted((c, v.re, v.im) for c, v in row.items()))
-        if fingerprint not in seen:
-            seen.add(fingerprint)
-            rows.append(row)
+    rows = [entries[key] for key in sorted(entries)]
     return RigiditySystem(N, unknowns, rows, table)
 
 

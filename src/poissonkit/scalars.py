@@ -1,138 +1,150 @@
 """Exact arithmetic over the Gaussian rationals Q(i).
 
-A scalar is re + im*i with both parts arbitrary-precision rationals.
-`fractions.Fraction` keeps every part in lowest terms with a positive
-denominator, so equality is plain structural equality.
+A scalar (a + b*i)/d is stored as one integer triple (a, b, d) with
+d > 0 and gcd(a, b, d) = 1.  The form is unique, so equality and hashing
+compare the triple.  `GaussRational(re, im)` is the one validating
+constructor; arithmetic builds its results through the trusted `_make`
+and `_norm`.  The parts `.re` and `.im` read back as `fractions.Fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import eq
+
+
+def _add(x: tuple, y: tuple) -> "GaussRational":
+    a, b, d = x
+    c, e, f = y
+    if d == 1 and f == 1:
+        return _make(a + c, b + e, 1)
+    g = gcd(d, f)
+    s, t = d // g, f // g
+    a, b = a * t + c * s, b * t + e * s
+    g = gcd(g, a, b)
+    return _make(a // g, b // g, s * f // g)
+
+
+def _mul(x: tuple, y: tuple) -> "GaussRational":
+    a, b, d = x
+    c, e, f = y
+    if b or e:
+        a, b = a * c - b * e, a * e + b * c
+    else:
+        a *= c
+    if d == 1 and f == 1:
+        return _make(a, b, 1)
+    return _norm(a, b, d * f)
+
+
+def _div(x: tuple, y: tuple) -> "GaussRational":
+    # (a + b i)/d / ((c + e i)/f) = f (a + b i)(c - e i) / (d (c^2 + e^2))
+    a, b, d = x
+    c, e, f = y
+    n = c * c + e * e
+    if not n:
+        raise ZeroDivisionError("division by zero in Q(i)")
+    return _norm((a * c + b * e) * f, (b * c - a * e) * f, d * n)
+
+
+def _binary(op):
+    """A dunder method applying op to the triples of self and other."""
+    def method(self, other):
+        if type(other) is not GaussRational:
+            if type(other) is int:
+                other = _make(other, 0, 1)
+            elif isinstance(other, (int, Fraction)):
+                other = GaussRational(other)
+            else:
+                return NotImplemented
+        return op(self._t, other._t)
+    return method
 
 
 class GaussRational:
     """An element of Q(i), immutable and hashable."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_t",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.denominator, im.denominator
+        d = p * q // gcd(p, q)
+        object.__setattr__(
+            self, "_t", (re.numerator * (d // p), im.numerator * (d // q), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._t[0], self._t[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._t[1], self._t[2])
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "GaussRational":
-        return cls(0, 0)
+        return _make(0, 0, 1)
 
     @classmethod
     def one(cls) -> "GaussRational":
-        return cls(1, 0)
+        return _make(1, 0, 1)
 
     @classmethod
     def i(cls) -> "GaussRational":
-        return cls(0, 1)
+        return _make(0, 1, 1)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return self._t == (0, 0, 1)
 
     def is_one(self) -> bool:
-        return self.re == 1 and not self.im
+        return self._t == (1, 0, 1)
 
     def is_rational(self) -> bool:
-        return not self.im
+        return not self._t[1]
 
     # -- ring/field operations ------------------------------------------
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero in Q(i)")
-        n = other.re * other.re + other.im * other.im
-        return GaussRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+    __add__ = __radd__ = _binary(_add)
+    __sub__ = _binary(lambda x, y: _add(x, (-y[0], -y[1], y[2])))
+    __rsub__ = _binary(lambda x, y: _add(y, (-x[0], -x[1], x[2])))
+    __mul__ = __rmul__ = _binary(_mul)
+    __truediv__ = _binary(_div)
+    __rtruediv__ = _binary(lambda x, y: _div(y, x))
+    __eq__ = _binary(eq)
 
     def __pow__(self, n: int):
         if n < 0:
             return GaussRational.one() / self ** (-n)
-        result = GaussRational.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, GaussRational.one())
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        a, b, d = self._t
+        return _make(-a, -b, d)
 
     def __pos__(self):
         return self
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
-
-    def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        a, b, d = self._t
+        return _make(a, -b, d)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self._t)
 
     def __bool__(self):
-        return not self.is_zero()
+        return self._t != (0, 0, 1)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        a, b, d = self._t
+        return complex(a / d, b / d)
 
     # -- text form -------------------------------------------------------
 
@@ -143,12 +155,30 @@ class GaussRational:
         return f"GaussRational({self.re!r}, {self.im!r})"
 
 
-def _coerce(value):
-    if isinstance(value, GaussRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussRational(value)
-    return NotImplemented
+def _make(a: int, b: int, d: int) -> GaussRational:
+    """Trusted constructor: (a, b, d) must already be normalized."""
+    z = object.__new__(GaussRational)
+    object.__setattr__(z, "_t", (a, b, d))
+    return z
+
+
+def _norm(a: int, b: int, d: int) -> GaussRational:
+    """(a + b i)/d for d > 0, with the common gcd divided out."""
+    g = gcd(d, a, b)
+    if g == 1:
+        return _make(a, b, d)
+    return _make(a // g, b // g, d // g)
+
+
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by repeated squaring, in any ring."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 def format_scalar(z: GaussRational) -> str:

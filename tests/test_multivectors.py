@@ -4,9 +4,10 @@ import pytest
 
 from poissonkit import (BV_SIGN, DifferentialForm, Multivector,
                         Polynomial, VariableTable, VolumeCurl, bv_laplacian,
-                        contract, curl, exterior_derivative, odd_partial,
+                        contract, curl, exterior_derivative,
                         parse_polynomial, schouten, volume_isomorphism,
                         volume_isomorphism_inverse, wedge)
+from poissonkit.multivectors import _slot_contract
 
 T2 = VariableTable(("x1", "x2"), ("l12",))
 T3 = VariableTable(("x1", "x2", "x3"))
@@ -96,9 +97,9 @@ def test_exterior_derivative():
 
 def test_odd_partial_moves_to_front():
     a = mv(T3, {(0, 1): "x3"})
-    assert odd_partial(a, 0) == mv(T3, {(1,): "x3"})
-    assert odd_partial(a, 1) == mv(T3, {(0,): "-x3"})
-    assert odd_partial(a, 2).is_zero()
+    assert _slot_contract(a, 0) == mv(T3, {(1,): "x3"})
+    assert _slot_contract(a, 1) == mv(T3, {(0,): "-x3"})
+    assert _slot_contract(a, 2).is_zero()
 
 
 def test_bracket_anchors():

@@ -65,3 +65,12 @@ def test_parse_rejects_garbage():
     for bad in ("", "1+", "2//3", "one", "(1"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
+
+
+def test_zero_and_unit_triples_are_unique():
+    assert GaussRational(0)._t == (0, 0, 1)
+    z = GaussRational(Fraction(1, 3), 2)
+    assert (z - z)._t == (0, 0, 1)
+    assert GaussRational(Fraction(2, 4), Fraction(-3, 6))._t == (1, -1, 2)
+    with pytest.raises(AttributeError):
+        GaussRational(1).re = Fraction(2)
