@@ -21,12 +21,19 @@ Conventions frozen here (and regression-tested):
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
+from . import polynomials
 from .polynomials import FloatPolynomials, Polynomial, VariableTable
 from .scalars import GaussRational
 
+# Index pairs recur across a computation: checking two generic diagonal
+# structures on every chart of P^8 asks for 3,851 distinct pairs 73,920 times.
+MERGE_SIGN_CACHE = 1 << 16
 
+
+@lru_cache(maxsize=MERGE_SIGN_CACHE)
 def _merge_sign(left: tuple, right: tuple):
     """Merge two strictly increasing, disjoint index tuples.
 
@@ -84,6 +91,9 @@ class _SuperElement:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.table, self.degree, self.terms)
 
     @classmethod
     def zero(cls, table: VariableTable, degree: int = 0):
@@ -179,19 +189,25 @@ class _SuperElement:
             raise TypeError("mixed multivector/form wedge")
         if self.table != other.table:
             raise ValueError("elements live on different variable tables")
+        table = self.table
         degree = self.degree + other.degree
-        if degree > self.table.n_coordinates:
-            return type(self).zero(self.table, self.table.n_coordinates)
-        terms = {}
+        if degree > table.n_coordinates:
+            return type(self).zero(table, table.n_coordinates)
+        # merged index tuple -> {exponents: scalar}; the Koszul sign goes
+        # into the left factor, so no intermediate Polynomial is built
+        sums = {}
         for ix1, c1 in self.terms.items():
             for ix2, c2 in other.terms.items():
                 sign, merged = _merge_sign(ix1, ix2)
                 if not sign:
                     continue
-                add = c1 * c2 if sign > 0 else -(c1 * c2)
-                acc = terms.get(merged)
-                terms[merged] = add if acc is None else acc + add
-        return _trusted(type(self), self.table, degree, terms)
+                left = (c1.terms if sign > 0
+                        else {e: -c for e, c in c1.terms.items()})
+                polynomials._mul_into(sums.setdefault(merged, {}), left,
+                                      c2.terms)
+        return _trusted(type(self), table, degree,
+                        {ix: polynomials._trusted(table, acc)
+                         for ix, acc in sums.items()})
 
     def evaluate_float(self, values: Mapping[str, complex]) -> dict:
         """Complex-double wedge coefficients in canonical index order."""
@@ -320,17 +336,29 @@ def schouten(a: Multivector, b: Multivector) -> Multivector:
         raise ValueError("multivectors on different variable tables")
     table = a.table
     degree = min(max(a.degree + b.degree - 1, 0), table.n_coordinates)
-    total = Multivector.zero(table, degree)
-    first_sign = -1 if a.degree % 2 == 0 else 1
+    if a is b:
+        # The second sign is -1 for every degree and the two sums agree:
+        # they add up for even degree and cancel for odd degree.
+        if a.degree % 2:
+            return Multivector.zero(table, degree)
+        return _odd_even_sum(a, a, degree) * -2
+    first = _odd_even_sum(a, b, degree)
+    second = _odd_even_sum(b, a, degree)
+    first = first if a.degree % 2 else -first
     # dA/dx_k ^ d_L B/dxi_k, rewritten with the odd factor in front
-    second_sign = -1 if (a.degree * (b.degree + 1)) % 2 == 0 else 1
-    for odd, even, sign in ((a, b, first_sign), (b, a, second_sign)):
-        for k, name in enumerate(table.coordinates):
-            left = _slot_contract(odd, k)
-            if not left.is_zero():
-                right = _even_partial(even, name)
-                if not right.is_zero():
-                    total = total + left.wedge(right) * sign
+    second = second if (a.degree * (b.degree + 1)) % 2 else -second
+    return first + second
+
+
+def _odd_even_sum(odd: Multivector, even: Multivector, degree: int):
+    """sum_k (d_L odd / dxi_k) ^ (d even / dx_k)."""
+    total = Multivector.zero(odd.table, degree)
+    for k, name in enumerate(odd.table.coordinates):
+        left = _slot_contract(odd, k)
+        if not left.is_zero():
+            right = _even_partial(even, name)
+            if not right.is_zero():
+                total = total + left.wedge(right)
     return total
 
 

@@ -53,6 +53,9 @@ class VariableTable:
     def __setattr__(self, name, value):
         raise AttributeError("VariableTable is immutable")
 
+    def __reduce__(self):
+        return VariableTable, (self.coordinates, self.parameters)
+
     @property
     def names(self) -> tuple[str, ...]:
         return self.coordinates + self.parameters
@@ -132,6 +135,9 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        return Polynomial, (self.table, self.terms)
 
     # -- constructors --------------------------------------------------
 
@@ -260,11 +266,7 @@ class Polynomial:
             return NotImplemented
         self._check_table(other)
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(map(add, e1, e2))
-                acc = terms.get(exps)
-                terms[exps] = c1 * c2 if acc is None else acc + c1 * c2
+        _mul_into(terms, self.terms, other.terms)
         return _trusted(self.table, terms)
 
     __rmul__ = __mul__
@@ -373,6 +375,20 @@ def _trusted(table: VariableTable, terms: dict) -> Polynomial:
     object.__setattr__(p, "table", table)
     object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
     return p
+
+
+def _mul_into(acc: dict, terms1: Mapping, terms2: Mapping) -> None:
+    """Add the product of two term dicts into `acc`, term by term.
+
+    The one polynomial product loop.  Sums that cancel stay in `acc` as
+    zero scalars; `_trusted` drops them when the result is built.
+    """
+    get = acc.get
+    for e1, c1 in terms1.items():
+        for e2, c2 in terms2.items():
+            exps = tuple(map(add, e1, e2))
+            prev = get(exps)
+            acc[exps] = c1 * c2 if prev is None else prev + c1 * c2
 
 
 class FloatPolynomials:
@@ -523,6 +539,9 @@ def _tokenize(text: str):
 # The parser recurses once per parenthesis; deeper input is rejected as a
 # syntax error long before Python's recursion limit is reached.
 MAX_NESTING = 100
+# A power's cost grows with its exponent: (x1+x2+x3+x4)^20 expands to
+# 1,771 terms in about 0.2 s, ^40 to 12,341 terms in several seconds.
+MAX_EXPONENT = 20
 
 
 class _Parser:
@@ -578,8 +597,13 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind != "int":
                 self.fail("expected integer exponent")
+            # lengths first: int() refuses strings of over 4,300 digits
+            digits = value.lstrip("0") or "0"
+            if (len(digits) > len(str(MAX_EXPONENT))
+                    or int(digits) > MAX_EXPONENT):
+                self.fail(f"exponent larger than {MAX_EXPONENT}")
             self.advance()
-            return base ** int(value)
+            return base ** int(digits)
         return base
 
     def base(self) -> Polynomial:

@@ -77,6 +77,9 @@ class GaussRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
 
+    def __reduce__(self):
+        return GaussRational, (self.re, self.im)
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._t[0], self._t[2])
@@ -176,8 +179,9 @@ def _power(base, n: int, one):
     while n:
         if n & 1:
             result = result * base
-        base = base * base
         n >>= 1
+        if n:
+            base = base * base
     return result
 
 

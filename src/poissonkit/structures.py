@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from . import multivectors, polynomials
 from .linalg import dense_rank
 from .multivectors import Multivector, contract, exterior_derivative, schouten
 from .polynomials import Polynomial, VariableTable, reduce_mod
@@ -181,10 +182,9 @@ def restrict_hyperplane(ps: PoissonStructure, coordinate) -> PoissonStructure:
             if exps[pos]:
                 continue
             kept[exps[:pos] + exps[pos + 1:]] = c
-        poly = Polynomial(new_table, kept)
-        if not poly.is_zero():
-            new_terms[new_indices] = poly
-    restricted = PoissonStructure(Multivector(new_table, 2, new_terms))
+        new_terms[new_indices] = polynomials._trusted(new_table, kept)
+    restricted = PoissonStructure(
+        multivectors._trusted(Multivector, new_table, 2, new_terms))
     jacobi_check(restricted)
     return restricted
 
@@ -228,21 +228,23 @@ def chart_transition(biv: Multivector, names: tuple, source: int,
             for j in range(n_params):
                 new[ttable.n_coordinates + j] = exps[n + j]
             parts.setdefault(degree, {})[tuple(new)] = c
-        return {d: Polynomial(ttable, terms) for d, terms in parts.items()}
+        return {d: polynomials._trusted(ttable, terms)
+                for d, terms in parts.items()}
 
     xi_images = {}
     z_a = Polynomial.variable(ttable, names[source])
     for k in range(n):
         m = hom[k]
         if m != target:
-            xi_images[k] = Multivector(ttable, 1, {(tslot[m],): z_a})
+            xi_images[k] = multivectors._trusted(Multivector, ttable, 1,
+                                                 {(tslot[m],): z_a})
         else:
             comps = {}
             for mm in range(n + 1):
                 if mm == target:
                     continue
                 comps[(tslot[mm],)] = -z_a * Polynomial.variable(ttable, names[mm])
-            xi_images[k] = Multivector(ttable, 1, comps)
+            xi_images[k] = multivectors._trusted(Multivector, ttable, 1, comps)
 
     by_power = {}
     for indices, coeff in biv.terms.items():
@@ -266,8 +268,8 @@ def chart_transition(biv: Multivector, names: tuple, source: int,
             if exps[anchor] < top:
                 raise ValueError("does not extend")
             divided[exps[:anchor] + (exps[anchor] - top,) + exps[anchor + 1:]] = c
-        new_terms[indices] = Polynomial(ttable, divided)
-    return Multivector(ttable, 2, new_terms)
+        new_terms[indices] = polynomials._trusted(ttable, divided)
+    return multivectors._trusted(Multivector, ttable, 2, new_terms)
 
 
 def chart_extend(ps: PoissonStructure, target: int,

@@ -301,6 +301,18 @@ def test_deep_nesting_exits_two_without_traceback(tmp_path):
     assert "nested deeper than 100" in stderr and "position 100" in stderr
 
 
+def test_large_exponent_exits_two_without_traceback(corpus):
+    from poissonkit.polynomials import MAX_EXPONENT
+
+    code, stdout, stderr = run_cli(
+        "bracket", "--in", str(corpus / "diag4.mv"),
+        "--f", f"(x1 + x2)^{MAX_EXPONENT + 1}", "--g", "x3")
+    assert (code, stdout) == (2, "")
+    assert "Traceback" not in stderr
+    assert f"exponent larger than {MAX_EXPONENT}" in stderr
+    assert "position 10" in stderr
+
+
 def test_spec_entry_errors_surface(tmp_path):
     def spec_file(value):
         path = tmp_path / "spec.json"

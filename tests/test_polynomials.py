@@ -8,7 +8,7 @@ import pytest
 from poissonkit import (GaussRational, Polynomial, PolynomialSyntaxError,
                         VariableTable, format_polynomial, parse_polynomial,
                         reduce_mod)
-from poissonkit.polynomials import MAX_NESTING, FloatPolynomials
+from poissonkit.polynomials import MAX_EXPONENT, MAX_NESTING, FloatPolynomials
 from poissonkit.randomized import random_polynomial, random_scalar
 
 T = VariableTable(("x1", "x2", "x3"), ("a",))
@@ -195,6 +195,17 @@ def test_parser_bounds_nesting_depth():
             p(text)
     # depth counts open parentheses, not parenthesized groups in a row
     assert p(" + ".join(["(x1)"] * (2 * MAX_NESTING))) == p(f"{2 * MAX_NESTING}*x1")
+
+
+def test_parser_bounds_exponents():
+    assert p(f"x1^{MAX_EXPONENT}") == p("x1") ** MAX_EXPONENT
+    assert p(f"(x1 + x2)^00{MAX_EXPONENT}") == p("x1 + x2") ** MAX_EXPONENT
+    for text, at in ((f"x1^{MAX_EXPONENT + 1}", 3), ("2 + (x1 - x3)^40", 14),
+                     ("x1^" + "9" * 5000, 3), ("x1^0000021", 3)):
+        with pytest.raises(PolynomialSyntaxError,
+                           match=f"exponent larger than {MAX_EXPONENT}: "
+                                 f".* at position {at}$"):
+            p(text)
 
 
 def test_parser_grammar():

@@ -5,13 +5,17 @@ constructor per class, which still drops zero coefficients; the public
 constructors keep every check for callers and for documents.
 """
 
+import copy
 import json
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
-from poissonkit import (DifferentialForm, Multivector, Polynomial,
-                        VariableTable, exterior_derivative, parse_polynomial,
+from poissonkit import (DifferentialForm, GaussRational, Multivector,
+                        Polynomial, VariableTable, exterior_derivative,
+                        multivectors, parse_polynomial, polynomials, scalars,
                         schouten)
 from poissonkit.cli import main
 from poissonkit.randomized import random_element, random_polynomial
@@ -117,3 +121,34 @@ def test_parse_exits_two_on_bad_tuples(doc, tmp_path, capsys):
     assert main(["parse", "--in", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_values_copy_deepcopy_and_pickle():
+    f = p("(1/2+i)*x^2*a - 3/4*y")
+    values = [GaussRational(Fraction(1, 2), -3), T, f,
+              Multivector(T, 2, {(0, 1): f, (1, 2): p("z")}),
+              DifferentialForm(T, 1, {(2,): f})]
+    for value in values:
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+            with pytest.raises(AttributeError):
+                twin.table = T4
+
+
+def test_unpickling_goes_through_the_validating_constructors():
+    # values the trusted constructors build without checks
+    one = Polynomial.one(T)
+    bad_width = polynomials._trusted(T, {(1, 0): one.constant_value()})
+    bad_arity = multivectors._trusted(Multivector, T, 1, {(0, 1): one})
+    twice = object.__new__(VariableTable)
+    for name, value in (("coordinates", ("x", "x")), ("parameters", ()),
+                        ("_slots", {"x": 1})):
+        object.__setattr__(twice, name, value)
+    for forged in (bad_width, bad_arity, twice):
+        data = pickle.dumps(forged)
+        with pytest.raises(ValueError):
+            pickle.loads(data)
+    # an unreduced triple comes back in lowest terms
+    assert pickle.loads(pickle.dumps(scalars._make(2, 4, 2)))._t == (1, 2, 1)
