@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import random
 
+from . import polynomials
 from .multivectors import DifferentialForm, Multivector
 from .polynomials import Polynomial, VariableTable
 from .scalars import GaussRational
-from .structures import PoissonStructure, jacobi_check
+from .structures import PoissonStructure, _pfaffian_memo, jacobi_check
 
 
 class DiagonalSpec:
@@ -138,7 +139,8 @@ def pfaffian(matrix: list):
     """Signed perfect-matching sum, expanding along the first row.
 
     Only entries above the diagonal are read, so skewness is implicit.
-    Entries may be scalars or Polynomials (any ring with + - *).
+    Entries may be scalars or Polynomials on one table, mixed freely;
+    the value is a Polynomial if any entry is one, else a scalar.
     """
     size = len(matrix)
     for row in matrix:
@@ -146,31 +148,20 @@ def pfaffian(matrix: list):
             raise ValueError("matrix must be square")
     if size % 2 != 0:
         raise ValueError("pfaffian needs even size")
-
-    def entry(i, j):
-        return matrix[i][j] if i < j else -matrix[j][i]
-
-    cache = {}
-
-    def rec(indices: tuple):
-        if not indices:
-            return 1
-        got = cache.get(indices)
-        if got is not None:
-            return got
-        first = indices[0]
-        rest = indices[1:]
-        total = None
-        for pos, j in enumerate(rest):
-            remaining = rest[:pos] + rest[pos + 1:]
-            piece = entry(first, j) * rec(remaining)
-            if pos % 2:
-                piece = -piece
-            total = piece if total is None else total + piece
-        cache[indices] = total
-        return total
-
-    return rec(tuple(range(size)))
+    if not size:
+        return 1
+    upper = {(i, j): matrix[i][j]
+             for i in range(size) for j in range(i + 1, size)}
+    table = next((v.table for v in upper.values()
+                  if isinstance(v, Polynomial)), None)
+    if table is None:
+        value = _pfaffian_memo({ix: {(): v} for ix, v in upper.items() if v})(
+            tuple(range(size)))
+        return value.get((), matrix[0][1] * 0)
+    zero = Polynomial.zero(table)
+    value = _pfaffian_memo({ix: (zero + v).terms for ix, v in upper.items()})(
+        tuple(range(size)))
+    return polynomials._trusted(table, value)
 
 
 class CurlEigenvalues:

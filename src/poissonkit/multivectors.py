@@ -159,7 +159,9 @@ class _SuperElement:
 
     def __mul__(self, factor):
         if isinstance(factor, (int, Fraction, GaussRational)):
-            factor = Polynomial.constant(self.table, factor)
+            factor = polynomials._as_scalar(factor)
+            return _trusted(type(self), self.table, self.degree,
+                            {ix: c.scale(factor) for ix, c in self.terms.items()})
         if not isinstance(factor, Polynomial):
             return NotImplemented
         return _trusted(type(self), self.table, self.degree,
@@ -414,12 +416,23 @@ class VolumeCurl:
 
     def __init__(self, main: Multivector, correction: Multivector,
                  denominator: Polynomial):
+        if not (isinstance(main, Multivector)
+                and isinstance(correction, Multivector)
+                and isinstance(denominator, Polynomial)):
+            raise TypeError("a volume curl is two multivectors over a polynomial")
+        if not main.table == correction.table == denominator.table:
+            raise ValueError("volume curl parts on different variable tables")
+        if denominator.is_zero():
+            raise ZeroDivisionError("volume unit is identically zero")
         object.__setattr__(self, "main", main)
         object.__setattr__(self, "correction", correction)
         object.__setattr__(self, "denominator", denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("VolumeCurl is immutable")
+
+    def __reduce__(self):
+        return VolumeCurl, (self.main, self.correction, self.denominator)
 
     def cleared(self) -> Multivector:
         """u * value, a polynomial multivector."""

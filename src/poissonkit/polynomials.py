@@ -606,18 +606,27 @@ class _Parser:
             return base ** int(digits)
         return base
 
+    def integer(self) -> int:
+        """Consume an integer literal; int() refuses over 4,300 digits."""
+        _, digits, at = self.peek()
+        try:
+            value = int(digits)
+        except ValueError:
+            raise PolynomialSyntaxError(
+                f"integer literal of {len(digits)} digits is too long"
+                f" at position {at}") from None
+        self.advance()
+        return value
+
     def base(self) -> Polynomial:
         kind, value, _ = self.peek()
         if kind == "int":
-            self.advance()
-            num = int(value)
+            num = self.integer()
             if self.peek()[0] == "/":
                 self.advance()
-                dkind, dvalue, _ = self.peek()
-                if dkind != "int":
+                if self.peek()[0] != "int":
                     self.fail("expected integer denominator")
-                self.advance()
-                den = int(dvalue)
+                den = self.integer()
                 if den == 0:
                     raise PolynomialSyntaxError("zero denominator in rational literal")
                 return Polynomial.constant(self.table, Fraction(num, den))

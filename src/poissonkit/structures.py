@@ -8,6 +8,8 @@ flag is only ever set from an actual Schouten computation.
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import factorial
 from typing import Mapping
 
 from . import multivectors, polynomials
@@ -68,6 +70,58 @@ def wedge_power(a: Multivector, k: int) -> Multivector:
     return out
 
 
+def _pfaffian_memo(entries: dict):
+    """Principal sub-Pfaffians Pf(A_S) of a skew table, memoized.
+
+    `entries` maps (i, j) with i < j to the term dict {exponents: scalar}
+    of a_ij; absent pairs are zero, and a plain scalar fits as {(): value}.
+    The returned pf(S) takes a sorted index tuple S of even length and
+    expands along the first row,
+    Pf(A_S) = sum_p (-1)^p a_(s_0, s_(p+1)) Pf(A_S without s_0, s_(p+1)),
+    so every smaller Pfaffian is computed once and shared.  Each value
+    is a term dict with no zero scalars, {} when the Pfaffian vanishes.
+    """
+    negated = {ix: {e: -c for e, c in t.items()} for ix, t in entries.items()}
+    memo = {}
+
+    def pf(indices: tuple) -> dict:
+        got = memo.get(indices)
+        if got is not None:
+            return got
+        first, rest = indices[0], indices[1:]
+        if len(rest) == 1:
+            return entries.get(indices, {})
+        acc = {}
+        for pos, j in enumerate(rest):
+            a = (negated if pos % 2 else entries).get((first, j))
+            if a:
+                sub = pf(rest[:pos] + rest[pos + 1:])
+                if sub:
+                    polynomials._mul_into(acc, a, sub)
+        acc = memo[indices] = {e: c for e, c in acc.items() if c}
+        return acc
+
+    return pf
+
+
+def _power_coefficients(ps: PoissonStructure):
+    """k -> the nonzero coefficients of Pi^k in sorted index order.
+
+    The coefficient of Pi^k at the sorted index set S is k! Pf(A_S) for
+    the coefficient table A of Pi, so every k shares one Pfaffian memo.
+    """
+    table = ps.table
+    pf = _pfaffian_memo({ix: c.terms for ix, c in ps.bivector.terms.items()})
+
+    def coefficients(k: int) -> list:
+        scale = factorial(k)
+        return [polynomials._trusted(table, {e: c * scale for e, c in t.items()})
+                for t in map(pf, combinations(range(table.n_coordinates), 2 * k))
+                if t]
+
+    return coefficients
+
+
 class DegeneracyIdeal:
     """Coefficients of Pi^(k/2+1), the locus where rank <= k."""
 
@@ -83,9 +137,7 @@ def degeneracy_ideal(ps: PoissonStructure, two_k: int) -> DegeneracyIdeal:
     n = ps.table.n_coordinates
     if two_k % 2 != 0 or two_k < 0 or two_k >= 2 * (n // 2):
         raise ValueError(f"degeneracy order must be even in [0, {2 * (n // 2) - 2}]")
-    power = wedge_power(ps.bivector, two_k // 2 + 1)
-    generators = [power.coefficient(ix) for ix in sorted(power.terms)]
-    return DegeneracyIdeal(two_k, generators)
+    return DegeneracyIdeal(two_k, _power_coefficients(ps)(two_k // 2 + 1))
 
 
 class DivisorData:
@@ -111,18 +163,16 @@ class DivisorData:
 
 
 def degeneracy_divisor(ps: PoissonStructure) -> DivisorData:
+    """Top nonvanishing power Pi^k and its coefficients, searched from the
+    largest k = n // 2 down, with their support and monomial gcd."""
     table = ps.table
-    n = table.n_coordinates
-    top = None
-    power = wedge_power(ps.bivector, 1)
-    k = 1
-    while k <= n // 2 and not power.is_zero():
-        top = power
-        power = power.wedge(ps.bivector)
-        k += 1
-    if top is None:
+    coefficients = _power_coefficients(ps)
+    for power in range(table.n_coordinates // 2, 0, -1):
+        generators = coefficients(power)
+        if generators:
+            break
+    else:
         raise ValueError("zero structure has no degeneracy divisor")
-    generators = [top.coefficient(ix) for ix in sorted(top.terms)]
     support = set()
     gcd_exps = None
     n_coords = table.n_coordinates
@@ -136,7 +186,7 @@ def degeneracy_divisor(ps: PoissonStructure) -> DivisorData:
         table, {name: 1 for name in sorted(support, key=table.slot)})
     monomial_gcd = Polynomial.monomial(
         table, {table.coordinates[i]: e for i, e in enumerate(gcd_exps) if e})
-    return DivisorData(k - 1, generators, support_product, monomial_gcd)
+    return DivisorData(power, generators, support_product, monomial_gcd)
 
 
 def rank_at(ps: PoissonStructure, point: Mapping[str, object]) -> int:

@@ -313,6 +313,19 @@ def test_large_exponent_exits_two_without_traceback(corpus):
     assert "position 10" in stderr
 
 
+def test_long_integer_literal_exits_two_without_traceback(corpus):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python reads integer literals of any length")
+    code, stdout, stderr = run_cli(
+        "bracket", "--in", str(corpus / "diag4.mv"),
+        "--f", "x1*" + "7" * (limit + 1), "--g", "x3")
+    assert (code, stdout) == (2, "")
+    assert "Traceback" not in stderr
+    assert "too long at position 3" in stderr
+    assert "set_int_max_str_digits" not in stderr
+
+
 def test_spec_entry_errors_surface(tmp_path):
     def spec_file(value):
         path = tmp_path / "spec.json"

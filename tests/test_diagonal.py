@@ -60,6 +60,30 @@ def test_pfaffian_two_and_four():
         "l12*l34 - l13*l24 + l14*l23", T4)
 
 
+def test_pfaffian_of_scalars_and_mixed_entries():
+    spec = numeric_spec(4, [2, 3, 5, 7, 11, 13])
+    T = spec.table()
+    symbolic = pfaffian(spec.lambda_matrix(T))  # 2*13 - 3*11 + 5*7
+    assert symbolic == Polynomial.constant(T, 28)
+    gauss = [[spec.entry_scalar(i, j) for j in range(1, 5)]
+             for i in range(1, 5)]
+    assert pfaffian(gauss) == GaussRational(28)
+    assert isinstance(pfaffian(gauss), GaussRational)
+    ints = [[0, 2, 3, 5], [-2, 0, 7, 11], [-3, -7, 0, 13], [-5, -11, -13, 0]]
+    assert pfaffian(ints) == 28 and type(pfaffian(ints)) is int
+    # mixed scalar and polynomial entries give a polynomial
+    mixed = [row[:] for row in ints]
+    mixed[0][1] = parse_polynomial("2", T)
+    assert pfaffian(mixed) == symbolic
+    # a vanishing Pfaffian is the zero of the entries' ring
+    rank_two = [[0, 1, 2, 3], [-1, 0, 1, 2], [-2, -1, 0, 1], [-3, -2, -1, 0]]
+    assert pfaffian(rank_two) == 0
+    for zero in (GaussRational(0), Polynomial.zero(T)):
+        value = pfaffian([[zero] * 2] * 2)
+        assert type(value) is type(zero) and value == zero
+    assert pfaffian([]) == 1
+
+
 def test_pfaffian_odd_size_rejected():
     spec = DiagonalSpec.symbolic(3)
     with pytest.raises(ValueError):

@@ -1,8 +1,12 @@
 """Super-polynomial layer: wedge, contraction, d, bracket, curl."""
 
+import copy
+import pickle
+from fractions import Fraction
+
 import pytest
 
-from poissonkit import (BV_SIGN, DifferentialForm, Multivector,
+from poissonkit import (BV_SIGN, DifferentialForm, GaussRational, Multivector,
                         Polynomial, VariableTable, VolumeCurl, bv_laplacian,
                         contract, curl, exterior_derivative,
                         parse_polynomial, schouten, volume_isomorphism,
@@ -176,6 +180,43 @@ def test_volume_curl_pair():
     assert curl(a, p("7", T2)) == curl(a)
     with pytest.raises(ZeroDivisionError):
         curl(a, Polynomial.zero(T2))
+
+
+def test_volume_curl_copies_and_pickles_through_its_constructor():
+    pair = curl(mv(T2, {(0, 1): "l12*x1*x2"}), p("1 + x1", T2))
+    for twin in (copy.copy(pair), copy.deepcopy(pair),
+                 pickle.loads(pickle.dumps(pair))):
+        assert type(twin) is VolumeCurl
+        assert (twin.main, twin.correction, twin.denominator) == (
+            pair.main, pair.correction, pair.denominator)
+        with pytest.raises(AttributeError):
+            twin.main = pair.correction
+    forged = object.__new__(VolumeCurl)
+    for name, value in (("main", pair.main), ("correction", pair.correction),
+                        ("denominator", Polynomial.zero(T2))):
+        object.__setattr__(forged, name, value)
+    with pytest.raises(ZeroDivisionError):
+        pickle.loads(pickle.dumps(forged))
+    with pytest.raises(ValueError):
+        VolumeCurl(pair.main, pair.correction, p("1 + x1", T3))
+    with pytest.raises(TypeError):
+        VolumeCurl(pair.main, pair.correction, 2)
+
+
+def test_scalar_factors_scale_like_constant_polynomials():
+    a = mv(T2, {(0, 1): "(1/2+i)*l12*x1*x2 - 3*x2"})
+    form = DifferentialForm(T3, 1, {(0,): p("x1 - 2/3*x3", T3),
+                                    (2,): p("i*x2", T3)})
+    for element in (a, form, Multivector.zero(T2, 2)):
+        for factor in (3, -1, 0, Fraction(-2, 7), GaussRational(1, -5),
+                       GaussRational(0, 1)):
+            constant = Polynomial.constant(element.table, factor)
+            scaled = element * factor
+            assert type(scaled) is type(element)
+            assert scaled == element * constant == factor * element
+            assert scaled.degree == element.degree
+            assert all(c for c in scaled.terms.values())
+    assert (a * 0).terms == {}
 
 
 def test_volume_curl_evaluate():

@@ -1,6 +1,7 @@
 """Sparse polynomial ring: arithmetic, order, reduction, text syntax."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -206,6 +207,20 @@ def test_parser_bounds_exponents():
                            match=f"exponent larger than {MAX_EXPONENT}: "
                                  f".* at position {at}$"):
             p(text)
+
+
+def test_parser_rejects_integer_literals_int_cannot_read():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python reads integer literals of any length")
+    digits = "7" * (limit + 1)
+    for text, at in ((f"x1*{digits}", 3), (f"1/{digits}*x1", 2),
+                     (f"x2 + {digits}/3", 5)):
+        with pytest.raises(PolynomialSyntaxError,
+                           match=f"integer literal of {limit + 1} digits is "
+                                 f"too long at position {at}$"):
+            p(text)
+    assert p(f"x1*{'7' * limit}").terms
 
 
 def test_parser_grammar():
