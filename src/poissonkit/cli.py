@@ -58,7 +58,7 @@ def _structure(obj) -> PoissonStructure:
     if isinstance(obj, PoissonStructure):
         return obj
     if isinstance(obj, Multivector) and obj.degree == 2:
-        return PoissonStructure(obj, None)
+        return PoissonStructure(obj)
     raise ValueError("expected a bivector document")
 
 

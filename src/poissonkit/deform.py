@@ -88,7 +88,10 @@ class DeformationFamily:
                 path.append(DiagonalScaling(family.table, parsed))
             else:
                 raise ValueError(f"unknown step kind {kind!r}")
-        return cls(base, path, parameter)
+        # every step is built on the family's own table, so the path needs
+        # none of __init__'s checks, and the base is checked only once
+        family.path = tuple(path)
+        return family
 
     @property
     def n(self) -> int:
@@ -138,7 +141,7 @@ class DeformationFamily:
         images = {self.parameter: Polynomial.constant(self.table, t_value)}
         moved = Multivector(self.table, 2, {
             ix: c.substitute(images) for ix, c in self.bivector().terms.items()})
-        return PoissonStructure(moved, True)
+        return PoissonStructure(moved)
 
 
 class TrackResult:

@@ -19,7 +19,7 @@ from . import polynomials
 from .multivectors import DifferentialForm, Multivector
 from .polynomials import Polynomial, VariableTable
 from .scalars import GaussRational
-from .structures import PoissonStructure, _pfaffian_memo, jacobi_check
+from .structures import PoissonStructure, _pfaffian_memo
 
 
 class DiagonalSpec:
@@ -122,7 +122,7 @@ class DiagonalSpec:
 
 
 def make_diagonal(spec: DiagonalSpec) -> PoissonStructure:
-    """Build the structure and verify integrability for real."""
+    """The structure sum_{i<j} lambda_ij x_i x_j xi_i^xi_j of the spec."""
     table = spec.table()
     terms = {}
     for (i, j), value in sorted(spec.entries.items()):
@@ -130,9 +130,7 @@ def make_diagonal(spec: DiagonalSpec) -> PoissonStructure:
             table, {f"x{i}": 1, f"x{j}": 1})
         if not coeff.is_zero():
             terms[(i - 1, j - 1)] = coeff
-    ps = PoissonStructure(Multivector(table, 2, terms))
-    jacobi_check(ps)
-    return ps
+    return PoissonStructure(Multivector(table, 2, terms))
 
 
 def pfaffian(matrix: list):
@@ -162,6 +160,15 @@ def pfaffian(matrix: list):
     value = _pfaffian_memo({ix: (zero + v).terms for ix, v in upper.items()})(
         tuple(range(size)))
     return polynomials._trusted(table, value)
+
+
+def _spec_pfaffians(spec: DiagonalSpec, table: VariableTable):
+    """Pf(Lambda_S) as a term dict for every sorted 0-based index tuple S,
+    from one memo over the spec's entries; Pf of the empty set is 1."""
+    pf = _pfaffian_memo({(i - 1, j - 1): spec.entry_polynomial(table, i, j).terms
+                         for i, j in spec.entries})
+    one = {(0,) * table.width: GaussRational.one()}
+    return lambda indices: pf(indices) if indices else one
 
 
 class CurlEigenvalues:
@@ -242,16 +249,11 @@ def log_annihilator(spec: DiagonalSpec) -> LogForm:
     if spec.n % 2 == 0:
         raise ValueError("log annihilator needs an odd number of coordinates")
     table = spec.table()
-    matrix = spec.lambda_matrix(table)
+    pf = _spec_pfaffians(spec, table)
+    indices = tuple(range(spec.n))
     residues = []
-    for i in range(spec.n):
-        minor = [
-            [matrix[r][c] for c in range(spec.n) if c != i]
-            for r in range(spec.n) if r != i
-        ]
-        value = pfaffian(minor)
-        if not isinstance(value, Polynomial):
-            value = Polynomial.constant(table, value)
+    for i in indices:
+        value = polynomials._trusted(table, pf(indices[:i] + indices[i + 1:]))
         residues.append(value if i % 2 == 0 else -value)
     if all(r.is_zero() for r in residues):
         raise ValueError("non-generic spec")
@@ -266,9 +268,8 @@ def is_generic(spec: DiagonalSpec) -> bool:
     """Pf != 0 for even n (rank n-1 for odd n), mu_i nonzero and distinct."""
     if not spec.is_numeric():
         raise ValueError("genericity check needs numeric entries")
-    table = spec.table()
     if spec.n % 2 == 0:
-        if pfaffian(spec.lambda_matrix(table)).is_zero():
+        if not _spec_pfaffians(spec, spec.table())(tuple(range(spec.n))):
             return False
     else:
         try:

@@ -15,7 +15,7 @@ from .diagonal import DiagonalSpec
 from .multivectors import DifferentialForm, Multivector, VolumeCurl
 from .polynomials import Polynomial, VariableTable, format_polynomial
 from .scalars import format_scalar, parse_scalar
-from .structures import PoissonStructure, jacobi_check
+from .structures import PoissonStructure
 
 
 def _term_records(element) -> list:
@@ -49,8 +49,7 @@ def multivector_document(element) -> dict:
 
 def poisson_document(ps: PoissonStructure) -> dict:
     doc = multivector_document(ps.bivector)
-    doc["integrable"] = {True: "true", False: "false", None: "unknown"}[
-        ps.integrable]
+    doc["integrable"] = "true" if ps.integrable else "false"
     return doc
 
 
@@ -116,27 +115,45 @@ def serialize(obj) -> str:
     return json.dumps(to_document(obj), indent=2) + "\n"
 
 
+def _integer(value, field: str) -> int:
+    """A JSON integer; a number with a fractional part or out of range is
+    malformed rather than rounded."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _names(value, field: str) -> tuple:
+    names = tuple(value)
+    if not all(isinstance(name, str) for name in names):
+        raise ValueError(f"{field} must be a list of names")
+    return names
+
+
 def _element_from_document(doc: dict):
-    table = VariableTable(tuple(doc["coordinates"]),
-                          tuple(doc.get("parameters", ())))
+    table = VariableTable(_names(doc["coordinates"], "coordinates"),
+                          _names(doc.get("parameters", ()), "parameters"))
     cls = Multivector if doc["kind"] == "multivector" else DifferentialForm
-    degree = int(doc["degree"])
+    degree = _integer(doc["degree"], "degree")
     terms = {}
     zero = Polynomial.zero(table)
     for record in doc["terms"]:
         indices = tuple(record["indices"])
+        exponents = record.get("exponents", {})
+        if not isinstance(exponents, dict):
+            raise ValueError("exponents must be an object")
         exps = [0] * table.width
-        for name, power in record.get("exponents", {}).items():
-            exps[table.slot(name)] = int(power)
+        for name, power in exponents.items():
+            exps[table.slot(name)] = _integer(power, "exponent")
         mono = Polynomial(table, {tuple(exps): parse_scalar(record["coeff"])})
         terms[indices] = terms.get(indices, zero) + mono
     element = cls(table, degree, terms)
     if "integrable" in doc:
         claim = doc["integrable"]
         flag = {"true": True, "false": False, "unknown": None}[claim]
-        ps = PoissonStructure(element, None)
-        # a stated flag is kept only when the Schouten bracket confirms it
-        if flag is not None and jacobi_check(ps).is_zero() != flag:
+        ps = PoissonStructure(element)
+        # a stated flag must match the Schouten bracket; "unknown" states none
+        if flag is not None and ps.integrable != flag:
             actual = "is not" if flag else "is"
             raise ValueError(f"document claims integrable: {claim}, "
                              f"but [Pi, Pi] {actual} zero")
@@ -152,8 +169,8 @@ def _spec_from_document(doc: dict) -> DiagonalSpec:
         if isinstance(value, str) and (not value.isidentifier()
                                        or value == "i"):
             value = parse_scalar(value)
-        entries[(int(record["i"]), int(record["j"]))] = value
-    return DiagonalSpec(int(doc["n"]), entries)
+        entries[(_integer(record["i"], "i"), _integer(record["j"], "j"))] = value
+    return DiagonalSpec(_integer(doc["n"], "n"), entries)
 
 
 def _family_from_document(doc: dict) -> DeformationFamily:
@@ -172,6 +189,8 @@ def _family_from_document(doc: dict) -> DeformationFamily:
 
 
 def from_document(doc: dict):
+    if not isinstance(doc, dict):
+        raise ValueError("a document must be a JSON object")
     kind = doc.get("kind")
     if kind in ("multivector", "form"):
         return _element_from_document(doc)

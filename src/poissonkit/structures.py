@@ -1,9 +1,10 @@
 """Poisson structures: integrability, brackets, degeneracy, restriction,
 hypersurface invariance, and projective chart transitions.
 
-A PoissonStructure wraps a degree-2 multivector together with a
-tri-state integrability flag (True / False / None for unchecked); the
-flag is only ever set from an actual Schouten computation.
+A PoissonStructure is an immutable degree-2 multivector.  Whether it is
+integrable is decided in one place: `jacobi_check` computes [Pi, Pi]
+from the structure's own bivector the first time it is asked and keeps
+it, and the `integrable` property reads that bracket.
 """
 
 from __future__ import annotations
@@ -19,17 +20,29 @@ from .polynomials import Polynomial, VariableTable, reduce_mod
 
 
 class PoissonStructure:
-    """Bivector with a verified-integrability flag."""
+    """A bivector whose integrability is computed once, on demand."""
 
-    def __init__(self, bivector: Multivector, integrable=None):
+    __slots__ = ("bivector", "_bracket")
+
+    def __init__(self, bivector: Multivector):
         if not isinstance(bivector, Multivector) or bivector.degree != 2:
             raise ValueError("a Poisson structure needs a degree-2 multivector")
-        self.bivector = bivector
-        self.integrable = integrable  # True / False / None
+        object.__setattr__(self, "bivector", bivector)
+        object.__setattr__(self, "_bracket", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PoissonStructure is immutable")
+
+    def __reduce__(self):
+        return PoissonStructure, (self.bivector,)
 
     @property
     def table(self) -> VariableTable:
         return self.bivector.table
+
+    @property
+    def integrable(self) -> bool:
+        return jacobi_check(self).is_zero()
 
     def matrix_entry(self, i: int, j: int) -> Polynomial:
         """Coefficient pi_ij with skew symmetry filled in."""
@@ -40,15 +53,16 @@ class PoissonStructure:
         return -self.bivector.coefficient((j, i))
 
     def __repr__(self):
-        state = {True: "integrable", False: "non-integrable", None: "unchecked"}
-        return f"<PoissonStructure {state[self.integrable]} {self.bivector!r}>"
+        return f"<PoissonStructure {self.bivector!r}>"
 
 
 def jacobi_check(ps: PoissonStructure) -> Multivector:
-    """Return [Pi, Pi] and record integrability on the structure."""
-    result = schouten(ps.bivector, ps.bivector)
-    ps.integrable = result.is_zero()
-    return result
+    """Return [Pi, Pi], computed from the structure's own bivector once."""
+    bracket = ps._bracket
+    if bracket is None:
+        bracket = schouten(ps.bivector, ps.bivector)
+        object.__setattr__(ps, "_bracket", bracket)
+    return bracket
 
 
 def hamiltonian(ps: PoissonStructure, f: Polynomial) -> Multivector:
@@ -233,10 +247,8 @@ def restrict_hyperplane(ps: PoissonStructure, coordinate) -> PoissonStructure:
                 continue
             kept[exps[:pos] + exps[pos + 1:]] = c
         new_terms[new_indices] = polynomials._trusted(new_table, kept)
-    restricted = PoissonStructure(
+    return PoissonStructure(
         multivectors._trusted(Multivector, new_table, 2, new_terms))
-    jacobi_check(restricted)
-    return restricted
 
 
 def chart_transition(biv: Multivector, names: tuple, source: int,
@@ -328,6 +340,8 @@ def chart_extend(ps: PoissonStructure, target: int,
 
     The structure's coordinates are read as X_1/X_0 .. X_n/X_0; the new
     chart gets the same labels plus `chart_zero_name` for X_0/X_target.
+    Nothing about integrability is carried over: the chart's [Pi, Pi]
+    comes from its own bivector.
     """
     table = ps.table
     n = table.n_coordinates
@@ -341,5 +355,4 @@ def chart_extend(ps: PoissonStructure, target: int,
     if name in table.names:
         raise ValueError("no free name for the chart-zero coordinate")
     names = (name,) + table.coordinates
-    moved = chart_transition(ps.bivector, names, 0, target)
-    return PoissonStructure(moved, ps.integrable)
+    return PoissonStructure(chart_transition(ps.bivector, names, 0, target))

@@ -346,3 +346,40 @@ def test_spec_entry_errors_surface(tmp_path):
 def test_main_returns_int_in_process(corpus):
     assert main(["jacobi", "--in", str(corpus / "diag4.mv")]) == 0
     assert main(["nonsense-verb"]) == 2
+
+
+def _multivector_doc(**changes):
+    doc = {"kind": "multivector", "coordinates": ["x1", "x2"],
+           "parameters": [], "degree": 2,
+           "terms": [{"coeff": "1", "exponents": {"x1": 1, "x2": 1},
+                      "indices": [0, 1]}]}
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, field", [
+    ("[]", "document"),
+    ('"x"', "document"),
+    (_multivector_doc(terms=[{"coeff": "1", "exponents": [],
+                              "indices": [0, 1]}]), "exponents"),
+    (_multivector_doc(coordinates=[1, 2]), "coordinates"),
+    (_multivector_doc(parameters=["t", 3]), "parameters"),
+    (_multivector_doc().replace('"x2": 1}', '"x2": 1e400}'), "exponent"),
+    (_multivector_doc().replace('"x2": 1}', '"x2": 1.5}'), "exponent"),
+    (_multivector_doc(degree=2.5), "degree"),
+    ('{"kind": "diagonal-spec", "n": 1e400, "entries": []}', "n"),
+    ('{"kind": "diagonal-spec", "n": 3, "entries": '
+     '[{"i": 1.5, "j": 2, "value": "1"}]}', "i"),
+], ids=["list", "string", "exponents-list", "coordinates-ints",
+        "parameters-int", "exponent-overflow", "exponent-fraction",
+        "degree-fraction", "spec-n-overflow", "spec-i-fraction"])
+def test_malformed_documents_exit_two_naming_the_field(text, field, tmp_path,
+                                                       capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["parse", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first = captured.err.splitlines()[0]
+    assert first.startswith(f"error: {field} ") or \
+        first.startswith(f"error: a {field} "), first

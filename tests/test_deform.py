@@ -41,7 +41,7 @@ def test_member_at_zero_is_the_base():
 def test_family_members_are_integrable():
     fam = build([("translation", "x1", "1/2*t"),
                  ("shear", "x3", "-2*t + t*x4^2")])
-    assert jacobi_check(PoissonStructure(fam.bivector(), None)).is_zero()
+    assert jacobi_check(PoissonStructure(fam.bivector())).is_zero()
     member = fam.at(GaussRational(Fraction(1, 20)))
     assert jacobi_check(member).is_zero()
 
@@ -147,3 +147,20 @@ def test_scan_degenerate_points():
     samples = [GaussRational(-1), GaussRational(0), GaussRational(1)]
     hits = scan_degenerate_points(member, samples)
     assert hits == [(GaussRational(0),) * 4]
+
+
+def test_build_checks_genericity_once(monkeypatch):
+    from poissonkit import deform
+    calls = []
+    original = deform.is_generic
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(deform, "is_generic", counting)
+    fam = build([("translation", "x1", "1/2*t"), ("shear", "x3", "-2*t"),
+                 ("scaling", {"x2": "3"})])
+    assert calls == [BASE]
+    assert len(fam.path) == 3
+    assert all(step.table == fam.table for step in fam.path)

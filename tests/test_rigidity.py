@@ -113,7 +113,7 @@ def test_basis_vectors_are_diagonal_and_integrable():
         seen.add((k, l))
         T = vector.table
         assert coeff == parse_polynomial(f"x{k + 1}*x{l + 1}", T)
-        assert jacobi_check(PoissonStructure(vector, None)).is_zero()
+        assert jacobi_check(PoissonStructure(vector)).is_zero()
     assert seen == {(k, l) for k in range(4) for l in range(k + 1, 4)}
 
 

@@ -30,7 +30,7 @@ def p(text, table):
 def test_constructor_validates_degree():
     T = VariableTable(("x1", "x2"))
     with pytest.raises(ValueError):
-        PoissonStructure(Multivector.basis(T, (0,)), None)
+        PoissonStructure(Multivector.basis(T, (0,)))
 
 
 def test_jacobi_check_diagonal():
@@ -42,7 +42,7 @@ def test_jacobi_check_diagonal():
 def test_jacobi_check_detects_failure():
     T = VariableTable(("x1", "x2", "x3"))
     biv = Multivector(T, 2, {(0, 1): p("x3", T), (0, 2): p("x1^2", T)})
-    ps = PoissonStructure(biv, None)
+    ps = PoissonStructure(biv)
     assert not jacobi_check(ps).is_zero()
     assert ps.integrable is False
 
@@ -127,7 +127,7 @@ def test_restrict_hyperplane_gives_sub_block():
 def test_restrict_rejects_non_invariant():
     T = NUM4.table
     tilt = PoissonStructure(
-        NUM4.bivector + Multivector(T, 2, {(0, 1): p("x2^2", T)}), None)
+        NUM4.bivector + Multivector(T, 2, {(0, 1): p("x2^2", T)}))
     with pytest.raises(ValueError):
         restrict_hyperplane(tilt, "x1")
 
@@ -166,12 +166,12 @@ def test_chart_degree_three_extends_but_four_does_not():
     # on two coordinates the transition weight cancels degree exactly 3
     T = VariableTable(("x1", "x2"))
     cubic = PoissonStructure(
-        Multivector(T, 2, {(0, 1): p("x1^3", T)}), None)
+        Multivector(T, 2, {(0, 1): p("x1^3", T)}))
     moved = chart_extend(cubic, 1)
     M = moved.table
     assert moved.bivector == Multivector(M, 2, {(0, 1): p("-1", M)})
     quartic = PoissonStructure(
-        Multivector(T, 2, {(0, 1): p("x1^4", T)}), None)
+        Multivector(T, 2, {(0, 1): p("x1^4", T)}))
     with pytest.raises(ValueError):
         chart_extend(quartic, 1)
 
