@@ -221,7 +221,8 @@ def jet_vanishing(structure, point, r: int = 3, tol: float = 1e-6) -> int:
 
     Returns r+1 when every jet through order r vanishes below tolerance.
     Taylor coefficients come from exact differentiation, evaluated in
-    double precision.
+    double precision; a value that overflows it raises ValueError, since
+    an infinite or NaN value would compare as vanishing.
     """
     if r > 3:
         raise ValueError("jet resolution is limited to r <= 3")
@@ -244,7 +245,11 @@ def jet_vanishing(structure, point, r: int = 3, tol: float = 1e-6) -> int:
                 if not f.is_zero():
                     derived.append(f)
                     scales.append(scale)
-        values = FloatPolynomials(table, derived).evaluate(point)
+        with np.errstate(all="ignore"):
+            values = FloatPolynomials(table, derived).evaluate(point)
+        if not np.isfinite(values).all():
+            raise ValueError(f"the order-{order} jet overflows double "
+                             "precision at this point")
         if any(abs(v) * scale > tol for v, scale in zip(values, scales)):
             return order
     return r + 1

@@ -13,7 +13,8 @@ from .automorphisms import DiagonalScaling, Translation, TriangularShear
 from .deform import DeformationFamily
 from .diagonal import DiagonalSpec
 from .multivectors import DifferentialForm, Multivector, VolumeCurl
-from .polynomials import Polynomial, VariableTable, format_polynomial
+from .polynomials import (MAX_DEGREE, Polynomial, VariableTable,
+                          format_polynomial)
 from .scalars import format_scalar, parse_scalar
 from .structures import PoissonStructure
 
@@ -135,8 +136,8 @@ def _element_from_document(doc: dict):
                           _names(doc.get("parameters", ()), "parameters"))
     cls = Multivector if doc["kind"] == "multivector" else DifferentialForm
     degree = _integer(doc["degree"], "degree")
+    # indices -> {exponents: scalar}; records that repeat a monomial add up
     terms = {}
-    zero = Polynomial.zero(table)
     for record in doc["terms"]:
         indices = tuple(record["indices"])
         exponents = record.get("exponents", {})
@@ -145,9 +146,15 @@ def _element_from_document(doc: dict):
         exps = [0] * table.width
         for name, power in exponents.items():
             exps[table.slot(name)] = _integer(power, "exponent")
-        mono = Polynomial(table, {tuple(exps): parse_scalar(record["coeff"])})
-        terms[indices] = terms.get(indices, zero) + mono
-    element = cls(table, degree, terms)
+        if sum(exps) > MAX_DEGREE:
+            raise ValueError(f"a term of degree {sum(exps)} is larger than "
+                             f"{MAX_DEGREE}")
+        exps = tuple(exps)
+        coeff = parse_scalar(record["coeff"])
+        acc = terms.setdefault(indices, {})
+        acc[exps] = acc[exps] + coeff if exps in acc else coeff
+    element = cls(table, degree, {ix: Polynomial(table, t)
+                                  for ix, t in terms.items()})
     if "integrable" in doc:
         claim = doc["integrable"]
         flag = {"true": True, "false": False, "unknown": None}[claim]

@@ -195,21 +195,10 @@ class _SuperElement:
         degree = self.degree + other.degree
         if degree > table.n_coordinates:
             return type(self).zero(table, table.n_coordinates)
-        # merged index tuple -> {exponents: scalar}; the Koszul sign goes
-        # into the left factor, so no intermediate Polynomial is built
         sums = {}
-        for ix1, c1 in self.terms.items():
-            for ix2, c2 in other.terms.items():
-                sign, merged = _merge_sign(ix1, ix2)
-                if not sign:
-                    continue
-                left = (c1.terms if sign > 0
-                        else {e: -c for e, c in c1.terms.items()})
-                polynomials._mul_into(sums.setdefault(merged, {}), left,
-                                      c2.terms)
-        return _trusted(type(self), table, degree,
-                        {ix: polynomials._trusted(table, acc)
-                         for ix, acc in sums.items()})
+        _wedge_into(sums, {ix: c.terms for ix, c in self.terms.items()},
+                    {ix: c.terms for ix, c in other.terms.items()})
+        return _built(type(self), table, degree, sums)
 
     def evaluate_float(self, values: Mapping[str, complex]) -> dict:
         """Complex-double wedge coefficients in canonical index order."""
@@ -236,6 +225,35 @@ def _trusted(cls, table: VariableTable, degree: int, terms: dict):
     object.__setattr__(element, "terms",
                        {ix: c for ix, c in terms.items() if c})
     return element
+
+
+def _built(cls, table: VariableTable, degree: int, sums: dict):
+    """The element of a raw accumulator; zero scalars and zero
+    coefficients are dropped here, once."""
+    return _trusted(cls, table, degree,
+                    {ix: polynomials._trusted(table, acc)
+                     for ix, acc in sums.items()})
+
+
+def _wedge_into(sums: dict, left: dict, right: dict) -> None:
+    """Add the exterior product of two raw elements into `sums`.
+
+    Each merged index tuple collects its coefficient products straight
+    through `polynomials._mul_into`; a negative Koszul sign negates the
+    left coefficient, once per left term.
+    """
+    for ix1, t1 in left.items():
+        negated = None
+        for ix2, t2 in right.items():
+            sign, merged = _merge_sign(ix1, ix2)
+            if not sign:
+                continue
+            if sign < 0:
+                if negated is None:
+                    negated = {e: -c for e, c in t1.items()}
+                polynomials._mul_into(sums.setdefault(merged, {}), negated, t2)
+            else:
+                polynomials._mul_into(sums.setdefault(merged, {}), t1, t2)
 
 
 class Multivector(_SuperElement):
@@ -284,10 +302,16 @@ def contract(eta: DifferentialForm, a: Multivector) -> Multivector:
         raise TypeError("contract expects a multivector in the second slot")
     if eta.table != a.table:
         raise ValueError("form and multivector on different variable tables")
-    result = Multivector.zero(a.table, max(a.degree - 1, 0))
+    sums = {}
     for (k,), g in eta.terms.items():
-        result = result + _slot_contract(a, k) * g
-    return result
+        negated = {e: -c for e, c in g.terms.items()}
+        for indices, coeff in a.terms.items():
+            if k in indices:
+                pos = indices.index(k)
+                polynomials._mul_into(
+                    sums.setdefault(indices[:pos] + indices[pos + 1:], {}),
+                    coeff.terms, negated if pos % 2 else g.terms)
+    return _built(Multivector, a.table, max(a.degree - 1, 0), sums)
 
 
 def exterior_derivative(omega) -> DifferentialForm:
@@ -338,30 +362,41 @@ def schouten(a: Multivector, b: Multivector) -> Multivector:
         raise ValueError("multivectors on different variable tables")
     table = a.table
     degree = min(max(a.degree + b.degree - 1, 0), table.n_coordinates)
+    sums = {}
     if a is b:
         # The second sign is -1 for every degree and the two sums agree:
         # they add up for even degree and cancel for odd degree.
-        if a.degree % 2:
-            return Multivector.zero(table, degree)
-        return _odd_even_sum(a, a, degree) * -2
-    first = _odd_even_sum(a, b, degree)
-    second = _odd_even_sum(b, a, degree)
-    first = first if a.degree % 2 else -first
-    # dA/dx_k ^ d_L B/dxi_k, rewritten with the odd factor in front
-    second = second if (a.degree * (b.degree + 1)) % 2 else -second
-    return first + second
+        if not a.degree % 2:
+            _odd_even_sum(sums, a, a, -2)
+    else:
+        _odd_even_sum(sums, a, b, 1 if a.degree % 2 else -1)
+        # dA/dx_k ^ d_L B/dxi_k, rewritten with the odd factor in front
+        _odd_even_sum(sums, b, a, 1 if (a.degree * (b.degree + 1)) % 2 else -1)
+    return _built(Multivector, table, degree, sums)
 
 
-def _odd_even_sum(odd: Multivector, even: Multivector, degree: int):
-    """sum_k (d_L odd / dxi_k) ^ (d even / dx_k)."""
-    total = Multivector.zero(odd.table, degree)
-    for k, name in enumerate(odd.table.coordinates):
-        left = _slot_contract(odd, k)
-        if not left.is_zero():
-            right = _even_partial(even, name)
-            if not right.is_zero():
-                total = total + left.wedge(right)
-    return total
+def _odd_even_sum(sums: dict, odd: Multivector, even: Multivector,
+                  factor: int) -> None:
+    """Add factor * sum_k (d_L odd / dxi_k) ^ (d even / dx_k) into `sums`.
+
+    The factor and the sign of d_L go into the left terms, once per k.
+    """
+    for k in range(odd.table.n_coordinates):
+        left = {}
+        for indices, coeff in odd.terms.items():
+            if k in indices:
+                pos = indices.index(k)
+                scale = -factor if pos % 2 else factor
+                left[indices[:pos] + indices[pos + 1:]] = (
+                    coeff.terms if scale == 1
+                    else {e: c * scale for e, c in coeff.terms.items()})
+        if left:
+            right = {}
+            for ix, coeff in even.terms.items():
+                derived = polynomials._derivative_terms(coeff.terms, k)
+                if derived:
+                    right[ix] = derived
+            _wedge_into(sums, left, right)
 
 
 def bv_laplacian(a: Multivector) -> Multivector:

@@ -17,6 +17,7 @@ from . import multivectors, polynomials
 from .linalg import dense_rank
 from .multivectors import Multivector, contract, exterior_derivative, schouten
 from .polynomials import Polynomial, VariableTable, reduce_mod
+from .scalars import GaussRational
 
 
 class PoissonStructure:
@@ -272,66 +273,44 @@ def chart_transition(biv: Multivector, names: tuple, source: int,
     hom = [i for i in range(n + 1) if i != source]  # source pos -> hom index
     tslot = {m: target_coords.index(names[m]) for m in range(n + 1) if m != target}
     anchor = tslot[source]  # slot of z_a = 1/y_b in the target chart
+    one = GaussRational.one()
 
-    def coefficient_parts(poly: Polynomial) -> dict:
-        # split f(y(z)) into denominator-power -> polynomial numerator
-        parts = {}
-        n_params = table.n_parameters
-        for exps, c in poly.terms.items():
-            new = [0] * ttable.width
-            degree = 0
-            for k in range(n):
-                e = exps[k]
-                if not e:
-                    continue
-                degree += e
-                if hom[k] != target:
-                    new[tslot[hom[k]]] += e
-            for j in range(n_params):
-                new[ttable.n_coordinates + j] = exps[n + j]
-            parts.setdefault(degree, {})[tuple(new)] = c
-        return {d: polynomials._trusted(ttable, terms)
-                for d, terms in parts.items()}
+    def monomial(*slots) -> tuple:
+        exps = [0] * ttable.width
+        for slot in slots:
+            exps[slot] += 1
+        return tuple(exps)
 
+    # xi_k -> z_a xi_m, and xi_b -> -z_a sum_m z_m xi_m for y_b = 1/z_a
     xi_images = {}
-    z_a = Polynomial.variable(ttable, names[source])
     for k in range(n):
         m = hom[k]
-        if m != target:
-            xi_images[k] = multivectors._trusted(Multivector, ttable, 1,
-                                                 {(tslot[m],): z_a})
-        else:
-            comps = {}
-            for mm in range(n + 1):
-                if mm == target:
-                    continue
-                comps[(tslot[mm],)] = -z_a * Polynomial.variable(ttable, names[mm])
-            xi_images[k] = multivectors._trusted(Multivector, ttable, 1, comps)
+        xi_images[k] = ({(tslot[m],): {monomial(anchor): one}} if m != target
+                        else {(tslot[mm],): {monomial(anchor, tslot[mm]): -one}
+                              for mm in range(n + 1) if mm != target})
 
-    by_power = {}
+    # y^e -> z^e' / z_a^|e|: the numerator keeps the pole as a negative
+    # exponent at the anchor, which the sum must clear
+    sums = {}
     for indices, coeff in biv.terms.items():
-        wedge_part = Multivector.from_polynomial(Polynomial.one(ttable))
+        image = {(): {monomial(): one}}
         for k in indices:
-            wedge_part = wedge_part.wedge(xi_images[k])
-        for d, numerator in coefficient_parts(coeff).items():
-            piece = wedge_part * numerator
-            by_power[d] = by_power.get(d, Multivector.zero(ttable, 2)) + piece
-    if not by_power:
-        return Multivector.zero(ttable, 2)
-    top = max(by_power)
-    total = Multivector.zero(ttable, 2)
-    for d, part in by_power.items():
-        total = total + part * (z_a ** (top - d))
-    # divide through by z_a^top, monomial by monomial
-    new_terms = {}
-    for indices, coeff in total.terms.items():
-        divided = {}
+            image, previous = {}, image
+            multivectors._wedge_into(image, previous, xi_images[k])
+        numerator = {}
         for exps, c in coeff.terms.items():
-            if exps[anchor] < top:
-                raise ValueError("does not extend")
-            divided[exps[:anchor] + (exps[anchor] - top,) + exps[anchor + 1:]] = c
-        new_terms[indices] = polynomials._trusted(ttable, divided)
-    return multivectors._trusted(Multivector, ttable, 2, new_terms)
+            new = [0] * ttable.width
+            for k in range(n):
+                if hom[k] != target:
+                    new[tslot[hom[k]]] = exps[k]
+            new[anchor] = -sum(exps[:n])
+            new[ttable.n_coordinates:] = exps[n:]
+            numerator[tuple(new)] = c
+        multivectors._wedge_into(sums, image, {(): numerator})
+    if any(c and exps[anchor] < 0
+           for acc in sums.values() for exps, c in acc.items()):
+        raise ValueError("does not extend")
+    return multivectors._built(Multivector, ttable, biv.degree, sums)
 
 
 def chart_extend(ps: PoissonStructure, target: int,

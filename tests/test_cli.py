@@ -233,6 +233,31 @@ def test_jet_verb(corpus):
     assert stdout.strip() == "0"
 
 
+def test_jet_overflow_exits_two_without_warnings(tmp_path):
+    path = tmp_path / "steep.mv"
+    path.write_text(_multivector_doc(terms=[
+        {"coeff": "1", "exponents": {"x1": 20}, "indices": [0, 1]},
+        {"coeff": "1", "exponents": {"x2": 1}, "indices": [0, 1]}]))
+    code, stdout, stderr = run_cli("jet", "--in", str(path),
+                                   "--point", "1e20,1")
+    assert (code, stdout) == (2, "")
+    assert stderr == ("error: the order-0 jet overflows double precision"
+                      " at this point\n")
+    code, stdout, _ = run_cli("jet", "--in", str(path), "--point", "1e15,1")
+    assert (code, stdout) == (0, "0\n")
+
+
+def test_total_degree_bound_exits_two(corpus):
+    from poissonkit.polynomials import MAX_DEGREE
+
+    code, stdout, stderr = run_cli(
+        "bracket", "--in", str(corpus / "diag4.mv"),
+        "--f", "((x1+x2+x3)^20)^20", "--g", "x3")
+    assert (code, stdout) == (2, "")
+    assert stderr == (f"error: degree 400 larger than {MAX_DEGREE}: '20'"
+                      " at position 16\n")
+
+
 def test_selftest_seed_sources():
     code, stdout, _ = run_cli("selftest", "--seed", "5", "--cases", "5")
     assert code == 0
@@ -367,12 +392,14 @@ def _multivector_doc(**changes):
     (_multivector_doc().replace('"x2": 1}', '"x2": 1e400}'), "exponent"),
     (_multivector_doc().replace('"x2": 1}', '"x2": 1.5}'), "exponent"),
     (_multivector_doc(degree=2.5), "degree"),
+    (_multivector_doc().replace('"x2": 1}', '"x2": 1000000}'), "term"),
     ('{"kind": "diagonal-spec", "n": 1e400, "entries": []}', "n"),
     ('{"kind": "diagonal-spec", "n": 3, "entries": '
      '[{"i": 1.5, "j": 2, "value": "1"}]}', "i"),
 ], ids=["list", "string", "exponents-list", "coordinates-ints",
         "parameters-int", "exponent-overflow", "exponent-fraction",
-        "degree-fraction", "spec-n-overflow", "spec-i-fraction"])
+        "degree-fraction", "term-degree", "spec-n-overflow",
+        "spec-i-fraction"])
 def test_malformed_documents_exit_two_naming_the_field(text, field, tmp_path,
                                                        capsys):
     path = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Families, degenerate-point tracking, jet certificates."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,23 @@ def test_jet_orders():
     assert jet_vanishing(flat, {"x1": 0.0, "x2": 0.0}) == 4
     with pytest.raises(ValueError):
         jet_vanishing(flat, {"x1": 0.0, "x2": 0.0}, r=5)
+
+
+def test_jet_overflow_is_an_error_not_a_vanishing_jet():
+    T = VariableTable(("x1", "x2"))
+    f = Multivector(T, 2, {(0, 1): parse_polynomial("x1^20 + x2", T)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        # x1^20 overflows double precision at x1 = 1e20
+        with pytest.raises(ValueError, match="order-0 jet overflows"):
+            jet_vanishing(f, {"x1": 1e20, "x2": 1.0})
+        # at x1 = 1e15 it is large but finite
+        assert jet_vanishing(f, {"x1": 1e15, "x2": 1.0}) == 0
+        # x2 * x1^20 vanishes exactly at x2 = 0, but x1^20 is inf in
+        # double precision and inf * 0 is NaN
+        g = Multivector(T, 2, {(0, 1): parse_polynomial("x2*x1^20", T)})
+        with pytest.raises(ValueError, match="order-0 jet overflows"):
+            jet_vanishing(g, {"x1": 1e20, "x2": 0.0})
 
 
 def test_scan_degenerate_points():

@@ -101,3 +101,39 @@ def test_serialized_text_ends_with_newline():
     text = serialize(ps)
     assert text.endswith("}\n")
     json.loads(text)  # remains plain JSON
+
+
+def _bivector_doc(records, coordinates=("x1", "x2"), parameters=("a",)):
+    return json.dumps({"kind": "multivector", "coordinates": list(coordinates),
+                       "parameters": list(parameters), "degree": 2,
+                       "terms": records})
+
+
+def test_repeated_monomial_records_add_up():
+    T = VariableTable(("x1", "x2"), ("a",))
+    records = [
+        {"coeff": "1/2", "exponents": {"x1": 1, "a": 1}, "indices": [0, 1]},
+        {"coeff": "3", "exponents": {"x2": 2}, "indices": [0, 1]},
+        {"coeff": "1/2+i", "exponents": {"a": 1, "x1": 1}, "indices": [0, 1]},
+        {"coeff": "-3", "exponents": {"x2": 2}, "indices": [0, 1]},
+        {"coeff": "-2/7*i", "exponents": {}, "indices": [0, 1]},
+    ]
+    loaded = loads(_bivector_doc(records))
+    expected = Multivector(T, 2, {(0, 1): parse_polynomial(
+        "(1+i)*a*x1 - 2/7*i", T)})
+    assert loaded == expected
+    # the cancelled x2^2 records leave no term, and output is canonical
+    assert serialize(loaded) == serialize(expected)
+    assert loads(_bivector_doc(records[1:2] + records[3:4])).is_zero()
+
+
+def test_document_terms_are_bounded_in_total_degree():
+    from poissonkit.polynomials import MAX_DEGREE
+
+    top = {"coeff": "1", "exponents": {"x1": MAX_DEGREE - 3, "a": 3},
+           "indices": [0, 1]}
+    assert loads(_bivector_doc([top])).terms
+    for exponents in ({"x1": 10 ** 6}, {"x1": MAX_DEGREE - 3, "a": 4}):
+        record = {"coeff": "1", "exponents": exponents, "indices": [0, 1]}
+        with pytest.raises(ValueError, match=f"larger than {MAX_DEGREE}"):
+            loads(_bivector_doc([record]))

@@ -9,7 +9,8 @@ import pytest
 from poissonkit import (GaussRational, Polynomial, PolynomialSyntaxError,
                         VariableTable, format_polynomial, parse_polynomial,
                         reduce_mod)
-from poissonkit.polynomials import MAX_EXPONENT, MAX_NESTING, FloatPolynomials
+from poissonkit.polynomials import (MAX_DEGREE, MAX_EXPONENT, MAX_NESTING,
+                                    FloatPolynomials)
 from poissonkit.randomized import random_polynomial, random_scalar
 
 T = VariableTable(("x1", "x2", "x3"), ("a",))
@@ -205,6 +206,24 @@ def test_parser_bounds_exponents():
                      ("x1^" + "9" * 5000, 3), ("x1^0000021", 3)):
         with pytest.raises(PolynomialSyntaxError,
                            match=f"exponent larger than {MAX_EXPONENT}: "
+                                 f".* at position {at}$"):
+            p(text)
+
+
+def test_parser_bounds_total_degree_before_expanding():
+    top = p(f"x1^{MAX_EXPONENT}*a^{MAX_DEGREE - MAX_EXPONENT}")
+    assert max(map(sum, top.terms)) == MAX_DEGREE
+    assert p(f"(x1 - x2)^{MAX_DEGREE // 5}*(x1 - x2)^5").terms  # in bound
+    # the outer power would expand 231 terms to degree 400: refused first
+    outer = "((x1+x2+x3)^20)^20"
+    chain = f"x1^{MAX_EXPONENT}*x2*a^{MAX_DEGREE - MAX_EXPONENT}"
+    last = f"3 + x1^{MAX_EXPONENT}*x2^{MAX_DEGREE - MAX_EXPONENT + 1}"
+    for text, at, degree in ((outer, outer.rindex("^") + 1, 400),
+                             (chain, chain.rindex("*"), MAX_DEGREE + 1),
+                             (last, last.index("*"), MAX_DEGREE + 1),
+                             ("(x1*x2^2*a^3)^5", 14, 30)):
+        with pytest.raises(PolynomialSyntaxError,
+                           match=f"degree {degree} larger than {MAX_DEGREE}: "
                                  f".* at position {at}$"):
             p(text)
 
