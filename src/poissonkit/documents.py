@@ -13,7 +13,7 @@ from .automorphisms import DiagonalScaling, Translation, TriangularShear
 from .deform import DeformationFamily
 from .diagonal import DiagonalSpec
 from .multivectors import DifferentialForm, Multivector, VolumeCurl
-from .polynomials import (MAX_DEGREE, Polynomial, VariableTable,
+from .polynomials import (MAX_DEGREE, MAX_TERMS, Polynomial, VariableTable,
                           format_polynomial)
 from .scalars import format_scalar, parse_scalar
 from .structures import PoissonStructure
@@ -136,9 +136,13 @@ def _element_from_document(doc: dict):
                           _names(doc.get("parameters", ()), "parameters"))
     cls = Multivector if doc["kind"] == "multivector" else DifferentialForm
     degree = _integer(doc["degree"], "degree")
+    records = doc["terms"]
+    if len(records) > MAX_TERMS:
+        raise ValueError(f"terms holds {len(records)} records, more than "
+                         f"{MAX_TERMS}")
     # indices -> {exponents: scalar}; records that repeat a monomial add up
     terms = {}
-    for record in doc["terms"]:
+    for record in records:
         indices = tuple(record["indices"])
         exponents = record.get("exponents", {})
         if not isinstance(exponents, dict):

@@ -67,9 +67,10 @@ def rank(rows: list, ncols: int) -> int:
 
 
 def nullspace(rows: list, ncols: int) -> list:
-    """Basis of the right kernel as dense GaussRational vectors.
+    """Basis of the right kernel as sparse {column: scalar} vectors.
 
-    One basis vector per free column, with a 1 in the free slot; the
+    One basis vector per free column, with a 1 in the free slot and
+    -row[f] in the pivot slot of each reduced row holding f; the
     deterministic rref makes the basis canonical.
     """
     reduced, pivots = rref(rows, ncols)
@@ -77,8 +78,7 @@ def nullspace(rows: list, ncols: int) -> list:
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
-        vec = [_ZERO] * ncols
-        vec[f] = _ONE
+        vec = {f: _ONE}
         for row, p in zip(reduced, pivots):
             if f in row:
                 vec[p] = -row[f]

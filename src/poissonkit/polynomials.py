@@ -14,6 +14,7 @@ as coefficients: division never reorders the coordinate-level structure.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from operator import add
 from typing import Iterable, Mapping
 
@@ -551,10 +552,31 @@ MAX_EXPONENT = 20
 # degree-25 input, (x1+x2+x3+x4)^17*(x1+x2+x3+x4)^8, expands to 3,276
 # terms in about 0.8 s; at degree 40, ^20*^20 takes about 7 s.
 MAX_DEGREE = 25
+# A bound on the term count of every product and power the parser
+# expands, checked before expanding, and on the term records of a
+# loaded document.  The costliest admitted inputs found,
+# (1+x1+x2+x3)^12*(1+x1+x2+x3)^13 (3,276 terms) and
+# (x1+...+x5)^8*(x1+...+x5)^8 (4,845 terms), take 0.6 to 1.1 s; the
+# refused (x1+...+x8)^10 would take 1.3 s for 19,448 terms, ^20 would
+# have 888,030.
+MAX_TERMS = 5_000
 
 
 def _total_degree(f: Polynomial) -> int:
     return max(map(sum, f.terms), default=0)
+
+
+def _term_bound(f: Polynomial, g: Polynomial, e: int = 1) -> int:
+    """An upper bound on the term count of f^e*g: a product has at most
+    one term per pair or multiset of factor terms, and at most one per
+    monomial of its degree range in the variables present."""
+    if not (f.terms and g.terms):
+        return len(g.terms)
+    df, dg = (list(map(sum, h.terms)) for h in (f, g))
+    lo, hi = min(df) * e + min(dg), max(df) * e + max(dg)
+    n = len({s for h in (f, g) for x in h.terms for s, v in enumerate(x) if v})
+    pairs = comb(len(f.terms) + e - 1, e) * len(g.terms)
+    return min(pairs, comb(n + hi, n) - (comb(n + lo - 1, n) if lo else 0))
 
 
 class _Parser:
@@ -596,10 +618,17 @@ class _Parser:
             total = total - rhs if op == "-" else total + rhs
         return total
 
-    def bound_degree(self, degree: int, token) -> None:
+    def bound(self, token, f: Polynomial, g: Polynomial, e: int = 1) -> None:
+        """Refuse to expand f^e*g past MAX_DEGREE or MAX_TERMS."""
+        degree = _total_degree(f) * e + _total_degree(g)
         if degree > MAX_DEGREE:
             raise PolynomialSyntaxError(
                 f"degree {degree} larger than {MAX_DEGREE}: {token[1]!r}"
+                f" at position {token[2]}")
+        terms = _term_bound(f, g, e)
+        if terms > MAX_TERMS:
+            raise PolynomialSyntaxError(
+                f"up to {terms} terms, more than {MAX_TERMS}: {token[1]!r}"
                 f" at position {token[2]}")
 
     def term(self) -> Polynomial:
@@ -607,7 +636,7 @@ class _Parser:
         while self.peek()[0] == "*":
             star = self.advance()
             rhs = self.factor()
-            self.bound_degree(_total_degree(total) + _total_degree(rhs), star)
+            self.bound(star, total, rhs)
             total = total * rhs
         return total
 
@@ -624,7 +653,8 @@ class _Parser:
                     or int(digits) > MAX_EXPONENT):
                 self.fail(f"exponent larger than {MAX_EXPONENT}")
             exponent = int(digits)
-            self.bound_degree(_total_degree(base) * exponent, self.advance())
+            self.bound(self.advance(), base, Polynomial.one(self.table),
+                       exponent)
             return base ** exponent
         return base
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from . import multivectors, polynomials
 from .automorphisms import (DiagonalScaling, Translation, TriangularShear,
                             pushforward)
 from .multivectors import (BV_SIGN, DifferentialForm, Multivector,
@@ -36,28 +37,30 @@ def random_scalar(rng: random.Random, bound: int = 4) -> GaussRational:
 def random_polynomial(rng: random.Random, table: VariableTable,
                       max_terms: int = 2, max_degree: int = 2,
                       bound: int = 3) -> Polynomial:
-    total = Polynomial.zero(table)
+    terms = {}  # repeated monomials add up; _trusted drops zero sums
     for _ in range(rng.randint(1, max_terms)):
         exps = [0] * table.width
         for _ in range(rng.randint(0, max_degree)):
             exps[rng.randrange(table.width)] += 1
-        mono = Polynomial(table, {tuple(exps): random_scalar(rng, bound)})
-        total = total + mono
-    return total
+        exps = tuple(exps)
+        coeff = random_scalar(rng, bound)
+        terms[exps] = terms[exps] + coeff if exps in terms else coeff
+    return polynomials._trusted(table, terms)
 
 
 def random_element(rng: random.Random, table: VariableTable, degree: int,
                    cls=Multivector, max_components: int = 2):
     n = len(table.coordinates)
-    element = cls.zero(table, degree)
     if degree > n:
-        return element
+        return cls.zero(table, degree)
     pool = list(range(n))
+    terms = {}  # repeated index sets add up; _trusted drops zero sums
     for _ in range(rng.randint(1, max_components)):
         indices = tuple(sorted(rng.sample(pool, degree)))
         coeff = random_polynomial(rng, table)
-        element = element + cls(table, degree, {indices: coeff})
-    return element
+        terms[indices] = (terms[indices] + coeff if indices in terms
+                          else coeff)
+    return multivectors._trusted(cls, table, degree, terms)
 
 
 def _sign(k: int) -> int:

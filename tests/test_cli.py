@@ -10,6 +10,7 @@ import pytest
 from poissonkit import (DeformationFamily, DiagonalSpec, GaussRational,
                         loads, make_diagonal, save_path)
 from poissonkit.cli import main
+from poissonkit.polynomials import MAX_TERMS
 
 
 def run_cli(*argv, data=None):
@@ -258,6 +259,16 @@ def test_total_degree_bound_exits_two(corpus):
                       " at position 16\n")
 
 
+def test_term_count_bound_exits_two(corpus, capsys):
+    text = "(1+x1+x2+x3+x4)^8*(1+x1+x2+x3+x4)^9"
+    assert main(["bracket", "--in", str(corpus / "diag4.mv"),
+                 "--f", text, "--g", "x3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: up to 5985 terms, more than {MAX_TERMS}:"
+                            " '*' at position 17\n")
+
+
 def test_selftest_seed_sources():
     code, stdout, _ = run_cli("selftest", "--seed", "5", "--cases", "5")
     assert code == 0
@@ -393,12 +404,14 @@ def _multivector_doc(**changes):
     (_multivector_doc().replace('"x2": 1}', '"x2": 1.5}'), "exponent"),
     (_multivector_doc(degree=2.5), "degree"),
     (_multivector_doc().replace('"x2": 1}', '"x2": 1000000}'), "term"),
+    (_multivector_doc(terms=json.loads(_multivector_doc())["terms"]
+                      * (MAX_TERMS + 1)), "terms"),
     ('{"kind": "diagonal-spec", "n": 1e400, "entries": []}', "n"),
     ('{"kind": "diagonal-spec", "n": 3, "entries": '
      '[{"i": 1.5, "j": 2, "value": "1"}]}', "i"),
 ], ids=["list", "string", "exponents-list", "coordinates-ints",
         "parameters-int", "exponent-overflow", "exponent-fraction",
-        "degree-fraction", "term-degree", "spec-n-overflow",
+        "degree-fraction", "term-degree", "term-count", "spec-n-overflow",
         "spec-i-fraction"])
 def test_malformed_documents_exit_two_naming_the_field(text, field, tmp_path,
                                                        capsys):

@@ -127,6 +127,17 @@ def test_repeated_monomial_records_add_up():
     assert loads(_bivector_doc(records[1:2] + records[3:4])).is_zero()
 
 
+def test_document_term_records_are_bounded_in_number():
+    from poissonkit.polynomials import MAX_TERMS
+
+    record = {"coeff": "1", "exponents": {"x1": 1}, "indices": [0, 1]}
+    loaded = loads(_bivector_doc([record] * MAX_TERMS))
+    assert loaded.terms[(0, 1)].terms == {(1, 0, 0): GaussRational(MAX_TERMS)}
+    with pytest.raises(ValueError, match=f"terms holds {MAX_TERMS + 1} "
+                                         f"records, more than {MAX_TERMS}"):
+        loads(_bivector_doc([record] * (MAX_TERMS + 1)))
+
+
 def test_document_terms_are_bounded_in_total_degree():
     from poissonkit.polynomials import MAX_DEGREE
 

@@ -49,6 +49,21 @@ def _reference_rref(rows, ncols):
     return done, pivots
 
 
+def _reference_nullspace(rows, ncols):
+    """The dense kernel basis: one list per free column, 1 in the free
+    slot and -row[f] in the pivot slot of each reduced row holding f."""
+    reduced, pivots = rref(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [_ZERO] * ncols
+        vec[f] = _ONE
+        for row, p in zip(reduced, pivots):
+            if f in row:
+                vec[p] = -row[f]
+        basis.append(vec)
+    return basis
+
+
 def _scalar(rng):
     return GaussRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                          Fraction(rng.choice((0, 0, rng.randint(-3, 3))),
@@ -109,11 +124,13 @@ def test_nullspace_rank_and_dense_rank():
         rows = _random_rows(rng, ncols)
         basis = nullspace(rows, ncols)
         assert rank(rows, ncols) + len(basis) == ncols
+        assert basis == [{c: v for c, v in enumerate(dense) if not v.is_zero()}
+                         for dense in _reference_nullspace(rows, ncols)]
         for vec in basis:
             for row in rows:
                 acc = _ZERO
                 for c, v in row.items():
-                    acc = acc + v * vec[c]
+                    acc = acc + v * vec.get(c, _ZERO)
                 assert acc.is_zero()
         dense = [[row.get(c, _ZERO) for c in range(ncols)] for row in rows]
         assert dense_rank(dense) == rank(rows, ncols)

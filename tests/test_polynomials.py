@@ -10,7 +10,7 @@ from poissonkit import (GaussRational, Polynomial, PolynomialSyntaxError,
                         VariableTable, format_polynomial, parse_polynomial,
                         reduce_mod)
 from poissonkit.polynomials import (MAX_DEGREE, MAX_EXPONENT, MAX_NESTING,
-                                    FloatPolynomials)
+                                    MAX_TERMS, FloatPolynomials, _term_bound)
 from poissonkit.randomized import random_polynomial, random_scalar
 
 T = VariableTable(("x1", "x2", "x3"), ("a",))
@@ -226,6 +226,36 @@ def test_parser_bounds_total_degree_before_expanding():
                            match=f"degree {degree} larger than {MAX_DEGREE}: "
                                  f".* at position {at}$"):
             p(text)
+
+
+def test_term_bound_holds_and_is_tight_on_dense_powers():
+    rng = random.Random("term-bound")
+    for _ in range(300):
+        f = random_polynomial(rng, T, max_terms=4, max_degree=3)
+        g = random_polynomial(rng, T, max_terms=4, max_degree=3)
+        e = rng.randint(0, 4)
+        assert len((f ** e * g).terms) <= _term_bound(f, g, e)
+        zero = f * 0
+        assert len((zero ** e * g).terms) <= _term_bound(zero, g, e)
+    W = VariableTable(tuple(f"x{k}" for k in range(1, 9)))
+    linear = p("+".join(W.coordinates), W)
+    assert _term_bound(linear, Polynomial.one(W), 10) == 19448
+    assert _term_bound(linear ** 4, linear ** 4, 1) == 6435 == len(
+        (linear ** 8).terms)
+
+
+def test_parser_bounds_term_count_before_expanding():
+    W = VariableTable(tuple(f"x{k}" for k in range(1, 9)))
+    linear = "(" + "+".join(W.coordinates) + ")"
+    assert len(p(f"{linear}^3*{linear}^4", W).terms) == 3432  # in bound
+    power, product = f"{linear}^10", f"{linear}^4*{linear}^5"
+    for text, at, terms in ((power, power.rindex("^") + 1, 19448),
+                            (product, product.index("*"), 11440),
+                            (f"2 + {power}", power.rindex("^") + 5, 19448)):
+        with pytest.raises(PolynomialSyntaxError,
+                           match=f"up to {terms} terms, more than "
+                                 f"{MAX_TERMS}: .* at position {at}$"):
+            p(text, W)
 
 
 def test_parser_rejects_integer_literals_int_cannot_read():

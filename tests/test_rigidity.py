@@ -5,10 +5,10 @@ from math import comb
 import pytest
 
 from poissonkit import (GaussRational, Multivector, PoissonStructure,
-                        Polynomial, VariableTable, check_multiplicity,
-                        contract, diagonality_constraints,
+                        Polynomial, RigiditySystem, VariableTable,
+                        check_multiplicity, contract, diagonality_constraints,
                         exterior_derivative, jacobi_check, parse_polynomial,
-                        reduce_mod, simplex_multiplicity_filter,
+                        reduce_mod, rigidity, simplex_multiplicity_filter,
                         solve_rigidity)
 
 
@@ -93,6 +93,31 @@ def test_constraints_match_the_parameter_ring_reference():
         assert system.rows == rows
         assert system.table == VariableTable(
             tuple(f"x{m}" for m in range(1, N + 1)))
+
+
+def test_one_contraction_per_wedge_slot(monkeypatch):
+    calls = []
+
+    def counted(eta, a):
+        calls.append(1)
+        return contract(eta, a)
+
+    monkeypatch.setattr(rigidity, "contract", counted)
+    for N in range(2, 9):
+        calls.clear()
+        diagonality_constraints(N)
+        assert len(calls) == N * (N - 1)
+
+
+def test_solve_rigidity_rejects_a_non_diagonal_kernel():
+    system = diagonality_constraints(3)
+    column = system.unknowns.index((1, 1, 1, 2))
+    kept = [row for row in system.rows if column not in row]
+    assert len(kept) < len(system.rows)
+    broken = RigiditySystem(3, system.unknowns, kept, system.table)
+    with pytest.raises(AssertionError, match=r"non-diagonal nullspace vector "
+                       r"on unknowns \[\(1, 1, 1, 2\)\]"):
+        solve_rigidity(broken)
 
 
 def test_solution_space_dimension():
