@@ -14,11 +14,12 @@ Z-linear independence of the mu_i is assumed, not certified.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from . import polynomials
 from .multivectors import DifferentialForm, Multivector
-from .polynomials import Polynomial, VariableTable
-from .scalars import GaussRational
+from .polynomials import Polynomial, VariableTable, _as_scalar, _raw
+from .scalars import GaussRational, _make
 from .structures import PoissonStructure, _pfaffian_memo
 
 
@@ -137,8 +138,10 @@ def pfaffian(matrix: list):
     """Signed perfect-matching sum, expanding along the first row.
 
     Only entries above the diagonal are read, so skewness is implicit.
-    Entries may be scalars or Polynomials on one table, mixed freely;
-    the value is a Polynomial if any entry is one, else a scalar.
+    Entries may be scalars or Polynomials on one table, mixed freely.
+    The value lies in the entries' ring: a Polynomial if any entry is
+    one, else a GaussRational if any entry is one, else a Fraction if
+    any entry is one, else an int.
     """
     size = len(matrix)
     for row in matrix:
@@ -153,21 +156,29 @@ def pfaffian(matrix: list):
     table = next((v.table for v in upper.values()
                   if isinstance(v, Polynomial)), None)
     if table is None:
-        value = _pfaffian_memo({ix: {(): v} for ix, v in upper.items() if v})(
+        value = _pfaffian_memo({ix: {(): _as_scalar(v)._t}
+                                for ix, v in upper.items() if v})(
             tuple(range(size)))
-        return value.get((), matrix[0][1] * 0)
+        a, b, d = value.get((), (0, 0, 1))
+        if any(isinstance(v, GaussRational) for v in upper.values()):
+            return _make(a, b, d)
+        if any(isinstance(v, Fraction) for v in upper.values()):
+            return Fraction(a, d)
+        return a
     zero = Polynomial.zero(table)
-    value = _pfaffian_memo({ix: (zero + v).terms for ix, v in upper.items()})(
-        tuple(range(size)))
-    return polynomials._trusted(table, value)
+    value = _pfaffian_memo({ix: _raw((zero + v).terms)
+                            for ix, v in upper.items()})(tuple(range(size)))
+    return polynomials._from_raw(table, value)
 
 
 def _spec_pfaffians(spec: DiagonalSpec, table: VariableTable):
-    """Pf(Lambda_S) as a term dict for every sorted 0-based index tuple S,
-    from one memo over the spec's entries; Pf of the empty set is 1."""
-    pf = _pfaffian_memo({(i - 1, j - 1): spec.entry_polynomial(table, i, j).terms
+    """Pf(Lambda_S) as a raw term dict for every sorted 0-based index
+    tuple S, from one memo over the spec's entries; Pf of the empty set
+    is 1."""
+    pf = _pfaffian_memo({(i - 1, j - 1):
+                         _raw(spec.entry_polynomial(table, i, j).terms)
                          for i, j in spec.entries})
-    one = {(0,) * table.width: GaussRational.one()}
+    one = {(0,) * table.width: (1, 0, 1)}
     return lambda indices: pf(indices) if indices else one
 
 
@@ -253,7 +264,7 @@ def log_annihilator(spec: DiagonalSpec) -> LogForm:
     indices = tuple(range(spec.n))
     residues = []
     for i in indices:
-        value = polynomials._trusted(table, pf(indices[:i] + indices[i + 1:]))
+        value = polynomials._from_raw(table, pf(indices[:i] + indices[i + 1:]))
         residues.append(value if i % 2 == 0 else -value)
     if all(r.is_zero() for r in residues):
         raise ValueError("non-generic spec")

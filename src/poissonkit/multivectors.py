@@ -25,7 +25,8 @@ from functools import lru_cache
 from typing import Mapping
 
 from . import polynomials
-from .polynomials import FloatPolynomials, Polynomial, VariableTable
+from .polynomials import (FloatPolynomials, Polynomial, VariableTable, _raw,
+                          _scaled)
 from .scalars import GaussRational
 
 # Index pairs recur across a computation: checking two generic diagonal
@@ -196,8 +197,7 @@ class _SuperElement:
         if degree > table.n_coordinates:
             return type(self).zero(table, table.n_coordinates)
         sums = {}
-        _wedge_into(sums, {ix: c.terms for ix, c in self.terms.items()},
-                    {ix: c.terms for ix, c in other.terms.items()})
+        _wedge_into(sums, _raw_terms(self), _raw_terms(other))
         return _built(type(self), table, degree, sums)
 
     def evaluate_float(self, values: Mapping[str, complex]) -> dict:
@@ -227,20 +227,26 @@ def _trusted(cls, table: VariableTable, degree: int, terms: dict):
     return element
 
 
+def _raw_terms(element) -> dict:
+    """{indices: raw term dict} of an element's coefficients."""
+    return {ix: _raw(c.terms) for ix, c in element.terms.items()}
+
+
 def _built(cls, table: VariableTable, degree: int, sums: dict):
-    """The element of a raw accumulator; zero scalars and zero
-    coefficients are dropped here, once."""
+    """The element of a raw accumulator {indices: raw term dict}; zero
+    sums and zero coefficients are dropped here, once."""
     return _trusted(cls, table, degree,
-                    {ix: polynomials._trusted(table, acc)
+                    {ix: polynomials._from_raw(table, acc)
                      for ix, acc in sums.items()})
 
 
 def _wedge_into(sums: dict, left: dict, right: dict) -> None:
     """Add the exterior product of two raw elements into `sums`.
 
-    Each merged index tuple collects its coefficient products straight
-    through `polynomials._mul_into`; a negative Koszul sign negates the
-    left coefficient, once per left term.
+    Both sides map index tuples to raw term dicts.  Each merged index
+    tuple collects its coefficient products straight through
+    `polynomials._mul_into`; a negative Koszul sign negates the left
+    coefficient, once per left term.
     """
     for ix1, t1 in left.items():
         negated = None
@@ -250,7 +256,7 @@ def _wedge_into(sums: dict, left: dict, right: dict) -> None:
                 continue
             if sign < 0:
                 if negated is None:
-                    negated = {e: -c for e, c in t1.items()}
+                    negated = _scaled(t1, -1)
                 polynomials._mul_into(sums.setdefault(merged, {}), negated, t2)
             else:
                 polynomials._mul_into(sums.setdefault(merged, {}), t1, t2)
@@ -303,14 +309,16 @@ def contract(eta: DifferentialForm, a: Multivector) -> Multivector:
     if eta.table != a.table:
         raise ValueError("form and multivector on different variable tables")
     sums = {}
+    fields = _raw_terms(a)
     for (k,), g in eta.terms.items():
-        negated = {e: -c for e, c in g.terms.items()}
-        for indices, coeff in a.terms.items():
+        g = _raw(g.terms)
+        negated = _scaled(g, -1)
+        for indices, coeff in fields.items():
             if k in indices:
                 pos = indices.index(k)
                 polynomials._mul_into(
                     sums.setdefault(indices[:pos] + indices[pos + 1:], {}),
-                    coeff.terms, negated if pos % 2 else g.terms)
+                    coeff, negated if pos % 2 else g)
     return _built(Multivector, a.table, max(a.degree - 1, 0), sums)
 
 
@@ -381,19 +389,20 @@ def _odd_even_sum(sums: dict, odd: Multivector, even: Multivector,
 
     The factor and the sign of d_L go into the left terms, once per k.
     """
+    odd_terms = _raw_terms(odd)
+    even_terms = odd_terms if even is odd else _raw_terms(even)
     for k in range(odd.table.n_coordinates):
         left = {}
-        for indices, coeff in odd.terms.items():
+        for indices, coeff in odd_terms.items():
             if k in indices:
                 pos = indices.index(k)
                 scale = -factor if pos % 2 else factor
                 left[indices[:pos] + indices[pos + 1:]] = (
-                    coeff.terms if scale == 1
-                    else {e: c * scale for e, c in coeff.terms.items()})
+                    coeff if scale == 1 else _scaled(coeff, scale))
         if left:
             right = {}
-            for ix, coeff in even.terms.items():
-                derived = polynomials._derivative_terms(coeff.terms, k)
+            for ix, coeff in even_terms.items():
+                derived = polynomials._derivative_terms(coeff, k)
                 if derived:
                     right[ix] = derived
             _wedge_into(sums, left, right)

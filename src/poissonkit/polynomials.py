@@ -18,7 +18,8 @@ from math import comb
 from operator import add
 from typing import Iterable, Mapping
 
-from .scalars import GaussRational, _power, format_scalar
+from .scalars import (GaussRational, _norm, _power, _product, _sum,
+                      format_scalar)
 
 
 class PolynomialSyntaxError(ValueError):
@@ -266,9 +267,9 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         self._check_table(other)
-        terms = {}
-        _mul_into(terms, self.terms, other.terms)
-        return _trusted(self.table, terms)
+        acc = {}
+        _mul_into(acc, _raw(self.terms), _raw(other.terms))
+        return _from_raw(self.table, acc)
 
     __rmul__ = __mul__
 
@@ -307,8 +308,8 @@ class Polynomial:
         """Exact partial derivative with respect to a coordinate."""
         if not self.table.is_coordinate(name):
             raise KeyError(f"not a coordinate: {name!r}")
-        return _trusted(self.table,
-                        _derivative_terms(self.terms, self.table.slot(name)))
+        return _from_raw(self.table, _derivative_terms(
+            _raw(self.terms), self.table.slot(name)))
 
     def evaluate(self, values: Mapping[str, object]) -> GaussRational:
         """Exact evaluation; every variable present in the polynomial must
@@ -370,29 +371,49 @@ def _trusted(table: VariableTable, terms: dict) -> Polynomial:
     return p
 
 
-def _mul_into(acc: dict, terms1: Mapping, terms2: Mapping) -> None:
-    """Add the product of two term dicts into `acc`, term by term.
+def _raw(terms: Mapping) -> dict:
+    """The raw term dict {exponents: (a, b, d)} of a polynomial's terms,
+    read from each scalar's own triple."""
+    return {e: c._t for e, c in terms.items()}
 
-    The one polynomial product loop.  Sums that cancel stay in `acc` as
-    zero scalars; `_trusted` drops them when the result is built.
+
+def _scaled(raw: Mapping, s: int) -> dict:
+    """The raw term dict of s times `raw`, for an integer s."""
+    return {e: (a * s, b * s, d) for e, (a, b, d) in raw.items()}
+
+
+def _from_raw(table: VariableTable, raw: dict) -> Polynomial:
+    """The one builder from a raw term dict: each surviving triple is
+    reduced once into one scalar, and zero sums are dropped."""
+    return _trusted(table, {e: _norm(t) for e, t in raw.items()
+                            if t[0] or t[1]})
+
+
+def _mul_into(acc: dict, terms1: Mapping, terms2: Mapping) -> None:
+    """Add the product of two raw term dicts into the raw dict `acc`.
+
+    The one polynomial product loop: scalars stay (a, b, d) triples and
+    no scalar object is made.  Sums that cancel stay in `acc` as zero
+    triples; `_from_raw` drops them when the result is built.
     """
     get = acc.get
     for e1, c1 in terms1.items():
         for e2, c2 in terms2.items():
             exps = tuple(map(add, e1, e2))
             prev = get(exps)
-            acc[exps] = c1 * c2 if prev is None else prev + c1 * c2
+            acc[exps] = (_product(c1, c2) if prev is None
+                         else _sum(prev, _product(c1, c2)))
 
 
-def _derivative_terms(terms: Mapping, slot: int) -> dict:
-    """The term dict of d/dx at exponent position `slot`; lowering one
-    exponent keeps distinct monomials distinct, so nothing collects."""
+def _derivative_terms(raw: Mapping, slot: int) -> dict:
+    """The raw term dict of d/dx at exponent position `slot`; lowering
+    one exponent keeps distinct monomials distinct, so nothing collects."""
     out = {}
-    for exps, c in terms.items():
+    for exps, c in raw.items():
         e = exps[slot]
         if e:
             lowered = exps[:slot] + (e - 1,) + exps[slot + 1:]
-            out[lowered] = c if e == 1 else c * e
+            out[lowered] = c if e == 1 else (c[0] * e, c[1] * e, c[2])
     return out
 
 
@@ -550,16 +571,25 @@ MAX_EXPONENT = 20
 # A bound on the total degree of a parsed or loaded term, checked before
 # each power or product is expanded.  On four variables the costliest
 # degree-25 input, (x1+x2+x3+x4)^17*(x1+x2+x3+x4)^8, expands to 3,276
-# terms in about 0.8 s; at degree 40, ^20*^20 takes about 7 s.
+# terms in about 0.35 s; at degree 40, ^20*^20 takes about 4 s.
 MAX_DEGREE = 25
 # A bound on the term count of every product and power the parser
 # expands, checked before expanding, and on the term records of a
 # loaded document.  The costliest admitted inputs found,
 # (1+x1+x2+x3)^12*(1+x1+x2+x3)^13 (3,276 terms) and
-# (x1+...+x5)^8*(x1+...+x5)^8 (4,845 terms), take 0.6 to 1.1 s; the
-# refused (x1+...+x8)^10 would take 1.3 s for 19,448 terms, ^20 would
-# have 888,030.
+# (x1+...+x5)^8*(x1+...+x5)^8 (4,845 terms), take 0.35 to 0.6 s with
+# fractional coefficients; the refused (x1+...+x8)^10 would take 0.7 s
+# for 19,448 terms, ^20 would have 888,030.
 MAX_TERMS = 5_000
+# A bound on the sum of those term bounds over one whole text, so that
+# admitted products joined by + cannot add up to a long parse.  A bound
+# of one term is not charged: a product of two monomials costs one step,
+# so a long canonical sum of monomials stays readable.
+# (x1+...+x5)^8*(x1+...+x5)^8 is charged 5,835 and parses in about
+# 0.4 s; three copies joined by + are charged 17,505 and refused.  The
+# costliest admitted text found, two (x1+...+x4)^12*(x1+...+x4)^13 with
+# fractional coefficients joined by +, takes 1.2 to 1.4 s.
+MAX_TEXT_TERMS = 10_000
 
 
 def _total_degree(f: Polynomial) -> int:
@@ -584,6 +614,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.charged = 0
         self.table = table
 
     def peek(self):
@@ -606,20 +637,22 @@ class _Parser:
         return poly
 
     def expr(self) -> Polynomial:
-        sign = 1
-        if self.peek()[0] in "+-":
-            sign = -1 if self.advance()[0] == "-" else 1
-        total = self.term()
-        if sign < 0:
-            total = -total
-        while self.peek()[0] in "+-":
+        """A signed sum, collected into one raw term dict, so a sum of k
+        terms costs k additions rather than k copies of the total."""
+        acc = {}
+        op = self.advance()[0] if self.peek()[0] in "+-" else "+"
+        while True:
+            terms = _raw(self.term().terms)
+            for e, c in (_scaled(terms, -1) if op == "-" else terms).items():
+                prev = acc.get(e)
+                acc[e] = c if prev is None else _sum(prev, c)
+            if self.peek()[0] not in "+-":
+                return _from_raw(self.table, acc)
             op = self.advance()[0]
-            rhs = self.term()
-            total = total - rhs if op == "-" else total + rhs
-        return total
 
     def bound(self, token, f: Polynomial, g: Polynomial, e: int = 1) -> None:
-        """Refuse to expand f^e*g past MAX_DEGREE or MAX_TERMS."""
+        """Refuse to expand f^e*g past MAX_DEGREE or MAX_TERMS, or the
+        text past MAX_TEXT_TERMS."""
         degree = _total_degree(f) * e + _total_degree(g)
         if degree > MAX_DEGREE:
             raise PolynomialSyntaxError(
@@ -629,6 +662,12 @@ class _Parser:
         if terms > MAX_TERMS:
             raise PolynomialSyntaxError(
                 f"up to {terms} terms, more than {MAX_TERMS}: {token[1]!r}"
+                f" at position {token[2]}")
+        self.charged += terms if terms > 1 else 0
+        if self.charged > MAX_TEXT_TERMS:
+            raise PolynomialSyntaxError(
+                f"products and powers of up to {self.charged} terms in all,"
+                f" more than {MAX_TEXT_TERMS}: {token[1]!r}"
                 f" at position {token[2]}")
 
     def term(self) -> Polynomial:

@@ -8,7 +8,6 @@ a symbolic identity misses, and each suite reports how many did.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from . import multivectors, polynomials
 from .automorphisms import (DiagonalScaling, Translation, TriangularShear,
@@ -17,21 +16,20 @@ from .multivectors import (BV_SIGN, DifferentialForm, Multivector,
                            bv_laplacian, contract, curl, exterior_derivative,
                            schouten, wedge)
 from .polynomials import Polynomial, VariableTable
-from .scalars import GaussRational
+from .scalars import GaussRational, _norm
 
 DEFAULT_TABLE = VariableTable(("x1", "x2", "x3", "x4"))
 
 
 def random_scalar(rng: random.Random, bound: int = 4) -> GaussRational:
-    def part():
-        num = rng.randint(-bound, bound)
-        den = rng.randint(1, 3)
-        return Fraction(num, den)
-    re = part()
-    im = part() if rng.random() < 0.25 else Fraction(0)
-    if re == 0 and im == 0:
-        re = Fraction(1)
-    return GaussRational(re, im)
+    """a/d + (b/f) i with a random imaginary part one time in four; a
+    zero draw becomes 1."""
+    a, d = rng.randint(-bound, bound), rng.randint(1, 3)
+    b, f = ((rng.randint(-bound, bound), rng.randint(1, 3))
+            if rng.random() < 0.25 else (0, 1))
+    if not (a or b):
+        a = d = 1
+    return _norm((a * f, b * d, d * f))
 
 
 def random_polynomial(rng: random.Random, table: VariableTable,

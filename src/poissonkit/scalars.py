@@ -5,6 +5,10 @@ d > 0 and gcd(a, b, d) = 1.  The form is unique, so equality and hashing
 compare the triple.  `GaussRational(re, im)` is the one validating
 constructor; arithmetic builds its results through the trusted `_make`
 and `_norm`.  The parts `.re` and `.im` read back as `fractions.Fraction`.
+The triple helpers `_sum`, `_product` and `_quotient` hold the one copy
+of each formula: the operators reduce their results through `_norm`, and
+the polynomial product loop runs on the triples and reduces once per
+result term.
 """
 
 from __future__ import annotations
@@ -14,42 +18,54 @@ from math import gcd
 from operator import eq
 
 
-def _add(x: tuple, y: tuple) -> "GaussRational":
+def _sum(x: tuple, y: tuple) -> tuple:
+    """The triple of x + y over the lcm of the denominators, not reduced:
+    a running sum's denominator never grows past its summands' lcm."""
     a, b, d = x
     c, e, f = y
-    if d == 1 and f == 1:
-        return _make(a + c, b + e, 1)
+    if d == f:
+        return a + c, b + e, d
     g = gcd(d, f)
     s, t = d // g, f // g
-    a, b = a * t + c * s, b * t + e * s
-    g = gcd(g, a, b)
-    return _make(a // g, b // g, s * f // g)
+    return a * t + c * s, b * t + e * s, s * f
 
 
-def _mul(x: tuple, y: tuple) -> "GaussRational":
+def _product(x: tuple, y: tuple) -> tuple:
+    """The triple of x * y, not reduced."""
     a, b, d = x
     c, e, f = y
     if b or e:
-        a, b = a * c - b * e, a * e + b * c
-    else:
-        a *= c
-    if d == 1 and f == 1:
-        return _make(a, b, 1)
-    return _norm(a, b, d * f)
+        return a * c - b * e, a * e + b * c, d * f
+    return a * c, 0, d * f
 
 
-def _div(x: tuple, y: tuple) -> "GaussRational":
+def _quotient(x: tuple, y: tuple) -> tuple:
     # (a + b i)/d / ((c + e i)/f) = f (a + b i)(c - e i) / (d (c^2 + e^2))
     a, b, d = x
     c, e, f = y
     n = c * c + e * e
     if not n:
         raise ZeroDivisionError("division by zero in Q(i)")
-    return _norm((a * c + b * e) * f, (b * c - a * e) * f, d * n)
+    return (a * c + b * e) * f, (b * c - a * e) * f, d * n
 
 
-def _binary(op):
-    """A dunder method applying op to the triples of self and other."""
+def _reduced(t: tuple) -> tuple:
+    """The normalized form of a triple (a, b, d) with d > 0."""
+    a, b, d = t
+    g = gcd(d, a, b)
+    return t if g == 1 else (a // g, b // g, d // g)
+
+
+def _norm(t: tuple) -> "GaussRational":
+    """The scalar of a triple (a, b, d) with d > 0, gcd divided out."""
+    z = object.__new__(GaussRational)
+    _set_t(z, t if t[2] == 1 else _reduced(t))
+    return z
+
+
+def _binary(op, build=_norm):
+    """A dunder method returning build(op(x, y)) for the triples x, y of
+    self and other."""
     def method(self, other):
         if type(other) is not GaussRational:
             if type(other) is int:
@@ -58,7 +74,7 @@ def _binary(op):
                 other = GaussRational(other)
             else:
                 return NotImplemented
-        return op(self._t, other._t)
+        return build(op(self._t, other._t))
     return method
 
 
@@ -115,13 +131,13 @@ class GaussRational:
 
     # -- ring/field operations ------------------------------------------
 
-    __add__ = __radd__ = _binary(_add)
-    __sub__ = _binary(lambda x, y: _add(x, (-y[0], -y[1], y[2])))
-    __rsub__ = _binary(lambda x, y: _add(y, (-x[0], -x[1], x[2])))
-    __mul__ = __rmul__ = _binary(_mul)
-    __truediv__ = _binary(_div)
-    __rtruediv__ = _binary(lambda x, y: _div(y, x))
-    __eq__ = _binary(eq)
+    __add__ = __radd__ = _binary(_sum)
+    __sub__ = _binary(lambda x, y: _sum(x, (-y[0], -y[1], y[2])))
+    __rsub__ = _binary(lambda x, y: _sum(y, (-x[0], -x[1], x[2])))
+    __mul__ = __rmul__ = _binary(_product)
+    __truediv__ = _binary(_quotient)
+    __rtruediv__ = _binary(lambda x, y: _quotient(y, x))
+    __eq__ = _binary(eq, bool)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -158,19 +174,15 @@ class GaussRational:
         return f"GaussRational({self.re!r}, {self.im!r})"
 
 
+# The slot's own setter, which the immutable __setattr__ does not block.
+_set_t = GaussRational._t.__set__
+
+
 def _make(a: int, b: int, d: int) -> GaussRational:
     """Trusted constructor: (a, b, d) must already be normalized."""
     z = object.__new__(GaussRational)
-    object.__setattr__(z, "_t", (a, b, d))
+    _set_t(z, (a, b, d))
     return z
-
-
-def _norm(a: int, b: int, d: int) -> GaussRational:
-    """(a + b i)/d for d > 0, with the common gcd divided out."""
-    g = gcd(d, a, b)
-    if g == 1:
-        return _make(a, b, d)
-    return _make(a // g, b // g, d // g)
 
 
 def _power(base, n: int, one):

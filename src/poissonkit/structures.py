@@ -17,7 +17,7 @@ from . import multivectors, polynomials
 from .linalg import dense_rank
 from .multivectors import Multivector, contract, exterior_derivative, schouten
 from .polynomials import Polynomial, VariableTable, reduce_mod
-from .scalars import GaussRational
+from .scalars import _reduced
 
 
 class PoissonStructure:
@@ -88,15 +88,17 @@ def wedge_power(a: Multivector, k: int) -> Multivector:
 def _pfaffian_memo(entries: dict):
     """Principal sub-Pfaffians Pf(A_S) of a skew table, memoized.
 
-    `entries` maps (i, j) with i < j to the term dict {exponents: scalar}
-    of a_ij; absent pairs are zero, and a plain scalar fits as {(): value}.
+    `entries` maps (i, j) with i < j to the raw term dict
+    {exponents: (a, b, d)} of a_ij; absent pairs are zero, and a plain
+    scalar fits as {(): triple}.
     The returned pf(S) takes a sorted index tuple S of even length and
     expands along the first row,
     Pf(A_S) = sum_p (-1)^p a_(s_0, s_(p+1)) Pf(A_S without s_0, s_(p+1)),
     so every smaller Pfaffian is computed once and shared.  Each value
-    is a term dict with no zero scalars, {} when the Pfaffian vanishes.
+    is a raw term dict of reduced nonzero triples, {} when the Pfaffian
+    vanishes.
     """
-    negated = {ix: {e: -c for e, c in t.items()} for ix, t in entries.items()}
+    negated = {ix: polynomials._scaled(t, -1) for ix, t in entries.items()}
     memo = {}
 
     def pf(indices: tuple) -> dict:
@@ -113,7 +115,8 @@ def _pfaffian_memo(entries: dict):
                 sub = pf(rest[:pos] + rest[pos + 1:])
                 if sub:
                     polynomials._mul_into(acc, a, sub)
-        acc = memo[indices] = {e: c for e, c in acc.items() if c}
+        acc = memo[indices] = {e: _reduced(c) for e, c in acc.items()
+                               if c[0] or c[1]}
         return acc
 
     return pf
@@ -126,11 +129,11 @@ def _power_coefficients(ps: PoissonStructure):
     the coefficient table A of Pi, so every k shares one Pfaffian memo.
     """
     table = ps.table
-    pf = _pfaffian_memo({ix: c.terms for ix, c in ps.bivector.terms.items()})
+    pf = _pfaffian_memo(multivectors._raw_terms(ps.bivector))
 
     def coefficients(k: int) -> list:
         scale = factorial(k)
-        return [polynomials._trusted(table, {e: c * scale for e, c in t.items()})
+        return [polynomials._from_raw(table, polynomials._scaled(t, scale))
                 for t in map(pf, combinations(range(table.n_coordinates), 2 * k))
                 if t]
 
@@ -273,7 +276,7 @@ def chart_transition(biv: Multivector, names: tuple, source: int,
     hom = [i for i in range(n + 1) if i != source]  # source pos -> hom index
     tslot = {m: target_coords.index(names[m]) for m in range(n + 1) if m != target}
     anchor = tslot[source]  # slot of z_a = 1/y_b in the target chart
-    one = GaussRational.one()
+    one, minus_one = (1, 0, 1), (-1, 0, 1)
 
     def monomial(*slots) -> tuple:
         exps = [0] * ttable.width
@@ -281,12 +284,13 @@ def chart_transition(biv: Multivector, names: tuple, source: int,
             exps[slot] += 1
         return tuple(exps)
 
-    # xi_k -> z_a xi_m, and xi_b -> -z_a sum_m z_m xi_m for y_b = 1/z_a
+    # xi_k -> z_a xi_m, and xi_b -> -z_a sum_m z_m xi_m for y_b = 1/z_a,
+    # as raw term dicts, so the chained wedges below need no conversion
     xi_images = {}
     for k in range(n):
         m = hom[k]
         xi_images[k] = ({(tslot[m],): {monomial(anchor): one}} if m != target
-                        else {(tslot[mm],): {monomial(anchor, tslot[mm]): -one}
+                        else {(tslot[mm],): {monomial(anchor, tslot[mm]): minus_one}
                               for mm in range(n + 1) if mm != target})
 
     # y^e -> z^e' / z_a^|e|: the numerator keeps the pole as a negative
@@ -305,9 +309,9 @@ def chart_transition(biv: Multivector, names: tuple, source: int,
                     new[tslot[hom[k]]] = exps[k]
             new[anchor] = -sum(exps[:n])
             new[ttable.n_coordinates:] = exps[n:]
-            numerator[tuple(new)] = c
+            numerator[tuple(new)] = c._t
         multivectors._wedge_into(sums, image, {(): numerator})
-    if any(c and exps[anchor] < 0
+    if any((c[0] or c[1]) and exps[anchor] < 0
            for acc in sums.values() for exps, c in acc.items()):
         raise ValueError("does not extend")
     return multivectors._built(Multivector, ttable, biv.degree, sums)

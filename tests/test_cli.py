@@ -10,7 +10,7 @@ import pytest
 from poissonkit import (DeformationFamily, DiagonalSpec, GaussRational,
                         loads, make_diagonal, save_path)
 from poissonkit.cli import main
-from poissonkit.polynomials import MAX_TERMS
+from poissonkit.polynomials import MAX_TERMS, MAX_TEXT_TERMS
 
 
 def run_cli(*argv, data=None):
@@ -267,6 +267,21 @@ def test_term_count_bound_exits_two(corpus, capsys):
     assert captured.out == ""
     assert captured.err == (f"error: up to 5985 terms, more than {MAX_TERMS}:"
                             " '*' at position 17\n")
+
+
+def test_text_term_budget_exits_two(tmp_path, capsys):
+    path = tmp_path / "diag5.mv"
+    save_path(str(path), make_diagonal(
+        numeric_spec(5, [2, 3, 5, 7, 11, 13, 17, 19, 23, 29])))
+    copy = "(x1+x2+x3+x4+x5)^8*(x1+x2+x3+x4+x5)^8"
+    assert main(["hamiltonian", "--in", str(path),
+                 "--f", " + ".join([copy] * 3)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: products and powers of up to 11670 terms in all, more than"
+        f" {MAX_TEXT_TERMS}: '*' at position {len(copy) + 3 + copy.index('*')}\n")
+    assert "Traceback" not in captured.err
 
 
 def test_selftest_seed_sources():

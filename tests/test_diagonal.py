@@ -1,6 +1,7 @@
 """Diagonal structures: Pfaffians, curl eigenvalues, kernel log form."""
 
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -82,6 +83,65 @@ def test_pfaffian_of_scalars_and_mixed_entries():
         value = pfaffian([[zero] * 2] * 2)
         assert type(value) is type(zero) and value == zero
     assert pfaffian([]) == 1
+
+
+def _reference_pfaffian(m):
+    """First-row expansion in the entries' own arithmetic."""
+    if not m:
+        return 1
+    total = 0
+    for j in range(1, len(m)):
+        keep = [k for k in range(1, len(m)) if k != j]
+        minor = [[m[r][c] for c in keep] for r in keep]
+        term = m[0][j] * _reference_pfaffian(minor)
+        total = total + term if j % 2 else total - term
+    return total
+
+
+def _skew(upper, size=4):
+    m = [[0] * size for _ in range(size)]
+    for (i, j), v in upper.items():
+        m[i][j], m[j][i] = v, -v
+    return m
+
+
+def test_pfaffian_kinds_and_zeros_follow_the_entries_ring():
+    half, i = Fraction(1, 2), GaussRational.i()
+    ints = {(0, 1): 2, (0, 2): 3, (0, 3): 5, (1, 2): 7, (1, 3): 11,
+            (2, 3): 13}
+    cases = [
+        (ints, int, 28),
+        ({**ints, (0, 1): half}, Fraction, Fraction(17, 2)),
+        ({**ints, (0, 1): Fraction(4, 2)}, Fraction, 28),
+        ({k: GaussRational(v) for k, v in ints.items()}, GaussRational, 28),
+        ({**ints, (0, 1): i}, GaussRational, GaussRational(2, 13)),
+        ({**ints, (0, 1): half, (1, 3): i}, GaussRational,
+         GaussRational(Fraction(83, 2), -3)),
+        # a01 a23 - a02 a13 + a03 a12 = 0 in each ring
+        ({(0, 1): 1, (2, 3): 2, (0, 2): 1, (1, 3): 2}, int, 0),
+        ({(0, 1): half, (2, 3): 2, (0, 2): 1, (1, 3): 1}, Fraction, 0),
+        ({(0, 1): i, (2, 3): i, (0, 2): -1, (1, 3): 1}, GaussRational, 0),
+        ({(0, 1): GaussRational(0)}, GaussRational, 0),
+        ({(0, 1): Fraction(0)}, Fraction, 0),
+        ({}, int, 0),
+    ]
+    for upper, kind, value in cases:
+        matrix = _skew(upper)
+        got = pfaffian(matrix)
+        assert type(got) is kind and got == value, upper
+        assert got == _reference_pfaffian(matrix), upper
+    rng = random.Random("pfaffian-kinds")
+    for _ in range(40):
+        pool = (lambda: rng.randint(-5, 5),
+                lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                lambda: GaussRational(rng.randint(-3, 3), rng.randint(-3, 3)))
+        draw = rng.choice(((0,), (0, 1), (0, 2), (0, 1, 2)))
+        upper = {(r, c): pool[rng.choice(draw)]()
+                 for r in range(6) for c in range(r + 1, 6)}
+        got = pfaffian(_skew(upper, 6))
+        assert got == _reference_pfaffian(_skew(upper, 6))
+        assert type(got) is (GaussRational if 2 in draw else
+                             Fraction if 1 in draw else int)
 
 
 def test_pfaffian_odd_size_rejected():

@@ -10,7 +10,8 @@ from poissonkit import (GaussRational, Polynomial, PolynomialSyntaxError,
                         VariableTable, format_polynomial, parse_polynomial,
                         reduce_mod)
 from poissonkit.polynomials import (MAX_DEGREE, MAX_EXPONENT, MAX_NESTING,
-                                    MAX_TERMS, FloatPolynomials, _term_bound)
+                                    MAX_TERMS, MAX_TEXT_TERMS,
+                                    FloatPolynomials, _term_bound)
 from poissonkit.randomized import random_polynomial, random_scalar
 
 T = VariableTable(("x1", "x2", "x3"), ("a",))
@@ -256,6 +257,31 @@ def test_parser_bounds_term_count_before_expanding():
                            match=f"up to {terms} terms, more than "
                                  f"{MAX_TERMS}: .* at position {at}$"):
             p(text, W)
+
+
+def test_parser_bounds_the_terms_of_a_whole_text():
+    W = VariableTable(tuple(f"x{k}" for k in range(1, 6)))
+    copy = "(x1+x2+x3+x4+x5)^8*(x1+x2+x3+x4+x5)^8"
+    assert len(p(copy, W).terms) == 4845  # charged 495 + 495 + 4,845
+    text = " + ".join([copy] * 3)
+    at = len(copy) + 3 + copy.index("*")  # the second copy's product
+    with pytest.raises(PolynomialSyntaxError,
+                       match=f"up to 11670 terms in all, more than "
+                             f"{MAX_TEXT_TERMS}: '\\*' at position {at}$"):
+        p(text, W)
+    # constant factors are charged too, so they cannot repeat a large
+    # product without end
+    big = "(x1+x2+x3+x4+x5)^4"
+    with pytest.raises(PolynomialSyntaxError, match="terms in all"):
+        p(big + "*2" * (MAX_TEXT_TERMS // 70 + 1), W)  # 70 terms each
+    # products of monomials are not charged: a long canonical sum reads back
+    rng = random.Random("long-sum")
+    terms = {tuple(rng.randint(0, 5) for _ in range(W.width)):
+             random_scalar(rng) for _ in range(3000)}
+    long_sum = Polynomial(W, terms)
+    text = format_polynomial(long_sum)
+    assert text.count("*") > MAX_TEXT_TERMS
+    assert p(text, W) == long_sum
 
 
 def test_parser_rejects_integer_literals_int_cannot_read():
