@@ -124,6 +124,13 @@ def _integer(value, field: str) -> int:
     return int(value)
 
 
+def _text(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, not "
+                         f"{type(value).__name__}")
+    return value
+
+
 def _names(value, field: str) -> tuple:
     names = tuple(value)
     if not all(isinstance(name, str) for name in names):
@@ -154,7 +161,7 @@ def _element_from_document(doc: dict):
             raise ValueError(f"a term of degree {sum(exps)} is larger than "
                              f"{MAX_DEGREE}")
         exps = tuple(exps)
-        coeff = parse_scalar(record["coeff"])
+        coeff = parse_scalar(_text(record["coeff"], "coeff"))
         acc = terms.setdefault(indices, {})
         acc[exps] = acc[exps] + coeff if exps in acc else coeff
     element = cls(table, degree, {ix: Polynomial(table, t)
@@ -190,13 +197,14 @@ def _family_from_document(doc: dict) -> DeformationFamily:
     for record in doc["path"]:
         kind = record["kind"]
         if kind in ("translation", "shear"):
-            steps.append((kind, record["coordinate"], record["data"]))
+            steps.append((kind, record["coordinate"],
+                          _text(record["data"], "data")))
         elif kind == "scaling":
             steps.append((kind, dict(record["scales"])))
         else:
             raise ValueError(f"unknown path step kind {kind!r}")
-    return DeformationFamily.build(base, steps,
-                                   doc.get("parameter", "t"))
+    return DeformationFamily.build(
+        base, steps, _text(doc.get("parameter", "t"), "parameter"))
 
 
 def from_document(doc: dict):

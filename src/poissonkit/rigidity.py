@@ -5,7 +5,10 @@ must be diagonal.  The unknowns a_ij^kl (i <= j, k < l) are the
 coefficients of a general quadratic bivector; requiring that the
 Hamiltonian field of each x_m leave every {x_m' = 0} invariant yields a
 homogeneous linear system whose solution space is spanned by the
-diagonal monomials x_m x_m' xi_m^xi_m'.
+diagonal monomials x_m x_m' xi_m^xi_m'.  Row (m, m', x_i x_j) of that
+system is fed only by the unknown a_ij^kl with {k, l} = {m, m'}, so
+every row holds one nonzero entry and the kernel is read off the
+columns no row touches; no elimination runs.
 
 Second: a homogeneous polynomial of degree k+1 in k+1 variables whose
 second partials all vanish identically is a multiple of the unique
@@ -16,13 +19,13 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
 
-from . import linalg
 from .multivectors import Multivector, contract, exterior_derivative
 from .polynomials import Polynomial, VariableTable, reduce_mod
+from .scalars import GaussRational
 
 # Largest N the command line accepts.  N = 12 has 5,148 unknowns and
 # 8,712 rows, built from 132 unit fields; `poissonkit rigidity --dim 12`
-# certifies 66 in 0.2 to 0.5 s, process start included (2-vCPU Xeon).
+# certifies 66 in 0.35 to 0.5 s, process start included (2-vCPU Xeon).
 MAX_DIM = 12
 
 
@@ -89,13 +92,31 @@ def diagonality_constraints(N: int) -> RigiditySystem:
 
 
 def solve_rigidity(system: RigiditySystem):
-    """Exact nullspace basis, certified diagonal.
+    """Exact kernel basis read off the row support, certified diagonal.
+
+    Row (m, m', x_i x_j) is fed only by the unknown a_ij^kl with
+    {k, l} = {m, m'}: the field of x_m under xi_k ^ xi_l is nonzero only
+    for m in {k, l}, and then points along the other index.  So each
+    row holds exactly one nonzero entry, forcing its unknown to zero,
+    and the kernel is spanned by the unit vectors of the columns no row
+    touches, in ascending column order.  A row that breaks this
+    invariant raises with a diagnostic, as does a non-diagonal basis
+    vector; either would falsify the implementation.
 
     Returns (dimension, basis) where basis is a list of monomial
-    bivectors x_m x_m' xi_m ^ xi_m'.  A non-diagonal basis vector raises
-    with a diagnostic; that would falsify the implementation.
+    bivectors x_m x_m' xi_m ^ xi_m'.
     """
-    vectors = linalg.nullspace(system.rows, system.n_unknowns)
+    touched = set()
+    for row in system.rows:
+        if len(row) != 1 or next(iter(row.values())).is_zero():
+            cols = sorted(row)
+            quads = [system.unknowns[idx] for idx in cols]
+            raise AssertionError(
+                f"constraint row is not one nonzero entry: columns "
+                f"{cols} on unknowns {quads}")
+        touched.update(row)
+    vectors = [{col: GaussRational.one()} for col in range(system.n_unknowns)
+               if col not in touched]
     basis = []
     table = system.table
     for vec in vectors:

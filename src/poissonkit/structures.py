@@ -14,7 +14,6 @@ from math import factorial
 from typing import Mapping
 
 from . import multivectors, polynomials
-from .linalg import dense_rank
 from .multivectors import Multivector, contract, exterior_derivative, schouten
 from .polynomials import Polynomial, VariableTable, reduce_mod
 from .scalars import _reduced
@@ -207,6 +206,29 @@ def degeneracy_divisor(ps: PoissonStructure) -> DivisorData:
     return DivisorData(power, generators, support_product, monomial_gcd)
 
 
+def _dense_rank(rows: list) -> int:
+    """Rank of a square list of GaussRational rows, by forward elimination.
+
+    Works on a copy; the pivot of each column is the first remaining row
+    with a nonzero entry there.
+    """
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows)):
+        pivot = next((r for r in range(rank, len(rows))
+                      if not rows[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if not rows[r][col].is_zero():
+                factor = rows[r][col] / top[col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], top)]
+        rank += 1
+    return rank
+
+
 def rank_at(ps: PoissonStructure, point: Mapping[str, object]) -> int:
     """Rank of the skew coefficient matrix at an exact point."""
     n = ps.table.n_coordinates
@@ -214,7 +236,7 @@ def rank_at(ps: PoissonStructure, point: Mapping[str, object]) -> int:
         [ps.matrix_entry(i, j).evaluate(point) for j in range(n)]
         for i in range(n)
     ]
-    return dense_rank(matrix)
+    return _dense_rank(matrix)
 
 
 def invariant_hypersurface(ps: PoissonStructure, f: Polynomial) -> bool:

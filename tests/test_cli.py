@@ -1,5 +1,6 @@
 """Command line behavior: verbs, exit codes, canonical output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -206,6 +207,36 @@ def test_rigidity_certifies_dimension_twelve(capsys):
     assert capsys.readouterr().out == "dimension: 66\ndiagonal: true\n"
 
 
+# sha256 of `rigidity --dim N --basis-out` documents, taken from the
+# elimination-based solver that preceded the support read-off.
+RIGIDITY_BASIS_SHA256 = {
+    2: "cc77a041ead41f6aba2fabe16889fd7e1132f629d2fbde3a980377b385628eea",
+    3: "7a85ff5bfa8893e66d4a30b56a9fd468597b782d11eb3ac51c065f15f958ee82",
+    4: "a17db7dd130f633332958a6ddf47707d2805b1631df7daa0408a3bc05e5ee7f0",
+    5: "6ed93972de41821b7ea963895da2cc7f254cff8ee70b44f8097dc92dfaed8732",
+    6: "4c49f45c1c550af0942e207621b3fc1828d415eb59601f76567082da36d6c18f",
+    7: "ba82cb85e9c7827f01070c85576acea458a4bbd291bba0be87f05bb54512c322",
+    8: "d73dd2fc70353d608090ef9343b24437bd0c801566a6b60b686fe62a6ab7d319",
+    9: "cf454016443a4085fc4ba7645420e844ffe5f0294c5f49e3d46fb76c255576b1",
+    10: "4b49bed4723246df981e2f3f4e80bd3d0528808ca5ad415f5fdc366747e23bb6",
+    11: "f52f00784007dc7bdd3c53091cbf54bfd31f362b5b753e5df56fb9c5456662de",
+    12: "190daa94570a6084b73d5e63a6c84baaae6af1801d3d69339c7e79e3ab2866ef",
+}
+
+
+def test_rigidity_output_is_byte_identical_for_every_dimension(tmp_path,
+                                                               capsys):
+    for dim, digest in RIGIDITY_BASIS_SHA256.items():
+        path = tmp_path / f"basis{dim}.json"
+        assert main(["rigidity", "--dim", str(dim),
+                     "--basis-out", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (f"dimension: {dim * (dim - 1) // 2}\n"
+                                f"diagonal: true\n")
+        assert captured.err == ""
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, dim
+
+
 def test_simplex_verb():
     code, stdout, _ = run_cli("simplex", "--k", "3")
     assert code == 0
@@ -399,6 +430,14 @@ def test_main_returns_int_in_process(corpus):
     assert main(["nonsense-verb"]) == 2
 
 
+def _family_doc(parameter="t", data="1/2*t"):
+    return json.dumps({
+        "kind": "family", "parameter": parameter,
+        "base": {"kind": "diagonal-spec", "n": 2,
+                 "entries": [{"i": 1, "j": 2, "value": "3"}]},
+        "path": [{"kind": "translation", "coordinate": "x1", "data": data}]})
+
+
 def _multivector_doc(**changes):
     doc = {"kind": "multivector", "coordinates": ["x1", "x2"],
            "parameters": [], "degree": 2,
@@ -424,10 +463,19 @@ def _multivector_doc(**changes):
     ('{"kind": "diagonal-spec", "n": 1e400, "entries": []}', "n"),
     ('{"kind": "diagonal-spec", "n": 3, "entries": '
      '[{"i": 1.5, "j": 2, "value": "1"}]}', "i"),
+    (_family_doc(parameter=1), "parameter"),
+    (_family_doc(parameter=None), "parameter"),
+    (_family_doc(parameter=[]), "parameter"),
+    (_family_doc(parameter={}), "parameter"),
+    (_family_doc(data=["t"]), "data"),
+    (_multivector_doc(terms=[{"coeff": 5, "exponents": {"x1": 1, "x2": 1},
+                              "indices": [0, 1]}]), "coeff"),
 ], ids=["list", "string", "exponents-list", "coordinates-ints",
         "parameters-int", "exponent-overflow", "exponent-fraction",
         "degree-fraction", "term-degree", "term-count", "spec-n-overflow",
-        "spec-i-fraction"])
+        "spec-i-fraction", "family-parameter-int", "family-parameter-null",
+        "family-parameter-list", "family-parameter-object", "path-data-list",
+        "coeff-int"])
 def test_malformed_documents_exit_two_naming_the_field(text, field, tmp_path,
                                                        capsys):
     path = tmp_path / "bad.json"

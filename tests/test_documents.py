@@ -96,6 +96,36 @@ def test_unknown_kind_rejected():
                           "path": [{"kind": "rotation"}]}))
 
 
+def _family_doc():
+    base = numeric_spec(4, [2, 3, 5, 7, 11, 13])
+    return to_document(DeformationFamily.build(base, [
+        ("translation", "x1", "1/2*t"), ("shear", "x2", "t*x3^2")]))
+
+
+@pytest.mark.parametrize("value", [1, None, [], {}],
+                         ids=["int", "null", "list", "object"])
+def test_family_parameter_must_be_a_string(value):
+    doc = _family_doc()
+    doc["parameter"] = value
+    with pytest.raises(ValueError, match="^parameter must be a string"):
+        from_document(doc)
+
+
+@pytest.mark.parametrize("step", [0, 1])
+def test_path_step_data_must_be_a_string(step):
+    doc = _family_doc()
+    doc["path"][step]["data"] = ["t"]
+    with pytest.raises(ValueError, match="^data must be a string, not list"):
+        from_document(doc)
+
+
+def test_term_coeff_must_be_a_string():
+    doc = to_document(make_diagonal(numeric_spec(2, [3])))
+    doc["terms"][0]["coeff"] = 5
+    with pytest.raises(ValueError, match="^coeff must be a string, not int"):
+        from_document(doc)
+
+
 def test_serialized_text_ends_with_newline():
     ps = make_diagonal(DiagonalSpec.symbolic(2))
     text = serialize(ps)

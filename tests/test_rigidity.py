@@ -120,6 +120,30 @@ def test_solve_rigidity_rejects_a_non_diagonal_kernel():
         solve_rigidity(broken)
 
 
+def test_solve_rigidity_rejects_a_row_with_two_entries():
+    system = diagonality_constraints(3)
+    first, second = (system.unknowns.index(u)
+                     for u in ((1, 1, 1, 2), (1, 2, 1, 2)))
+    rows = [{first: GaussRational(1), second: GaussRational(-1)}]
+    broken = RigiditySystem(3, system.unknowns, rows, system.table)
+    with pytest.raises(AssertionError, match=(
+            rf"constraint row is not one nonzero entry: columns "
+            rf"\[{first}, {second}\] on unknowns "
+            rf"\[\(1, 1, 1, 2\), \(1, 2, 1, 2\)\]")):
+        solve_rigidity(broken)
+
+
+def test_solve_rigidity_rejects_a_row_whose_entry_is_zero():
+    system = diagonality_constraints(3)
+    column = system.unknowns.index((1, 1, 1, 2))
+    rows = list(system.rows) + [{column: GaussRational.zero()}]
+    broken = RigiditySystem(3, system.unknowns, rows, system.table)
+    with pytest.raises(AssertionError, match=(
+            rf"constraint row is not one nonzero entry: columns "
+            rf"\[{column}\] on unknowns \[\(1, 1, 1, 2\)\]")):
+        solve_rigidity(broken)
+
+
 def test_solution_space_dimension():
     for N in range(2, 9):
         system = diagonality_constraints(N)

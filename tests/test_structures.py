@@ -1,13 +1,17 @@
 """Poisson structures: Jacobi, Hamiltonian calculus, degeneracy, charts."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from poissonkit import (DiagonalSpec, GaussRational, Multivector,
-                        PoissonStructure, VariableTable, chart_extend,
-                        chart_transition, degeneracy_divisor, degeneracy_ideal,
-                        hamiltonian, invariant_hypersurface, jacobi_check,
-                        make_diagonal, parse_polynomial, poisson_bracket,
-                        rank_at, restrict_hyperplane, schouten, wedge_power)
+                        PoissonStructure, Polynomial, VariableTable,
+                        chart_extend, chart_transition, degeneracy_divisor,
+                        degeneracy_ideal, hamiltonian, invariant_hypersurface,
+                        jacobi_check, make_diagonal, parse_polynomial,
+                        poisson_bracket, rank_at, restrict_hyperplane,
+                        schouten, wedge_power)
 
 
 def sym(n):
@@ -104,6 +108,79 @@ def test_rank_stratification_example():
     assert rank_at(NUM4, full) == 4
     assert rank_at(NUM4, {**full, "x1": zero}) == 2
     assert rank_at(NUM4, {name: zero for name in full}) == 0
+
+
+def _reference_rref(rows, ncols):
+    """Gauss-Jordan that scans every open row for each column and every
+    row for each pivot; the pivot is the first open row holding it."""
+    zero, one = GaussRational.zero(), GaussRational.one()
+    work = [{c: v for c, v in r.items() if not v.is_zero()} for r in rows]
+    work = [r for r in work if r]
+    pivots = []
+    done = []
+    col = 0
+    while col < ncols and work:
+        hit = None
+        for idx, row in enumerate(work):
+            if col in row:
+                hit = idx
+                break
+        if hit is None:
+            col += 1
+            continue
+        pivot_row = work.pop(hit)
+        inv = one / pivot_row[col]
+        pivot_row = {c: v * inv for c, v in pivot_row.items()}
+        for target in (work, done):
+            for idx, row in enumerate(target):
+                if col in row:
+                    factor = row[col]
+                    new = dict(row)
+                    for c, v in pivot_row.items():
+                        acc = new.get(c, zero) - factor * v
+                        if acc.is_zero():
+                            new.pop(c, None)
+                        else:
+                            new[c] = acc
+                    target[idx] = new
+        work = [r for r in work if r]
+        done.append(pivot_row)
+        pivots.append(col)
+        col += 1
+    return done, pivots
+
+
+def _scalar(rng):
+    return GaussRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                         Fraction(rng.choice((0, 0, rng.randint(-3, 3))),
+                                  rng.randint(1, 3)))
+
+
+def test_rank_at_matches_the_scan_reference():
+    """rank_at on constant bivectors sum_p u_p ^ v_p, of rank at most
+    2 * (number of pairs), against the scan-based reference rref."""
+    rng = random.Random("rank-at-skew")
+    deficient = 0
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        table = VariableTable(tuple(f"x{k}" for k in range(1, n + 1)))
+        matrix = [[GaussRational.zero()] * n for _ in range(n)]
+        for _ in range(rng.randint(0, n // 2)):
+            u = [_scalar(rng) for _ in range(n)]
+            v = [_scalar(rng) for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    matrix[i][j] = matrix[i][j] + u[i] * v[j] - v[i] * u[j]
+        terms = {(i, j): Polynomial.constant(table, matrix[i][j])
+                 for i in range(n) for j in range(i + 1, n)
+                 if not matrix[i][j].is_zero()}
+        ps = PoissonStructure(Multivector(table, 2, terms))
+        point = {name: _scalar(rng) for name in table.coordinates}
+        rows = [dict(enumerate(row)) for row in matrix]
+        _, pivots = _reference_rref(rows, n)
+        assert rank_at(ps, point) == len(pivots)
+        deficient += len(pivots) < n
+    assert deficient > 100
 
 
 def test_invariant_hypersurface():
