@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from . import polynomials
 from .multivectors import DifferentialForm, Multivector
-from .polynomials import Polynomial, VariableTable, _as_scalar, _raw
-from .scalars import GaussRational, _make
+from .polynomials import Polynomial, VariableTable
+from .scalars import GaussRational
 from .structures import PoissonStructure, _pfaffian_memo
 
 
@@ -155,28 +155,25 @@ def pfaffian(matrix: list):
              for i in range(size) for j in range(i + 1, size)}
     table = next((v.table for v in upper.values()
                   if isinstance(v, Polynomial)), None)
-    if table is None:
-        value = _pfaffian_memo({ix: {(): _as_scalar(v)._t}
-                                for ix, v in upper.items() if v})(
-            tuple(range(size)))
-        a, b, d = value.get((), (0, 0, 1))
-        if any(isinstance(v, GaussRational) for v in upper.values()):
-            return _make(a, b, d)
-        if any(isinstance(v, Fraction) for v in upper.values()):
-            return Fraction(a, d)
-        return a
-    zero = Polynomial.zero(table)
-    value = _pfaffian_memo({ix: _raw((zero + v).terms)
-                            for ix, v in upper.items()})(tuple(range(size)))
-    return polynomials._from_raw(table, value)
+    # scalar entries become constants on a table with no variables
+    zero = Polynomial.zero(VariableTable(()) if table is None else table)
+    value = polynomials._from_raw(zero.table, _pfaffian_memo(
+        {ix: (zero + v)._raw for ix, v in upper.items()})(tuple(range(size))))
+    if table is not None:
+        return value
+    value = value.constant_value()
+    if any(isinstance(v, GaussRational) for v in upper.values()):
+        return value
+    if any(isinstance(v, Fraction) for v in upper.values()):
+        return value.re
+    return int(value.re)
 
 
 def _spec_pfaffians(spec: DiagonalSpec, table: VariableTable):
     """Pf(Lambda_S) as a raw term dict for every sorted 0-based index
     tuple S, from one memo over the spec's entries; Pf of the empty set
     is 1."""
-    pf = _pfaffian_memo({(i - 1, j - 1):
-                         _raw(spec.entry_polynomial(table, i, j).terms)
+    pf = _pfaffian_memo({(i - 1, j - 1): spec.entry_polynomial(table, i, j)._raw
                          for i, j in spec.entries})
     one = {(0,) * table.width: (1, 0, 1)}
     return lambda indices: pf(indices) if indices else one

@@ -22,15 +22,15 @@ from .structures import PoissonStructure
 def _term_records(element) -> list:
     records = []
     for indices in sorted(element.terms):
-        poly = element.terms[indices]
-        for exps in sorted(poly.terms):
+        terms = element.terms[indices].terms
+        for exps in sorted(terms):
             exponents = {
                 name: exps[slot]
                 for slot, name in enumerate(element.table.names)
                 if exps[slot]
             }
             records.append({
-                "coeff": format_scalar(poly.terms[exps]),
+                "coeff": format_scalar(terms[exps]),
                 "exponents": exponents,
                 "indices": list(indices),
             })

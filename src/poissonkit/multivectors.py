@@ -25,8 +25,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from . import polynomials
-from .polynomials import (FloatPolynomials, Polynomial, VariableTable, _raw,
-                          _scaled)
+from .polynomials import FloatPolynomials, Polynomial, VariableTable, _scaled
 from .scalars import GaussRational
 
 # Index pairs recur across a computation: checking two generic diagonal
@@ -181,7 +180,7 @@ class _SuperElement:
 
     def __hash__(self):
         return hash((type(self).__name__, self.table,
-                     frozenset((ix, frozenset(c.terms.items()))
+                     frozenset((ix, frozenset(c._raw.items()))
                                for ix, c in self.terms.items())))
 
     def __bool__(self):
@@ -229,7 +228,7 @@ def _trusted(cls, table: VariableTable, degree: int, terms: dict):
 
 def _raw_terms(element) -> dict:
     """{indices: raw term dict} of an element's coefficients."""
-    return {ix: _raw(c.terms) for ix, c in element.terms.items()}
+    return {ix: c._raw for ix, c in element.terms.items()}
 
 
 def _built(cls, table: VariableTable, degree: int, sums: dict):
@@ -311,7 +310,7 @@ def contract(eta: DifferentialForm, a: Multivector) -> Multivector:
     sums = {}
     fields = _raw_terms(a)
     for (k,), g in eta.terms.items():
-        g = _raw(g.terms)
+        g = g._raw
         negated = _scaled(g, -1)
         for indices, coeff in fields.items():
             if k in indices:

@@ -3,8 +3,9 @@
 Variables come in two flavours: *coordinates* (the geometric variables,
 subject to differentiation and monomial ordering) and *parameters*
 (structure constants, deformation parameters).  A monomial is stored as a
-single exponent tuple over coordinates-then-parameters, mapped to a
-nonzero GaussRational.
+single exponent tuple over coordinates-then-parameters, mapped to the
+reduced nonzero triple (a, b, d) of its coefficient (a + b i)/d, on which
+all arithmetic runs; `Polynomial.terms` reads them as GaussRational values.
 
 The monomial order is graded lexicographic on the coordinate part with a
 graded lexicographic tie-break on the parameter part, so parameters act
@@ -18,8 +19,8 @@ from math import comb
 from operator import add
 from typing import Iterable, Mapping
 
-from .scalars import (GaussRational, _norm, _power, _product, _sum,
-                      format_scalar)
+from .scalars import (GaussRational, _make, _power, _product, _quotient,
+                      _reduced, _sum, format_scalar)
 
 
 class PolynomialSyntaxError(ValueError):
@@ -115,14 +116,14 @@ def _as_scalar(value) -> GaussRational:
 class Polynomial:
     """Element of Q(i)[coordinates, parameters] in canonical sparse form.
 
-    `terms` maps exponent tuples to nonzero scalars; zero never stores a
-    term, so structural equality is semantic equality.
+    `_raw` maps exponent tuples to reduced nonzero (a, b, d) triples;
+    zero never stores a term, so structural equality is semantic equality.
     """
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "_raw")
 
     def __init__(self, table: VariableTable, terms: Mapping[tuple, GaussRational]):
-        cleaned = {}
+        raw = {}
         width = table.width
         for exps, coeff in terms.items():
             coeff = _as_scalar(coeff)
@@ -131,9 +132,15 @@ class Polynomial:
             exps = tuple(exps)
             if len(exps) != width or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps!r} for table of width {width}")
-            cleaned[exps] = coeff
+            raw[exps] = coeff._t
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "_raw", raw)
+
+    @property
+    def terms(self) -> dict:
+        """A fresh {exponents: GaussRational} dict of the nonzero terms;
+        writing into it leaves the polynomial unchanged."""
+        return {e: _make(*t) for e, t in self._raw.items()}
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -171,10 +178,10 @@ class Polynomial:
     # -- predicates and views --------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._raw
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self._raw)
 
     def constant_value(self) -> GaussRational:
         """The value of a constant polynomial (error otherwise)."""
@@ -182,21 +189,21 @@ class Polynomial:
             return GaussRational.zero()
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return _make(*next(iter(self._raw.values())))
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._raw) == 1
 
     def coefficient(self, powers: Mapping[str, int]) -> GaussRational:
         exps = [0] * self.table.width
         for name, e in powers.items():
             exps[self.table.slot(name)] = e
-        return self.terms.get(tuple(exps), GaussRational.zero())
+        return _make(*self._raw.get(tuple(exps), (0, 0, 1)))
 
     def variables_present(self) -> set:
         names = self.table.names
         present = set()
-        for exps in self.terms:
+        for exps in self._raw:
             for pos, e in enumerate(exps):
                 if e:
                     present.add(names[pos])
@@ -205,14 +212,14 @@ class Polynomial:
     def coordinate_degree(self) -> int:
         """Max total degree in the coordinates; -1 for the zero polynomial."""
         nc = self.table.n_coordinates
-        if not self.terms:
+        if not self._raw:
             return -1
-        return max(sum(e[:nc]) for e in self.terms)
+        return max(sum(e[:nc]) for e in self._raw)
 
     def homogeneous_degree(self):
         """Common total coordinate degree of all terms, or None if mixed."""
         nc = self.table.n_coordinates
-        degrees = {sum(e[:nc]) for e in self.terms}
+        degrees = {sum(e[:nc]) for e in self._raw}
         if len(degrees) == 1:
             return degrees.pop()
         return None
@@ -223,10 +230,10 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda kv: key(kv[0]), reverse=True)
 
     def leading_monomial(self) -> tuple:
-        if not self.terms:
+        if not self._raw:
             raise ValueError("zero polynomial has no leading monomial")
         key = _order_key_fn(self.table)
-        return max(self.terms, key=key)
+        return max(self._raw, key=key)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -239,11 +246,11 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         self._check_table(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps)
-            terms[exps] = coeff if acc is None else acc + coeff
-        return _trusted(self.table, terms)
+        raw = dict(self._raw)
+        for exps, t in other._raw.items():
+            prev = raw.get(exps)
+            raw[exps] = t if prev is None else _sum(prev, t)
+        return _from_raw(self.table, raw)
 
     __radd__ = __add__
 
@@ -260,7 +267,7 @@ class Polynomial:
         return other + (-self)
 
     def __neg__(self):
-        return _trusted(self.table, {e: -c for e, c in self.terms.items()})
+        return _from_raw(self.table, _scaled(self._raw, -1))
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -268,7 +275,7 @@ class Polynomial:
             return NotImplemented
         self._check_table(other)
         acc = {}
-        _mul_into(acc, _raw(self.terms), _raw(other.terms))
+        _mul_into(acc, self._raw, other._raw)
         return _from_raw(self.table, acc)
 
     __rmul__ = __mul__
@@ -279,8 +286,9 @@ class Polynomial:
         return _power(self, n, Polynomial.one(self.table))
 
     def scale(self, value) -> "Polynomial":
-        value = _as_scalar(value)
-        return _trusted(self.table, {e: c * value for e, c in self.terms.items()})
+        value = _as_scalar(value)._t
+        return _from_raw(self.table, {e: _product(t, value)
+                                      for e, t in self._raw.items()})
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -294,10 +302,10 @@ class Polynomial:
             other = Polynomial.constant(self.table, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.table == other.table and self.terms == other.terms
+        return self.table == other.table and self._raw == other._raw
 
     def __hash__(self):
-        return hash((self.table, frozenset(self.terms.items())))
+        return hash((self.table, frozenset(self._raw.items())))
 
     def __bool__(self):
         return not self.is_zero()
@@ -309,7 +317,7 @@ class Polynomial:
         if not self.table.is_coordinate(name):
             raise KeyError(f"not a coordinate: {name!r}")
         return _from_raw(self.table, _derivative_terms(
-            _raw(self.terms), self.table.slot(name)))
+            self._raw, self.table.slot(name)))
 
     def evaluate(self, values: Mapping[str, object]) -> GaussRational:
         """Exact evaluation; every variable present in the polynomial must
@@ -342,8 +350,9 @@ class Polynomial:
             if img.table != table:
                 raise ValueError("substitution image on a different variable table")
             cache[slot] = img
-        result = Polynomial.zero(table)
-        for exps, coeff in self.terms.items():
+        one = {(0,) * table.width: (1, 0, 1)}
+        acc = {}
+        for exps, t in self._raw.items():
             residual = list(exps)
             factor = None
             for slot, img in cache.items():
@@ -352,9 +361,9 @@ class Polynomial:
                     residual[slot] = 0
                     piece = img ** e
                     factor = piece if factor is None else factor * piece
-            base = _trusted(table, {tuple(residual): coeff})
-            result = result + (base if factor is None else base * factor)
-        return result
+            _mul_into(acc, {tuple(residual): t},
+                      one if factor is None else factor._raw)
+        return _from_raw(table, acc)
 
     def __str__(self):
         return format_polynomial(self)
@@ -363,30 +372,20 @@ class Polynomial:
         return f"<Polynomial {format_polynomial(self)}>"
 
 
-def _trusted(table: VariableTable, terms: dict) -> Polynomial:
-    """Trusted constructor for results built from valid polynomials."""
-    p = object.__new__(Polynomial)
-    object.__setattr__(p, "table", table)
-    object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
-    return p
-
-
-def _raw(terms: Mapping) -> dict:
-    """The raw term dict {exponents: (a, b, d)} of a polynomial's terms,
-    read from each scalar's own triple."""
-    return {e: c._t for e, c in terms.items()}
-
-
 def _scaled(raw: Mapping, s: int) -> dict:
     """The raw term dict of s times `raw`, for an integer s."""
     return {e: (a * s, b * s, d) for e, (a, b, d) in raw.items()}
 
 
 def _from_raw(table: VariableTable, raw: dict) -> Polynomial:
-    """The one builder from a raw term dict: each surviving triple is
-    reduced once into one scalar, and zero sums are dropped."""
-    return _trusted(table, {e: _norm(t) for e, t in raw.items()
-                            if t[0] or t[1]})
+    """The one trusted builder, from a raw term dict of exponent tuples
+    valid for `table`: each nonzero triple is reduced, and zero sums are
+    dropped."""
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "table", table)
+    object.__setattr__(p, "_raw", {e: t if t[2] == 1 else _reduced(t)
+                                   for e, t in raw.items() if t[0] or t[1]})
+    return p
 
 
 def _mul_into(acc: dict, terms1: Mapping, terms2: Mapping) -> None:
@@ -502,10 +501,12 @@ def reduce_mod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
     f._check_table(g)
     table = f.table
     key = _order_key_fn(table)
-    lead_g = max(g.terms, key=key)
-    lc_g = g.terms[lead_g]
+    lead_g = max(g._raw, key=key)
+    lc_g = g._raw[lead_g]
+    # the other terms of g, negated: each step adds factor * shift * tail
+    tail = [(e, (-a, -b, d)) for e, (a, b, d) in g._raw.items() if e != lead_g]
 
-    work = dict(f.terms)
+    work = dict(f._raw)
     quotient = {}
     remainder = {}
     while work:
@@ -513,20 +514,18 @@ def reduce_mod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
         c = work.pop(m)
         if all(a >= b for a, b in zip(m, lead_g)):
             shift = tuple(a - b for a, b in zip(m, lead_g))
-            factor = c / lc_g
-            quotient[shift] = quotient.get(shift, GaussRational.zero()) + factor
-            for exps, coeff in g.terms.items():
-                if exps == lead_g:
-                    continue
-                target = tuple(a + b for a, b in zip(exps, shift))
-                acc = work.get(target, GaussRational.zero()) - factor * coeff
-                if acc.is_zero():
-                    work.pop(target, None)
+            # every target is below m in the order, so no shift repeats
+            factor = quotient[shift] = _reduced(_quotient(c, lc_g))
+            for exps, t in tail:
+                target = tuple(map(add, exps, shift))
+                acc = _sum(work.get(target, (0, 0, 1)), _product(factor, t))
+                if acc[0] or acc[1]:
+                    work[target] = _reduced(acc)
                 else:
-                    work[target] = acc
+                    del work[target]
         else:
             remainder[m] = c
-    return _trusted(table, quotient), _trusted(table, remainder)
+    return _from_raw(table, quotient), _from_raw(table, remainder)
 
 
 # -- text syntax -----------------------------------------------------------
@@ -593,19 +592,19 @@ MAX_TEXT_TERMS = 10_000
 
 
 def _total_degree(f: Polynomial) -> int:
-    return max(map(sum, f.terms), default=0)
+    return max(map(sum, f._raw), default=0)
 
 
 def _term_bound(f: Polynomial, g: Polynomial, e: int = 1) -> int:
     """An upper bound on the term count of f^e*g: a product has at most
     one term per pair or multiset of factor terms, and at most one per
     monomial of its degree range in the variables present."""
-    if not (f.terms and g.terms):
-        return len(g.terms)
-    df, dg = (list(map(sum, h.terms)) for h in (f, g))
+    if not (f._raw and g._raw):
+        return len(g._raw)
+    df, dg = (list(map(sum, h._raw)) for h in (f, g))
     lo, hi = min(df) * e + min(dg), max(df) * e + max(dg)
-    n = len({s for h in (f, g) for x in h.terms for s, v in enumerate(x) if v})
-    pairs = comb(len(f.terms) + e - 1, e) * len(g.terms)
+    n = len({s for h in (f, g) for x in h._raw for s, v in enumerate(x) if v})
+    pairs = comb(len(f._raw) + e - 1, e) * len(g._raw)
     return min(pairs, comb(n + hi, n) - (comb(n + lo - 1, n) if lo else 0))
 
 
@@ -642,7 +641,7 @@ class _Parser:
         acc = {}
         op = self.advance()[0] if self.peek()[0] in "+-" else "+"
         while True:
-            terms = _raw(self.term().terms)
+            terms = self.term()._raw
             for e, c in (_scaled(terms, -1) if op == "-" else terms).items():
                 prev = acc.get(e)
                 acc[e] = c if prev is None else _sum(prev, c)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from . import multivectors, polynomials
+from . import multivectors
 from .automorphisms import (DiagonalScaling, Translation, TriangularShear,
                             pushforward)
 from .multivectors import (BV_SIGN, DifferentialForm, Multivector,
@@ -35,7 +35,7 @@ def random_scalar(rng: random.Random, bound: int = 4) -> GaussRational:
 def random_polynomial(rng: random.Random, table: VariableTable,
                       max_terms: int = 2, max_degree: int = 2,
                       bound: int = 3) -> Polynomial:
-    terms = {}  # repeated monomials add up; _trusted drops zero sums
+    terms = {}  # repeated monomials add up; the constructor drops zero sums
     for _ in range(rng.randint(1, max_terms)):
         exps = [0] * table.width
         for _ in range(rng.randint(0, max_degree)):
@@ -43,7 +43,7 @@ def random_polynomial(rng: random.Random, table: VariableTable,
         exps = tuple(exps)
         coeff = random_scalar(rng, bound)
         terms[exps] = terms[exps] + coeff if exps in terms else coeff
-    return polynomials._trusted(table, terms)
+    return Polynomial(table, terms)
 
 
 def random_element(rng: random.Random, table: VariableTable, degree: int,

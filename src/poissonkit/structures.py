@@ -195,7 +195,7 @@ def degeneracy_divisor(ps: PoissonStructure) -> DivisorData:
     n_coords = table.n_coordinates
     for g in generators:
         support |= {v for v in g.variables_present() if table.is_coordinate(v)}
-        for exps in g.terms:
+        for exps in g._raw:
             coords = exps[:n_coords]
             gcd_exps = coords if gcd_exps is None else tuple(
                 min(a, b) for a, b in zip(gcd_exps, coords))
@@ -268,11 +268,11 @@ def restrict_hyperplane(ps: PoissonStructure, coordinate) -> PoissonStructure:
             continue
         new_indices = tuple(i - 1 if i > pos else i for i in indices)
         kept = {}
-        for exps, c in coeff.terms.items():
+        for exps, t in coeff._raw.items():
             if exps[pos]:
                 continue
-            kept[exps[:pos] + exps[pos + 1:]] = c
-        new_terms[new_indices] = polynomials._trusted(new_table, kept)
+            kept[exps[:pos] + exps[pos + 1:]] = t
+        new_terms[new_indices] = polynomials._from_raw(new_table, kept)
     return PoissonStructure(
         multivectors._trusted(Multivector, new_table, 2, new_terms))
 
@@ -324,14 +324,14 @@ def chart_transition(biv: Multivector, names: tuple, source: int,
             image, previous = {}, image
             multivectors._wedge_into(image, previous, xi_images[k])
         numerator = {}
-        for exps, c in coeff.terms.items():
+        for exps, t in coeff._raw.items():
             new = [0] * ttable.width
             for k in range(n):
                 if hom[k] != target:
                     new[tslot[hom[k]]] = exps[k]
             new[anchor] = -sum(exps[:n])
             new[ttable.n_coordinates:] = exps[n:]
-            numerator[tuple(new)] = c._t
+            numerator[tuple(new)] = t
         multivectors._wedge_into(sums, image, {(): numerator})
     if any((c[0] or c[1]) and exps[anchor] < 0
            for acc in sums.values() for exps, c in acc.items()):

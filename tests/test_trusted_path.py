@@ -140,7 +140,7 @@ def test_values_copy_deepcopy_and_pickle():
 def test_unpickling_goes_through_the_validating_constructors():
     # values the trusted constructors build without checks
     one = Polynomial.one(T)
-    bad_width = polynomials._trusted(T, {(1, 0): one.constant_value()})
+    bad_width = polynomials._from_raw(T, {(1, 0): (1, 0, 1)})
     bad_arity = multivectors._trusted(Multivector, T, 1, {(0, 1): one})
     twice = object.__new__(VariableTable)
     for name, value in (("coordinates", ("x", "x")), ("parameters", ()),
