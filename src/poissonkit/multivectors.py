@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 from . import polynomials
@@ -60,7 +61,8 @@ def _complement_sign(indices: tuple, n: int):
 
 
 class _SuperElement:
-    """Shared machinery for multivectors and forms."""
+    """Shared machinery for multivectors and forms; `terms` is a read-only
+    {indices: Polynomial} mapping of the nonzero coefficients."""
 
     __slots__ = ("table", "degree", "terms")
     _prefix = "e"
@@ -87,13 +89,13 @@ class _SuperElement:
                 cleaned[indices] = coeff
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "terms", MappingProxyType(cleaned))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return type(self), (self.table, self.degree, self.terms)
+        return type(self), (self.table, self.degree, dict(self.terms))
 
     @classmethod
     def zero(cls, table: VariableTable, degree: int = 0):
@@ -221,8 +223,8 @@ def _trusted(cls, table: VariableTable, degree: int, terms: dict):
     element = object.__new__(cls)
     object.__setattr__(element, "table", table)
     object.__setattr__(element, "degree", degree)
-    object.__setattr__(element, "terms",
-                       {ix: c for ix, c in terms.items() if c})
+    object.__setattr__(element, "terms", MappingProxyType(
+        {ix: c for ix, c in terms.items() if c}))
     return element
 
 

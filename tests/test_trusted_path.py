@@ -137,6 +137,28 @@ def test_values_copy_deepcopy_and_pickle():
                 twin.table = T4
 
 
+def test_writing_into_terms_leaves_the_value_unchanged():
+    text = "(1/2+i)*x^2*a - 3/4*y"
+    f, twin = p(text), p(text)
+    before = hash(f)
+    terms = f.terms
+    terms[(0, 0, 0, 0)] = GaussRational(5)
+    terms[(0, 1, 0, 0)] = GaussRational(0)
+    del terms[(2, 0, 0, 1)]
+    assert f == twin and hash(f) == before and f.terms == twin.terms
+    assert stores_no_zero(f) and str(f) == str(twin)
+    for cls in (Multivector, DifferentialForm):
+        element = cls(T, 1, {(0,): f, (2,): p("z")})
+        same = cls(T, 1, {(0,): twin, (2,): p("z")})
+        before = hash(element)
+        with pytest.raises(TypeError):
+            element.terms[(1,)] = p("y")
+        with pytest.raises(TypeError):
+            del element.terms[(0,)]
+        assert element == same and hash(element) == before
+        assert dict(element.terms) == dict(same.terms)
+
+
 def test_unpickling_goes_through_the_validating_constructors():
     # values the trusted constructors build without checks
     one = Polynomial.one(T)
