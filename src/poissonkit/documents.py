@@ -131,6 +131,13 @@ def _text(value, field: str) -> str:
     return value
 
 
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be an object, not "
+                         f"{type(value).__name__}")
+    return value
+
+
 def _names(value, field: str) -> tuple:
     names = tuple(value)
     if not all(isinstance(name, str) for name in names):
@@ -151,11 +158,9 @@ def _element_from_document(doc: dict):
     terms = {}
     for record in records:
         indices = tuple(record["indices"])
-        exponents = record.get("exponents", {})
-        if not isinstance(exponents, dict):
-            raise ValueError("exponents must be an object")
         exps = [0] * table.width
-        for name, power in exponents.items():
+        for name, power in _object(record.get("exponents", {}),
+                                   "exponents").items():
             exps[table.slot(name)] = _integer(power, "exponent")
         if sum(exps) > MAX_DEGREE:
             raise ValueError(f"a term of degree {sum(exps)} is larger than "
@@ -195,12 +200,14 @@ def _family_from_document(doc: dict) -> DeformationFamily:
     base = _spec_from_document(doc["base"])
     steps = []
     for record in doc["path"]:
-        kind = record["kind"]
+        kind = _object(record, "a path record")["kind"]
         if kind in ("translation", "shear"):
-            steps.append((kind, record["coordinate"],
+            steps.append((kind, _text(record["coordinate"], "coordinate"),
                           _text(record["data"], "data")))
         elif kind == "scaling":
-            steps.append((kind, dict(record["scales"])))
+            steps.append((kind, {
+                name: _text(value, "scale") for name, value in
+                _object(record["scales"], "scales").items()}))
         else:
             raise ValueError(f"unknown path step kind {kind!r}")
     return DeformationFamily.build(

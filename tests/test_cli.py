@@ -438,6 +438,12 @@ def _family_doc(parameter="t", data="1/2*t"):
         "path": [{"kind": "translation", "coordinate": "x1", "data": data}]})
 
 
+def _family_path_doc(*path):
+    doc = json.loads(_family_doc())
+    doc["path"] = list(path)
+    return json.dumps(doc)
+
+
 def _multivector_doc(**changes):
     doc = {"kind": "multivector", "coordinates": ["x1", "x2"],
            "parameters": [], "degree": 2,
@@ -470,12 +476,19 @@ def _multivector_doc(**changes):
     (_family_doc(data=["t"]), "data"),
     (_multivector_doc(terms=[{"coeff": 5, "exponents": {"x1": 1, "x2": 1},
                               "indices": [0, 1]}]), "coeff"),
+    (_family_path_doc(3), "path record"),
+    (_family_path_doc({"kind": "translation", "coordinate": ["x1"],
+                       "data": "t"}), "coordinate"),
+    (_family_path_doc({"kind": "scaling", "scales": [1]}), "scales"),
+    (_family_path_doc({"kind": "scaling", "scales": {"x1": True}}), "scale"),
+    (_family_path_doc({"kind": "scaling", "scales": {"x1": None}}), "scale"),
 ], ids=["list", "string", "exponents-list", "coordinates-ints",
         "parameters-int", "exponent-overflow", "exponent-fraction",
         "degree-fraction", "term-degree", "term-count", "spec-n-overflow",
         "spec-i-fraction", "family-parameter-int", "family-parameter-null",
         "family-parameter-list", "family-parameter-object", "path-data-list",
-        "coeff-int"])
+        "coeff-int", "path-record-int", "path-coordinate-list",
+        "path-scales-list", "path-scale-true", "path-scale-null"])
 def test_malformed_documents_exit_two_naming_the_field(text, field, tmp_path,
                                                        capsys):
     path = tmp_path / "bad.json"

@@ -119,6 +119,42 @@ def test_path_step_data_must_be_a_string(step):
         from_document(doc)
 
 
+@pytest.mark.parametrize("record, message", [
+    (7, "^a path record must be an object, not int"),
+    ("translation", "^a path record must be an object, not str"),
+    ({"kind": "translation", "coordinate": ["x1"], "data": "t"},
+     "^coordinate must be a string, not list"),
+    ({"kind": "shear", "coordinate": 2, "data": "t*x3"},
+     "^coordinate must be a string, not int"),
+    ({"kind": "scaling", "scales": [["x1", "3"]]},
+     "^scales must be an object, not list"),
+    ({"kind": "scaling", "scales": "x1=3"},
+     "^scales must be an object, not str"),
+    ({"kind": "scaling", "scales": {"x1": 3}},
+     "^scale must be a string, not int"),
+    ({"kind": "scaling", "scales": {"x1": True}},
+     "^scale must be a string, not bool"),
+    ({"kind": "scaling", "scales": {"x1": None}},
+     "^scale must be a string, not NoneType"),
+    ({"kind": "scaling", "scales": {"x1": [1]}},
+     "^scale must be a string, not list"),
+], ids=["record-int", "record-string", "coordinate-list", "coordinate-int",
+        "scales-list", "scales-string", "scale-int", "scale-true",
+        "scale-null", "scale-list"])
+def test_path_records_and_scales_are_checked(record, message):
+    doc = _family_doc()
+    doc["path"].append(record)
+    with pytest.raises(ValueError, match=message):
+        from_document(doc)
+
+
+def test_a_scaling_record_of_strings_still_loads():
+    doc = _family_doc()
+    doc["path"].append({"kind": "scaling", "scales": {"x1": "3", "x4": "i"}})
+    again = from_document(doc)
+    assert serialize(again) == json.dumps(doc, indent=2) + "\n"
+
+
 def test_term_coeff_must_be_a_string():
     doc = to_document(make_diagonal(numeric_spec(2, [3])))
     doc["terms"][0]["coeff"] = 5
