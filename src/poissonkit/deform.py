@@ -19,7 +19,7 @@ import numpy as np
 
 from .automorphisms import (DiagonalScaling, ElementaryAutomorphism,
                             Translation, TriangularShear, pushforward)
-from .diagonal import DiagonalSpec, is_generic
+from .diagonal import DiagonalSpec, _diagonal_bivector, is_generic
 from .multivectors import Multivector, curl
 from .polynomials import (FloatPolynomials, Polynomial, VariableTable,
                           parse_polynomial)
@@ -98,11 +98,7 @@ class DeformationFamily:
         return self.base.n
 
     def base_bivector(self) -> Multivector:
-        terms = {}
-        for (i, j), value in sorted(self.base.entries.items()):
-            terms[(i - 1, j - 1)] = Polynomial.monomial(
-                self.table, {f"x{i}": 1, f"x{j}": 1}, value)
-        return Multivector(self.table, 2, terms)
+        return _diagonal_bivector(self.base, self.table)
 
     def bivector(self) -> Multivector:
         """The exact symbolic pushforward Pi_t."""

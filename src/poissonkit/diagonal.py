@@ -122,16 +122,21 @@ class DiagonalSpec:
         return f"<DiagonalSpec n={self.n} with {len(self.entries)} entries>"
 
 
-def make_diagonal(spec: DiagonalSpec) -> PoissonStructure:
-    """The structure sum_{i<j} lambda_ij x_i x_j xi_i^xi_j of the spec."""
-    table = spec.table()
+def _diagonal_bivector(spec: DiagonalSpec, table: VariableTable) -> Multivector:
+    """sum_{i<j} lambda_ij x_i x_j xi_i^xi_j on `table`: one monomial per
+    entry, with a symbolic entry's parameter as one more factor."""
     terms = {}
     for (i, j), value in sorted(spec.entries.items()):
-        coeff = spec.entry_polynomial(table, i, j) * Polynomial.monomial(
-            table, {f"x{i}": 1, f"x{j}": 1})
-        if not coeff.is_zero():
-            terms[(i - 1, j - 1)] = coeff
-    return PoissonStructure(Multivector(table, 2, terms))
+        powers = {f"x{i}": 1, f"x{j}": 1}
+        if isinstance(value, str):
+            powers[value], value = 1, 1
+        terms[(i - 1, j - 1)] = Polynomial.monomial(table, powers, value)
+    return Multivector(table, 2, terms)
+
+
+def make_diagonal(spec: DiagonalSpec) -> PoissonStructure:
+    """The structure sum_{i<j} lambda_ij x_i x_j xi_i^xi_j of the spec."""
+    return PoissonStructure(_diagonal_bivector(spec, spec.table()))
 
 
 def pfaffian(matrix: list):
