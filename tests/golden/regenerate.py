@@ -31,13 +31,14 @@ UNCOVERED = {"track"}
 
 
 def _spec(n, values):
-    from poissonkit import DiagonalSpec, GaussRational, parse_scalar
+    """A spec from entry texts in row order; a name other than i is a
+    parameter."""
+    from poissonkit import DiagonalSpec, parse_scalar
 
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return DiagonalSpec(n, {
-        pair: (v if isinstance(v, str) and v.isidentifier() and v != "i"
-               else parse_scalar(v) if isinstance(v, str) else GaussRational(v))
-        for pair, v in zip(pairs, values)})
+        pair: v if v.isidentifier() and v != "i" else parse_scalar(v)
+        for pair, v in zip(pairs, map(str, values))})
 
 
 def build_inputs() -> dict:
