@@ -5,10 +5,10 @@ d > 0 and gcd(a, b, d) = 1.  The form is unique, so equality and hashing
 compare the triple.  `GaussRational(re, im)` is the one validating
 constructor; arithmetic builds its results through the trusted `_make`
 and `_norm`.  The parts `.re` and `.im` read back as `fractions.Fraction`.
-The triple helpers `_sum`, `_product` and `_quotient` hold the one copy
-of each formula: the operators reduce their results through `_norm`, and
-the polynomial product loop runs on the triples and reduces once per
-result term.
+The triple helpers `_sum`, `_product`, `_quotient` and `_reduced` hold
+the one copy of each formula.  The operators reduce their results
+through `_norm`; polynomials store their coefficients as reduced triples
+of this form and compute on them with the same helpers.
 """
 
 from __future__ import annotations
