@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 from .polynomials import Polynomial, VariableTable
 from .scalars import GaussRational
-from .multivectors import Multivector
+from .multivectors import Multivector, _built, _pushforward_sums
 
 
 class ElementaryAutomorphism:
@@ -45,11 +45,6 @@ class ElementaryAutomorphism:
         return f"<{type(self).__name__} on {self.table.coordinates}>"
 
 
-def _constant_in_coordinates(data: Polynomial):
-    if data.coordinate_degree() > 0:
-        raise ValueError("translation amount must not involve coordinates")
-
-
 class Translation(ElementaryAutomorphism):
     """x_c -> x_c + amount, amount free of coordinates."""
 
@@ -61,7 +56,8 @@ class Translation(ElementaryAutomorphism):
             raise KeyError(f"not a coordinate: {coordinate!r}")
         if amount.table != table:
             raise ValueError("amount on a different variable table")
-        _constant_in_coordinates(amount)
+        if amount.coordinate_degree() > 0:
+            raise ValueError("translation amount must not involve coordinates")
         self.coordinate = coordinate
         self.amount = amount
 
@@ -145,7 +141,7 @@ class TriangularShear(ElementaryAutomorphism):
 
 
 def _odd_images(phi: ElementaryAutomorphism) -> dict:
-    # xi_k  ->  sum_j (d phi_j / d x_k at the inverse image) xi_j
+    # raw xi_k  ->  sum_j (d phi_j / d x_k at the inverse image) xi_j
     table = phi.table
     forward = phi.forward_images()
     backward = phi.inverse_images()
@@ -160,9 +156,9 @@ def _odd_images(phi: ElementaryAutomorphism) -> dict:
                 entry = image.partial_derivative(name)
                 if not entry.is_constant():
                     entry = entry.substitute(backward)
-            if not entry.is_zero():
-                comps[(j,)] = entry
-        images[k] = Multivector(table, 1, comps)
+            if entry:
+                comps[(j,)] = entry._raw
+        images[k] = comps
     return images
 
 
@@ -181,11 +177,6 @@ def pushforward(phi, a: Multivector) -> Multivector:
     if phi.table != table:
         raise ValueError("automorphism and multivector on different tables")
     backward = phi.inverse_images()
-    odd = _odd_images(phi)
-    total = Multivector.zero(table, a.degree)
-    for indices, coeff in a.terms.items():
-        piece = Multivector.from_polynomial(coeff.substitute(backward))
-        for k in indices:
-            piece = piece.wedge(odd[k])
-        total = total + piece
-    return total
+    images = {ix: c.substitute(backward)._raw for ix, c in a.terms.items()}
+    return _built(Multivector, table, a.degree,
+                  _pushforward_sums(table, images, _odd_images(phi)))

@@ -21,7 +21,8 @@ from .deform import DeformationFamily, jet_vanishing, track_degenerate_point
 from .diagonal import (DiagonalSpec, curl_eigenvalues, log_annihilator,
                        make_diagonal, pfaffian, random_generic_spec)
 from .multivectors import Multivector, curl, schouten
-from .polynomials import format_polynomial, parse_polynomial
+from .polynomials import (MAX_COORDINATES, format_polynomial,
+                          parse_polynomial)
 from .randomized import run_suites
 from .rigidity import (MAX_DIM, diagonality_constraints,
                        simplex_multiplicity_filter, solve_rigidity)
@@ -175,6 +176,9 @@ def cmd_chart(args) -> int:
 
 
 def cmd_diagonal(args) -> int:
+    for flag, n in (("--symbolic", args.symbolic), ("--random", args.random)):
+        if n is not None and n > MAX_COORDINATES:
+            raise ValueError(f"{flag} must be at most {MAX_COORDINATES}")
     if args.symbolic is not None:
         _emit(documents.serialize(DiagonalSpec.symbolic(args.symbolic)),
               args.out)

@@ -68,16 +68,12 @@ class DeformationFamily:
         path = []
         for descriptor in steps:
             kind = descriptor[0]
-            if kind == "translation":
+            if kind in ("translation", "shear"):
                 _, coord, data = descriptor
                 if isinstance(data, str):
                     data = parse_polynomial(data, family.table)
-                path.append(Translation(family.table, coord, data))
-            elif kind == "shear":
-                _, coord, data = descriptor
-                if isinstance(data, str):
-                    data = parse_polynomial(data, family.table)
-                path.append(TriangularShear(family.table, coord, data))
+                step = Translation if kind == "translation" else TriangularShear
+                path.append(step(family.table, coord, data))
             elif kind == "scaling":
                 _, scales = descriptor
                 parsed = {}

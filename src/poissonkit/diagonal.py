@@ -18,9 +18,18 @@ from fractions import Fraction
 
 from . import polynomials
 from .multivectors import DifferentialForm, Multivector
-from .polynomials import Polynomial, VariableTable
+from .polynomials import MAX_COORDINATES, Polynomial, VariableTable
 from .scalars import GaussRational
 from .structures import PoissonStructure, _pfaffian_memo
+
+
+def _coordinate_count(n: int) -> int:
+    """n, refused before a table or entry dict of its size is built."""
+    if n < 1:
+        raise ValueError("need at least one coordinate")
+    if n > MAX_COORDINATES:
+        raise ValueError(f"n must be at most {MAX_COORDINATES}")
+    return n
 
 
 class DiagonalSpec:
@@ -31,8 +40,7 @@ class DiagonalSpec:
     """
 
     def __init__(self, n: int, entries):
-        if n < 1:
-            raise ValueError("need at least one coordinate")
+        self.n = _coordinate_count(n)
         cleaned = {}
         for (i, j), value in dict(entries).items():
             if not (1 <= i < j <= n):
@@ -44,13 +52,13 @@ class DiagonalSpec:
                     value = GaussRational(value)
                 if not value.is_zero():
                     cleaned[(i, j)] = value
-        self.n = n
         self.entries = cleaned
 
     @classmethod
     def symbolic(cls, n: int, prefix: str = "l") -> "DiagonalSpec":
-        return cls(n, {(i, j): f"{prefix}{i}{j}"
-                       for i in range(1, n + 1) for j in range(i + 1, n + 1)})
+        return cls(_coordinate_count(n), {
+            (i, j): f"{prefix}{i}{j}"
+            for i in range(1, n + 1) for j in range(i + 1, n + 1)})
 
     def is_numeric(self) -> bool:
         return all(not isinstance(v, str) for v in self.entries.values())
@@ -189,10 +197,7 @@ class CurlEigenvalues:
 
     def __init__(self, mu):
         self.mu = tuple(mu)
-        total = self.mu[0]
-        for value in self.mu[1:]:
-            total = total + value
-        if not total.is_zero():
+        if not sum(self.mu[1:], self.mu[0]).is_zero():
             raise ValueError("curl eigenvalues must sum to zero")
 
     def __iter__(self):
@@ -215,10 +220,8 @@ def curl_eigenvalues(spec: DiagonalSpec) -> CurlEigenvalues:
     for i in range(1, spec.n + 1):
         acc = Polynomial.zero(table)
         for j in range(1, spec.n + 1):
-            if j > i:
+            if j != i:
                 acc = acc + spec.entry_polynomial(table, i, j)
-            elif j < i:
-                acc = acc - spec.entry_polynomial(table, j, i)
         mu.append(acc)
     return CurlEigenvalues(mu)
 
@@ -297,6 +300,7 @@ def is_generic(spec: DiagonalSpec) -> bool:
 
 def random_generic_spec(n: int, rng: random.Random, bound: int = 10 ** 6,
                         max_tries: int = 200) -> DiagonalSpec:
+    _coordinate_count(n)
     for _ in range(max_tries):
         entries = {}
         for i in range(1, n + 1):

@@ -11,10 +11,10 @@ import json
 
 from .automorphisms import DiagonalScaling, Translation, TriangularShear
 from .deform import DeformationFamily
-from .diagonal import DiagonalSpec
+from .diagonal import DiagonalSpec, _coordinate_count
 from .multivectors import DifferentialForm, Multivector, VolumeCurl
-from .polynomials import (MAX_DEGREE, MAX_TERMS, Polynomial, VariableTable,
-                          format_polynomial)
+from .polynomials import (MAX_COORDINATES, MAX_DEGREE, MAX_TERMS, Polynomial,
+                          VariableTable, format_polynomial)
 from .scalars import format_scalar, parse_scalar
 from .structures import PoissonStructure
 
@@ -138,26 +138,38 @@ def _object(value, field: str) -> dict:
     return value
 
 
+def _list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list, not "
+                         f"{type(value).__name__}")
+    return value
+
+
 def _names(value, field: str) -> tuple:
-    names = tuple(value)
+    names = tuple(_list(value, field))
     if not all(isinstance(name, str) for name in names):
         raise ValueError(f"{field} must be a list of names")
     return names
 
 
 def _element_from_document(doc: dict):
-    table = VariableTable(_names(doc["coordinates"], "coordinates"),
-                          _names(doc.get("parameters", ()), "parameters"))
+    coordinates = _names(doc["coordinates"], "coordinates")
+    if len(coordinates) > MAX_COORDINATES:
+        raise ValueError(f"coordinates must list at most {MAX_COORDINATES} "
+                         f"names, not {len(coordinates)}")
+    table = VariableTable(coordinates,
+                          _names(doc.get("parameters", []), "parameters"))
     cls = Multivector if doc["kind"] == "multivector" else DifferentialForm
     degree = _integer(doc["degree"], "degree")
-    records = doc["terms"]
+    records = _list(doc["terms"], "terms")
     if len(records) > MAX_TERMS:
         raise ValueError(f"terms holds {len(records)} records, more than "
                          f"{MAX_TERMS}")
     # indices -> {exponents: scalar}; records that repeat a monomial add up
     terms = {}
     for record in records:
-        indices = tuple(record["indices"])
+        record = _object(record, "a term record")
+        indices = tuple(_list(record["indices"], "indices"))
         exps = [0] * table.width
         for name, power in _object(record.get("exponents", {}),
                                    "exponents").items():
@@ -185,21 +197,22 @@ def _element_from_document(doc: dict):
 
 
 def _spec_from_document(doc: dict) -> DiagonalSpec:
+    n = _coordinate_count(_integer(doc["n"], "n"))
     entries = {}
-    for record in doc["entries"]:
-        value = record["value"]
+    for record in _list(doc["entries"], "entries"):
+        record = _object(record, "a spec entry")
+        value = _text(record["value"], "value")
         # a bare identifier other than the imaginary unit names a parameter
-        if isinstance(value, str) and (not value.isidentifier()
-                                       or value == "i"):
+        if not value.isidentifier() or value == "i":
             value = parse_scalar(value)
         entries[(_integer(record["i"], "i"), _integer(record["j"], "j"))] = value
-    return DiagonalSpec(_integer(doc["n"], "n"), entries)
+    return DiagonalSpec(n, entries)
 
 
 def _family_from_document(doc: dict) -> DeformationFamily:
-    base = _spec_from_document(doc["base"])
+    base = _spec_from_document(_object(doc["base"], "base"))
     steps = []
-    for record in doc["path"]:
+    for record in _list(doc["path"], "path"):
         kind = _object(record, "a path record")["kind"]
         if kind in ("translation", "shear"):
             steps.append((kind, _text(record["coordinate"], "coordinate"),

@@ -148,8 +148,7 @@ class _SuperElement:
         terms = dict(self.terms)
         for indices, coeff in other.terms.items():
             acc = terms.get(indices)
-            total = coeff if acc is None else acc + coeff
-            terms[indices] = total
+            terms[indices] = coeff if acc is None else acc + coeff
         return _trusted(type(self), self.table, self.degree, terms)
 
     def __sub__(self, other):
@@ -263,6 +262,21 @@ def _wedge_into(sums: dict, left: dict, right: dict) -> None:
                 polynomials._mul_into(sums.setdefault(merged, {}), t1, t2)
 
 
+def _pushforward_sums(table: VariableTable, images: dict,
+                      xi_images: dict) -> dict:
+    """The raw accumulator of sum_S c_S xi_S under a coordinate change:
+    `images[S]` is the raw image of c_S, `xi_images[k]` that of xi_k."""
+    unit = {(): {(0,) * table.width: (1, 0, 1)}}
+    sums = {}
+    for indices, coeff in images.items():
+        image = unit
+        for k in indices:
+            image, previous = {}, image
+            _wedge_into(image, previous, xi_images[k])
+        _wedge_into(sums, image, {(): coeff})
+    return sums
+
+
 class Multivector(_SuperElement):
     """Polynomial multivector field (degree-p skew contravariant tensor)."""
 
@@ -278,20 +292,6 @@ class DifferentialForm(_SuperElement):
 def wedge(a, b):
     """Exterior product; supercommutative in the degrees."""
     return a.wedge(b)
-
-
-def _slot_contract(element, k: int):
-    """Remove generator k, moving it to the front first (Koszul sign)."""
-    terms = {}
-    for indices, coeff in element.terms.items():
-        try:
-            pos = indices.index(k)
-        except ValueError:
-            continue
-        reduced = indices[:pos] + indices[pos + 1:]
-        terms[reduced] = coeff if pos % 2 == 0 else -coeff
-    return _trusted(type(element), element.table, max(element.degree - 1, 0),
-                    terms)
 
 
 def contract(eta: DifferentialForm, a: Multivector) -> Multivector:
@@ -330,27 +330,20 @@ def exterior_derivative(omega) -> DifferentialForm:
     if not isinstance(omega, DifferentialForm):
         raise TypeError("exterior derivative acts on differential forms")
     table = omega.table
-    names = table.coordinates
-    terms = {}
-    for indices, coeff in omega.terms.items():
-        for k, name in enumerate(names):
+    n = table.n_coordinates
+    if omega.degree >= n:
+        return DifferentialForm.zero(table, n)
+    sums = {}
+    for indices, coeff in _raw_terms(omega).items():
+        for k in range(n):
             if k in indices:
                 continue
-            dc = coeff.partial_derivative(name)
-            if dc.is_zero():
-                continue
-            sign, merged = _merge_sign((k,), indices)
-            add = dc if sign > 0 else -dc
-            acc = terms.get(merged)
-            terms[merged] = add if acc is None else acc + add
-    if omega.degree >= table.n_coordinates:
-        return DifferentialForm.zero(table, table.n_coordinates)
-    return _trusted(DifferentialForm, table, omega.degree + 1, terms)
-
-
-def _even_partial(a, name: str):
-    return _trusted(type(a), a.table, a.degree,
-                    {ix: c.partial_derivative(name) for ix, c in a.terms.items()})
+            derived = polynomials._derivative_terms(coeff, k)
+            if derived:
+                sign, merged = _merge_sign((k,), indices)
+                polynomials._add_into(sums.setdefault(merged, {}), (
+                    derived if sign > 0 else _scaled(derived, -1)))
+    return _built(DifferentialForm, table, omega.degree + 1, sums)
 
 
 def schouten(a: Multivector, b: Multivector) -> Multivector:
@@ -416,11 +409,16 @@ def bv_laplacian(a: Multivector) -> Multivector:
     - (-1)^a A^Delta(B) = BV_SIGN * (-1)^a * [A, B] exactly, and
     curl(A) = (-1)^(p+1) Delta(A) on degree-p multivectors.
     """
-    table = a.table
-    total = Multivector.zero(table, max(a.degree - 1, 0))
-    for k, name in enumerate(table.coordinates):
-        total = total + _even_partial(_slot_contract(a, k), name)
-    return total
+    sums = {}
+    for indices, coeff in _raw_terms(a).items():
+        for pos, k in enumerate(indices):
+            derived = polynomials._derivative_terms(coeff, k)
+            if derived:
+                # d/dxi_k moves xi_k to the front past pos generators
+                polynomials._add_into(
+                    sums.setdefault(indices[:pos] + indices[pos + 1:], {}),
+                    _scaled(derived, -1) if pos % 2 else derived)
+    return _built(Multivector, a.table, max(a.degree - 1, 0), sums)
 
 
 #: Sign s in Delta(A^B) - Delta(A)^B - (-1)^a A^Delta(B) = s*(-1)^a*[A,B].

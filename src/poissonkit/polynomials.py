@@ -164,9 +164,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, table: VariableTable, name: str) -> "Polynomial":
-        exps = [0] * table.width
-        exps[table.slot(name)] = 1
-        return cls(table, {tuple(exps): GaussRational.one()})
+        return cls.monomial(table, {name: 1})
 
     @classmethod
     def monomial(cls, table: VariableTable, powers: Mapping[str, int], coeff=1) -> "Polynomial":
@@ -202,12 +200,8 @@ class Polynomial:
 
     def variables_present(self) -> set:
         names = self.table.names
-        present = set()
-        for exps in self._raw:
-            for pos, e in enumerate(exps):
-                if e:
-                    present.add(names[pos])
-        return present
+        return {names[pos] for exps in self._raw
+                for pos, e in enumerate(exps) if e}
 
     def coordinate_degree(self) -> int:
         """Max total degree in the coordinates; -1 for the zero polynomial."""
@@ -220,9 +214,7 @@ class Polynomial:
         """Common total coordinate degree of all terms, or None if mixed."""
         nc = self.table.n_coordinates
         degrees = {sum(e[:nc]) for e in self._raw}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
+        return degrees.pop() if len(degrees) == 1 else None
 
     def sorted_terms(self) -> list:
         """Terms in canonical (descending) monomial order."""
@@ -247,9 +239,7 @@ class Polynomial:
             return NotImplemented
         self._check_table(other)
         raw = dict(self._raw)
-        for exps, t in other._raw.items():
-            prev = raw.get(exps)
-            raw[exps] = t if prev is None else _sum(prev, t)
+        _add_into(raw, other._raw)
         return _from_raw(self.table, raw)
 
     __radd__ = __add__
@@ -298,9 +288,8 @@ class Polynomial:
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = Polynomial.constant(self.table, other)
-        if not isinstance(other, Polynomial):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self.table == other.table and self._raw == other._raw
 
@@ -386,6 +375,14 @@ def _from_raw(table: VariableTable, raw: dict) -> Polynomial:
     object.__setattr__(p, "_raw", {e: t if t[2] == 1 else _reduced(t)
                                    for e, t in raw.items() if t[0] or t[1]})
     return p
+
+
+def _add_into(acc: dict, raw: Mapping) -> None:
+    """Add a raw term dict into the raw dict `acc`: the one sum loop.
+    Sums that cancel stay as zero triples until `_from_raw`."""
+    for exps, t in raw.items():
+        prev = acc.get(exps)
+        acc[exps] = t if prev is None else _sum(prev, t)
 
 
 def _mul_into(acc: dict, terms1: Mapping, terms2: Mapping) -> None:
@@ -589,6 +586,11 @@ MAX_TERMS = 5_000
 # costliest admitted text found, two (x1+...+x4)^12*(x1+...+x4)^13 with
 # fractional coefficients joined by +, takes 1.2 to 1.4 s.
 MAX_TEXT_TERMS = 10_000
+# A bound on the coordinates of a diagonal spec or a loaded document,
+# checked before any table or entry dict is built; 13 admits P^12.  On a
+# numeric 13-coordinate spec, `diagonal --in` takes 0.33 s and `logform`
+# 0.25 s, best of 3 whole processes on a 2-vCPU Xeon with Python 3.11.
+MAX_COORDINATES = 13
 
 
 def _total_degree(f: Polynomial) -> int:
@@ -642,9 +644,7 @@ class _Parser:
         op = self.advance()[0] if self.peek()[0] in "+-" else "+"
         while True:
             terms = self.term()._raw
-            for e, c in (_scaled(terms, -1) if op == "-" else terms).items():
-                prev = acc.get(e)
-                acc[e] = c if prev is None else _sum(prev, c)
+            _add_into(acc, _scaled(terms, -1) if op == "-" else terms)
             if self.peek()[0] not in "+-":
                 return _from_raw(self.table, acc)
             op = self.advance()[0]

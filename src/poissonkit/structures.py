@@ -267,11 +267,8 @@ def restrict_hyperplane(ps: PoissonStructure, coordinate) -> PoissonStructure:
         if pos in indices:
             continue
         new_indices = tuple(i - 1 if i > pos else i for i in indices)
-        kept = {}
-        for exps, t in coeff._raw.items():
-            if exps[pos]:
-                continue
-            kept[exps[:pos] + exps[pos + 1:]] = t
+        kept = {exps[:pos] + exps[pos + 1:]: t
+                for exps, t in coeff._raw.items() if not exps[pos]}
         new_terms[new_indices] = polynomials._from_raw(new_table, kept)
     return PoissonStructure(
         multivectors._trusted(Multivector, new_table, 2, new_terms))
@@ -307,7 +304,7 @@ def chart_transition(biv: Multivector, names: tuple, source: int,
         return tuple(exps)
 
     # xi_k -> z_a xi_m, and xi_b -> -z_a sum_m z_m xi_m for y_b = 1/z_a,
-    # as raw term dicts, so the chained wedges below need no conversion
+    # as raw term dicts for the shared pushforward
     xi_images = {}
     for k in range(n):
         m = hom[k]
@@ -317,13 +314,9 @@ def chart_transition(biv: Multivector, names: tuple, source: int,
 
     # y^e -> z^e' / z_a^|e|: the numerator keeps the pole as a negative
     # exponent at the anchor, which the sum must clear
-    sums = {}
+    images = {}
     for indices, coeff in biv.terms.items():
-        image = {(): {monomial(): one}}
-        for k in indices:
-            image, previous = {}, image
-            multivectors._wedge_into(image, previous, xi_images[k])
-        numerator = {}
+        numerator = images[indices] = {}
         for exps, t in coeff._raw.items():
             new = [0] * ttable.width
             for k in range(n):
@@ -332,7 +325,7 @@ def chart_transition(biv: Multivector, names: tuple, source: int,
             new[anchor] = -sum(exps[:n])
             new[ttable.n_coordinates:] = exps[n:]
             numerator[tuple(new)] = t
-        multivectors._wedge_into(sums, image, {(): numerator})
+    sums = multivectors._pushforward_sums(ttable, images, xi_images)
     if any((c[0] or c[1]) and exps[anchor] < 0
            for acc in sums.values() for exps, c in acc.items()):
         raise ValueError("does not extend")

@@ -99,3 +99,30 @@ def test_apply_point():
                              "x3": GaussRational(0)})
     assert image["x1"] == GaussRational(3)
     assert image["x2"] == GaussRational(5)
+
+
+OTHER = VariableTable(("x1", "x2", "x3"), ("s",))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Translation(T, "t", p("1")), KeyError, "not a coordinate: 't'"),
+    (lambda: Translation(T, "x1", parse_polynomial("s", OTHER)), ValueError,
+     "^amount on a different variable table$"),
+    (lambda: TriangularShear(T, "y", p("x2")), KeyError,
+     "not a coordinate: 'y'"),
+    (lambda: TriangularShear(T, "x1", parse_polynomial("x2", OTHER)),
+     ValueError, "^shear on a different variable table$"),
+    (lambda: DiagonalScaling(T, {"t": GaussRational(2)}), KeyError,
+     "not a coordinate: 't'"),
+], ids=["translation-parameter", "translation-other-table", "shear-unknown",
+        "shear-other-table", "scaling-parameter"])
+def test_automorphism_data_is_checked(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_pushforward_refuses_a_multivector_on_another_table():
+    phi = Translation(T, "x1", p("t"))
+    with pytest.raises(ValueError, match="^automorphism and multivector on "
+                                         "different tables$"):
+        pushforward(phi, Multivector.basis(OTHER, (0, 1)))

@@ -444,6 +444,11 @@ def _family_path_doc(*path):
     return json.dumps(doc)
 
 
+def _spec_doc(value):
+    return ('{"kind": "diagonal-spec", "n": 2, "entries": '
+            '[{"i": 1, "j": 2, "value": %s}]}' % value)
+
+
 def _multivector_doc(**changes):
     doc = {"kind": "multivector", "coordinates": ["x1", "x2"],
            "parameters": [], "degree": 2,
@@ -482,13 +487,28 @@ def _multivector_doc(**changes):
     (_family_path_doc({"kind": "scaling", "scales": [1]}), "scales"),
     (_family_path_doc({"kind": "scaling", "scales": {"x1": True}}), "scale"),
     (_family_path_doc({"kind": "scaling", "scales": {"x1": None}}), "scale"),
+    (_spec_doc("true"), "value"),
+    (_spec_doc("0.1"), "value"),
+    (_spec_doc("1e300"), "value"),
+    (_multivector_doc(terms=[3]), "term record"),
+    (_multivector_doc(terms=3), "terms"),
+    (_multivector_doc(terms=[{"coeff": "1", "exponents": {"x1": 1},
+                              "indices": 5}]), "indices"),
+    ('{"kind": "diagonal-spec", "n": 2, "entries": [5]}', "spec entry"),
+    (_family_path_doc().replace('"path": []', '"path": 3'), "path"),
+    ('{"kind": "diagonal-spec", "n": %d, "entries": []}' % 10 ** 30, "n"),
+    (_multivector_doc(coordinates=[f"x{k}" for k in range(1, 15)]),
+     "coordinates"),
 ], ids=["list", "string", "exponents-list", "coordinates-ints",
         "parameters-int", "exponent-overflow", "exponent-fraction",
         "degree-fraction", "term-degree", "term-count", "spec-n-overflow",
         "spec-i-fraction", "family-parameter-int", "family-parameter-null",
         "family-parameter-list", "family-parameter-object", "path-data-list",
         "coeff-int", "path-record-int", "path-coordinate-list",
-        "path-scales-list", "path-scale-true", "path-scale-null"])
+        "path-scales-list", "path-scale-true", "path-scale-null",
+        "spec-value-true", "spec-value-tenth", "spec-value-huge",
+        "term-record-int", "terms-int", "indices-int", "spec-entry-int",
+        "family-path-int", "spec-n-huge", "coordinates-past-bound"])
 def test_malformed_documents_exit_two_naming_the_field(text, field, tmp_path,
                                                        capsys):
     path = tmp_path / "bad.json"
@@ -499,3 +519,25 @@ def test_malformed_documents_exit_two_naming_the_field(text, field, tmp_path,
     first = captured.err.splitlines()[0]
     assert first.startswith(f"error: {field} ") or \
         first.startswith(f"error: a {field} "), first
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["diagonal", "--symbolic", "14"], "--symbolic"),
+    (["diagonal", "--random", str(10 ** 30)], "--random"),
+    (["diagonal", "--in", "SPEC"], "n"),
+    (["mu", "--in", "SPEC"], "n"),
+    (["logform", "--in", "SPEC"], "n"),
+], ids=["symbolic", "random", "diagonal-in", "mu-in", "logform-in"])
+def test_dimension_past_the_bound_exits_two(argv, field, tmp_path, capsys):
+    spec = tmp_path / "huge.json"
+    spec.write_text('{"kind": "diagonal-spec", "n": %d, "entries": []}'
+                    % 10 ** 30)
+    assert main([str(spec) if a == "SPEC" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {field} must be at most 13\n"
+
+
+def test_dimension_at_the_bound_is_admitted(capsys):
+    assert main(["diagonal", "--symbolic", "13"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 13

@@ -8,7 +8,8 @@ import pytest
 from poissonkit import (DeformationFamily, DiagonalSpec, GaussRational,
                         Multivector, PoissonStructure, Polynomial,
                         VariableTable, jacobi_check, jet_vanishing,
-                        parse_polynomial, scan_degenerate_points, schouten,
+                        Translation, parse_polynomial,
+                        scan_degenerate_points, schouten,
                         track_degenerate_point)
 
 BASE = DiagonalSpec(4, {
@@ -182,3 +183,14 @@ def test_build_checks_genericity_once(monkeypatch):
     assert calls == [BASE]
     assert len(fam.path) == 3
     assert all(step.table == fam.table for step in fam.path)
+
+
+def test_family_path_steps_are_checked():
+    with pytest.raises(TypeError, match="^path entries must be elementary "
+                                        "automorphisms$"):
+        DeformationFamily(BASE, [("translation", "x1", "t")])
+    other = VariableTable(("x1", "x2", "x3", "x4"), ("s",))
+    step = Translation(other, "x1", parse_polynomial("s", other))
+    with pytest.raises(ValueError, match="^path step lives on the wrong "
+                                         "table$"):
+        DeformationFamily(BASE, [step])

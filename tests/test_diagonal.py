@@ -11,6 +11,7 @@ from poissonkit import (DiagonalSpec, GaussRational, Multivector, Polynomial,
                         format_polynomial, is_generic, log_annihilator,
                         make_diagonal, parse_polynomial, pfaffian,
                         random_generic_spec, contract, wedge_power)
+from poissonkit.polynomials import MAX_COORDINATES
 
 
 def numeric_spec(n, values):
@@ -265,3 +266,21 @@ def test_random_generic_spec():
         assert spec.n == n
         assert spec.is_numeric()
         assert is_generic(spec)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DiagonalSpec(MAX_COORDINATES + 1, {}),
+    lambda: DiagonalSpec(10 ** 30, {(1, 2): GaussRational(1)}),
+    lambda: DiagonalSpec.symbolic(10 ** 30),
+    lambda: random_generic_spec(10 ** 30, random.Random(1)),
+], ids=["spec", "spec-huge", "symbolic", "random"])
+def test_coordinate_count_is_bounded(build):
+    with pytest.raises(ValueError, match=f"^n must be at most "
+                                         f"{MAX_COORDINATES}$"):
+        build()
+
+
+def test_the_coordinate_bound_admits_p12():
+    assert MAX_COORDINATES == 13
+    spec = DiagonalSpec.symbolic(MAX_COORDINATES)
+    assert len(spec.entries) == 78 and spec.table().n_coordinates == 13

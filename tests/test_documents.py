@@ -10,6 +10,7 @@ from poissonkit import (DeformationFamily, DiagonalSpec, DifferentialForm,
                         VariableTable, exterior_derivative, from_document,
                         loads, make_diagonal, parse_polynomial, serialize,
                         to_document)
+from poissonkit.polynomials import MAX_COORDINATES
 
 
 def numeric_spec(n, values):
@@ -214,3 +215,81 @@ def test_document_terms_are_bounded_in_total_degree():
         record = {"coeff": "1", "exponents": exponents, "indices": [0, 1]}
         with pytest.raises(ValueError, match=f"larger than {MAX_DEGREE}"):
             loads(_bivector_doc([record]))
+
+
+def _spec_doc(value="3"):
+    return {"kind": "diagonal-spec", "n": 2,
+            "entries": [{"i": 1, "j": 2, "value": value}]}
+
+
+@pytest.mark.parametrize("value, kind", [
+    (True, "bool"), (0.1, "float"), (1e300, "float"), (3, "int"),
+    (None, "NoneType"), (["1"], "list")],
+    ids=["true", "tenth", "huge", "int", "null", "list"])
+def test_spec_value_must_be_a_string(value, kind):
+    with pytest.raises(ValueError, match=f"^value must be a string, not "
+                                         f"{kind}$"):
+        from_document(_spec_doc(value))
+    assert from_document(_spec_doc("3")).entries == {(1, 2): GaussRational(3)}
+
+
+def _bivector_record_doc(**changes):
+    doc = to_document(make_diagonal(numeric_spec(2, [3])))
+    doc.update(changes)
+    return doc
+
+
+def _with_record(**changes):
+    record = {"coeff": "1", "exponents": {"x1": 1}, "indices": [0, 1]}
+    record.update(changes)
+    return _bivector_record_doc(terms=[record])
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_bivector_record_doc(terms=[3]), "^a term record must be an object, "
+                                      "not int$"),
+    (_bivector_record_doc(terms=3), "^terms must be a list, not int$"),
+    (_bivector_record_doc(terms={"0": {}}), "^terms must be a list, not "
+                                            "dict$"),
+    (_with_record(indices=5), "^indices must be a list, not int$"),
+    (_with_record(indices="01"), "^indices must be a list, not str$"),
+    (_bivector_record_doc(coordinates="x1x2"), "^coordinates must be a list, "
+                                               "not str$"),
+    (_bivector_record_doc(parameters="ab"), "^parameters must be a list, "
+                                            "not str$"),
+    ({"kind": "diagonal-spec", "n": 2, "entries": [5]},
+     "^a spec entry must be an object, not int$"),
+    ({"kind": "diagonal-spec", "n": 2, "entries": 5},
+     "^entries must be a list, not int$"),
+], ids=["term-int", "terms-int", "terms-object", "indices-int",
+        "indices-string", "coordinates-string", "parameters-string",
+        "entry-int", "entries-int"])
+def test_document_shapes_are_checked(doc, message):
+    with pytest.raises(ValueError, match=message):
+        from_document(doc)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("path", 3, "^path must be a list, not int$"),
+    ("path", {"kind": "translation"}, "^path must be a list, not dict$"),
+    ("base", 3, "^base must be an object, not int$"),
+], ids=["path-int", "path-object", "base-int"])
+def test_family_shapes_are_checked(field, value, message):
+    doc = _family_doc()
+    doc[field] = value
+    with pytest.raises(ValueError, match=message):
+        from_document(doc)
+
+
+def test_document_coordinates_are_bounded():
+    names = [f"x{k}" for k in range(1, MAX_COORDINATES + 2)]
+    with pytest.raises(ValueError, match=f"^coordinates must list at most "
+                                         f"{MAX_COORDINATES} names, not "
+                                         f"{MAX_COORDINATES + 1}$"):
+        from_document(_bivector_record_doc(coordinates=names))
+    doc = _bivector_record_doc(coordinates=names[:MAX_COORDINATES])
+    assert from_document(doc).table.n_coordinates == MAX_COORDINATES
+    spec = {"kind": "diagonal-spec", "n": 10 ** 30, "entries": []}
+    with pytest.raises(ValueError, match=f"^n must be at most "
+                                         f"{MAX_COORDINATES}$"):
+        from_document(spec)

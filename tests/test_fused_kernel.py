@@ -1,10 +1,11 @@
-"""Chart transitions, Schouten brackets and contraction against the
-algorithms they replaced.
+"""Chart transitions, pushforwards and the other exterior-algebra
+operators against the algorithms they replaced.
 
-`chart_transition`, `schouten` and `contract` each accumulate their
-result into one {indices: {exponents: scalar}} dict and build it once.
-The reference functions below are the old algorithms, kept as the
-models the single-pass routines must match exactly:
+`chart_transition`, `pushforward`, `schouten`, `contract`,
+`exterior_derivative` and `bv_laplacian` each accumulate their result
+into one {indices: {exponents: scalar}} dict and build it once.  The
+reference functions below are the old algorithms, kept as the models
+the single-pass routines must match exactly:
 
 * `_reference_schouten` adds one `_slot_contract(odd, k).wedge(
   d even / dx_k)` per coordinate into a running Multivector and
@@ -12,21 +13,41 @@ models the single-pass routines must match exactly:
 * `_reference_contract` is the chain zero + sum_k slot(a, k) * g_k;
 * `_reference_chart_transition` wedges 1-vector images of the xi_k,
   groups the pieces by pole order, multiplies each group up to the top
-  order and divides by z_a^top monomial by monomial.
+  order and divides by z_a^top monomial by monomial;
+* `_reference_pushforward` wedges validated 1-vector images of the xi_k
+  onto each pushed coefficient and adds the pieces into a running
+  Multivector;
+* `_reference_exterior_derivative` adds +-dc/dx_k per term into a dict
+  of Polynomials;
+* `_reference_bv_laplacian` is the chain zero + sum_k
+  d/dx_k (_slot_contract(a, k)).
 """
 
 import random
 
 import pytest
 
-from poissonkit import (DiagonalSpec, DifferentialForm, GaussRational,
-                        Multivector, Polynomial, VariableTable, chart_extend,
-                        chart_transition, contract, jacobi_check,
-                        make_diagonal, schouten)
-from poissonkit.multivectors import _slot_contract
-from poissonkit.randomized import random_element, random_polynomial
+from poissonkit import (DeformationFamily, DiagonalScaling, DiagonalSpec,
+                        DifferentialForm, GaussRational, Multivector,
+                        Polynomial, Translation, TriangularShear,
+                        VariableTable, bv_laplacian, chart_extend,
+                        chart_transition, contract, exterior_derivative,
+                        jacobi_check, make_diagonal, pushforward, schouten)
+from poissonkit.randomized import (random_element, random_polynomial,
+                                   random_scalar)
 
 T = VariableTable(("x1", "x2", "x3", "x4", "x5"), ("a",))
+
+
+def _slot_contract(element, k):
+    """Remove generator k, moving it to the front first (Koszul sign)."""
+    terms = {}
+    for indices, coeff in element.terms.items():
+        if k in indices:
+            pos = indices.index(k)
+            terms[indices[:pos] + indices[pos + 1:]] = (
+                coeff if pos % 2 == 0 else -coeff)
+    return type(element)(element.table, max(element.degree - 1, 0), terms)
 
 
 def _reference_partial(element, slot):
@@ -72,6 +93,64 @@ def _reference_contract(eta, a):
     for (k,), g in eta.terms.items():
         result = result + _slot_contract(a, k) * g
     return result
+
+
+def _reference_exterior_derivative(omega):
+    table = omega.table
+    terms = {}
+    for indices, coeff in omega.terms.items():
+        for k, name in enumerate(table.coordinates):
+            if k in indices:
+                continue
+            dc = coeff.partial_derivative(name)
+            if dc.is_zero():
+                continue
+            merged = tuple(sorted(indices + (k,)))
+            # moving dx_k from the front to its place passes its position
+            add = dc if merged.index(k) % 2 == 0 else -dc
+            terms[merged] = terms[merged] + add if merged in terms else add
+    degree = min(omega.degree + 1, table.n_coordinates)
+    return DifferentialForm(table, degree,
+                            terms if omega.degree < degree else {})
+
+
+def _reference_bv_laplacian(a):
+    total = Multivector.zero(a.table, max(a.degree - 1, 0))
+    for k in range(a.table.n_coordinates):
+        total = total + _reference_partial(_slot_contract(a, k), k)
+    return total
+
+
+def _reference_odd_images(phi):
+    table = phi.table
+    forward = phi.forward_images()
+    backward = phi.inverse_images()
+    images = {}
+    for k, name in enumerate(table.coordinates):
+        comps = {}
+        for j, target in enumerate(table.coordinates):
+            image = forward.get(target)
+            if image is None:
+                entry = Polynomial.one(table) if j == k else Polynomial.zero(table)
+            else:
+                entry = image.partial_derivative(name).substitute(backward)
+            comps[(j,)] = entry
+        images[k] = Multivector(table, 1, comps)
+    return images
+
+
+def _reference_pushforward(path, a):
+    for phi in path:
+        backward = phi.inverse_images()
+        odd = _reference_odd_images(phi)
+        total = Multivector.zero(a.table, a.degree)
+        for indices, coeff in a.terms.items():
+            piece = Multivector.from_polynomial(coeff.substitute(backward))
+            for k in indices:
+                piece = piece.wedge(odd[k])
+            total = total + piece
+        a = total
+    return a
 
 
 def _reference_chart_transition(biv, names, source, target):
@@ -279,3 +358,79 @@ def test_chart_extend_and_jacobi_check_build_no_wedge(monkeypatch):
     _assert_same(chart.bivector, expected)
     _assert_same(jacobi_check(chart), expected_bracket)
     assert chart.integrable
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_exterior_derivative_matches_reference(degree):
+    rng = random.Random(f"fused-d:{degree}")
+    for _ in range(12):
+        omega = random_element(rng, T, degree, DifferentialForm,
+                               max_components=4)
+        # omega + omega2 shares index tuples with omega, so sums cancel
+        omega2 = omega + random_element(rng, T, degree, DifferentialForm,
+                                        max_components=3)
+        for form in (omega, omega2, DifferentialForm.zero(T, degree)):
+            _assert_same(exterior_derivative(form),
+                         _reference_exterior_derivative(form))
+    f = random_polynomial(rng, T, max_terms=4, max_degree=3)
+    _assert_same(exterior_derivative(f), _reference_exterior_derivative(
+        DifferentialForm.from_polynomial(f)))
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_bv_laplacian_matches_reference(degree):
+    rng = random.Random(f"fused-bv:{degree}")
+    for _ in range(12):
+        a = random_element(rng, T, degree, max_components=4)
+        a2 = a + random_element(rng, T, degree, max_components=3)
+        for field in (a, a2, Multivector.zero(T, degree)):
+            _assert_same(bv_laplacian(field), _reference_bv_laplacian(field))
+
+
+def _random_step(rng, kind):
+    coords = T.coordinates
+    if kind == "translation":
+        amount = random_polynomial(rng, VariableTable((), ("a",)), 2, 2)
+        return Translation(T, rng.choice(coords), Polynomial(T, {
+            (0,) * len(coords) + exps: c for exps, c in amount.terms.items()}))
+    if kind == "scaling":
+        return DiagonalScaling(T, {name: random_scalar(rng) for name in
+                                   rng.sample(coords, rng.randint(1, 5))})
+    pos = rng.randrange(len(coords) - 1)
+    later = VariableTable(coords[pos + 1:], ("a",))
+    shear = random_polynomial(rng, later, 3, 2)
+    return TriangularShear(T, coords[pos], Polynomial(T, {
+        (0,) * (pos + 1) + exps: c for exps, c in shear.terms.items()}))
+
+
+@pytest.mark.parametrize("degree", range(6))
+@pytest.mark.parametrize("kind", ["translation", "scaling", "shear"])
+def test_pushforward_matches_reference_on_one_step(kind, degree):
+    rng = random.Random(f"fused-push:{kind}:{degree}")
+    for _ in range(6):
+        phi = _random_step(rng, kind)
+        a = random_element(rng, T, degree, max_components=4)
+        for field in (a, Multivector.zero(T, degree)):
+            _assert_same(pushforward(phi, field),
+                         _reference_pushforward([phi], field))
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_pushforward_matches_reference_along_paths(degree):
+    rng = random.Random(f"fused-path:{degree}")
+    kinds = ("translation", "scaling", "shear")
+    for _ in range(4):
+        path = [_random_step(rng, rng.choice(kinds))
+                for _ in range(rng.randint(2, 4))]
+        a = random_element(rng, T, degree, max_components=3)
+        _assert_same(pushforward(path, a), _reference_pushforward(path, a))
+
+
+def test_a_family_pushforward_matches_reference():
+    spec = DiagonalSpec(4, {(1, 2): 3, (1, 3): -5, (1, 4): 7, (2, 3): 11,
+                            (2, 4): -13, (3, 4): 17})
+    family = DeformationFamily.build(spec, [
+        ("translation", "x1", "t"), ("shear", "x2", "t*x3^2 + x4"),
+        ("scaling", {"x3": "2", "x4": "-1/3"}), ("translation", "x4", "2*t")])
+    _assert_same(family.bivector(), _reference_pushforward(
+        family.path, family.base_bivector()))

@@ -11,7 +11,6 @@ from poissonkit import (BV_SIGN, DifferentialForm, GaussRational, Multivector,
                         contract, curl, exterior_derivative,
                         parse_polynomial, schouten, volume_isomorphism,
                         volume_isomorphism_inverse, wedge)
-from poissonkit.multivectors import _slot_contract
 
 T2 = VariableTable(("x1", "x2"), ("l12",))
 T3 = VariableTable(("x1", "x2", "x3"))
@@ -97,6 +96,17 @@ def test_exterior_derivative():
     domega = exterior_derivative(omega)
     assert domega == DifferentialForm(T3, 2, {(0, 1): p("-1", T3)})
     assert exterior_derivative(domega).is_zero()
+
+
+def _slot_contract(element, k):
+    """Remove generator k, moving it to the front first (Koszul sign)."""
+    terms = {}
+    for indices, coeff in element.terms.items():
+        if k in indices:
+            pos = indices.index(k)
+            terms[indices[:pos] + indices[pos + 1:]] = (
+                coeff if pos % 2 == 0 else -coeff)
+    return type(element)(element.table, max(element.degree - 1, 0), terms)
 
 
 def test_odd_partial_moves_to_front():
