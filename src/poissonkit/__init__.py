@@ -12,8 +12,8 @@ from .deform import (DeformationFamily, TrackResult, jet_vanishing,
 from .diagonal import (CurlEigenvalues, DiagonalSpec, LogForm,
                        curl_eigenvalues, is_generic, log_annihilator,
                        make_diagonal, pfaffian, random_generic_spec)
-from .documents import (from_document, loads, load_path, save_path,
-                        serialize, to_document)
+from .documents import (from_document, loads, load_path, serialize,
+                        to_document)
 from .multivectors import (BV_SIGN, DifferentialForm, Multivector,
                            VolumeCurl, bv_laplacian, contract, curl,
                            exterior_derivative, schouten,
@@ -89,7 +89,6 @@ __all__ = [
     "rank_at",
     "reduce_mod",
     "restrict_hyperplane",
-    "save_path",
     "scan_degenerate_points",
     "schouten",
     "serialize",

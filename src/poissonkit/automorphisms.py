@@ -2,8 +2,8 @@
 
 Three invertible kinds are provided: translation of one coordinate by a
 constant, invertible diagonal scaling, and a triangular shear adding a
-polynomial in strictly later coordinates.  Each stores an exact inverse,
-so pushforwards stay inside polynomial arithmetic.  "Constant" data may
+polynomial in strictly later coordinates.  Each gives the images of its
+exact inverse, so pushforwards stay inside polynomial arithmetic.  "Constant" data may
 involve parameters (a deformation parameter t, say) but no coordinates.
 """
 
@@ -19,8 +19,6 @@ from .multivectors import Multivector, _built, _pushforward_sums
 class ElementaryAutomorphism:
     """Base class; subclasses fill in forward/inverse images."""
 
-    kind = "identity"
-
     def __init__(self, table: VariableTable):
         self.table = table
 
@@ -31,24 +29,12 @@ class ElementaryAutomorphism:
     def inverse_images(self) -> dict:
         return {}
 
-    def inverse(self) -> "ElementaryAutomorphism":
-        raise NotImplementedError
-
-    def apply_point(self, values: Mapping[str, object]) -> dict:
-        """Push an exact point forward; parameters pass through."""
-        out = dict(values)
-        for name, image in self.forward_images().items():
-            out[name] = image.evaluate(values)
-        return out
-
     def __repr__(self):
         return f"<{type(self).__name__} on {self.table.coordinates}>"
 
 
 class Translation(ElementaryAutomorphism):
     """x_c -> x_c + amount, amount free of coordinates."""
-
-    kind = "translation"
 
     def __init__(self, table: VariableTable, coordinate: str, amount: Polynomial):
         super().__init__(table)
@@ -69,14 +55,9 @@ class Translation(ElementaryAutomorphism):
         x = Polynomial.variable(self.table, self.coordinate)
         return {self.coordinate: x - self.amount}
 
-    def inverse(self):
-        return Translation(self.table, self.coordinate, -self.amount)
-
 
 class DiagonalScaling(ElementaryAutomorphism):
     """x_k -> s_k * x_k with nonzero exact scales (default 1)."""
-
-    kind = "scaling"
 
     def __init__(self, table: VariableTable, scales: Mapping[str, object]):
         super().__init__(table)
@@ -104,15 +85,9 @@ class DiagonalScaling(ElementaryAutomorphism):
             for name, s in self.scales.items()
         }
 
-    def inverse(self):
-        one = GaussRational.one()
-        return DiagonalScaling(self.table, {n: one / s for n, s in self.scales.items()})
-
 
 class TriangularShear(ElementaryAutomorphism):
     """x_c -> x_c + g where g involves strictly later coordinates only."""
-
-    kind = "shear"
 
     def __init__(self, table: VariableTable, coordinate: str, shear: Polynomial):
         super().__init__(table)
@@ -135,9 +110,6 @@ class TriangularShear(ElementaryAutomorphism):
     def inverse_images(self):
         x = Polynomial.variable(self.table, self.coordinate)
         return {self.coordinate: x - self.shear}
-
-    def inverse(self):
-        return TriangularShear(self.table, self.coordinate, -self.shear)
 
 
 def _odd_images(phi: ElementaryAutomorphism) -> dict:

@@ -31,6 +31,11 @@ from .structures import PoissonStructure
 # the coordinates, then the parameter.  The Jacobian is flat, row-major.
 _NewtonSystem = namedtuple("_NewtonSystem", "residual jacobian jet0 jet1")
 
+# Newton iterations tried at one continuation step before it halves.
+NEWTON_ITERATIONS = 50
+# The continuation step halves on every failed Newton solve, down to this.
+MIN_STEP = 1e-6
+
 
 class DeformationFamily:
     """Diagonal base pushed along parameter-dependent automorphisms."""
@@ -158,16 +163,15 @@ class _NonConvergence(Exception):
 
 
 def track_degenerate_point(family: DeformationFamily, t: complex,
-                           tol: float = 1e-12, max_iter: int = 50,
-                           initial_step: float = 1e-2,
-                           min_step: float = 1e-6) -> TrackResult:
+                           tol: float = 1e-12,
+                           initial_step: float = 1e-2) -> TrackResult:
     """Newton continuation for the zero of curl(Pi_t) near the origin."""
     n = family.n
     system = family._newton_system()
 
     def newton(gamma, t_value):
         point = np.append(gamma, t_value)
-        for iteration in range(max_iter):
+        for iteration in range(NEWTON_ITERATIONS):
             fvec = system.residual(point)
             if float(np.abs(fvec).max()) <= tol:
                 return point[:n], iteration
@@ -192,7 +196,7 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
             try:
                 gamma, iters = newton(gamma, direction * tau_next)
             except _NonConvergence:
-                if step / 2 < min_step:
+                if step / 2 < MIN_STEP:
                     raise ValueError(
                         f"left basin; reduce step (reached tau={tau:.6g} "
                         f"of {radius:.6g}, last step {step:.3g})") from None

@@ -55,9 +55,9 @@ class DiagonalSpec:
         self.entries = cleaned
 
     @classmethod
-    def symbolic(cls, n: int, prefix: str = "l") -> "DiagonalSpec":
+    def symbolic(cls, n: int) -> "DiagonalSpec":
         return cls(_coordinate_count(n), {
-            (i, j): f"{prefix}{i}{j}"
+            (i, j): f"l{i}{j}"
             for i in range(1, n + 1) for j in range(i + 1, n + 1)})
 
     def is_numeric(self) -> bool:
@@ -100,26 +100,11 @@ class DiagonalSpec:
             poly = Polynomial.constant(table, value)
         return poly if sign > 0 else -poly
 
-    def lambda_matrix(self, table: VariableTable = None) -> list:
-        if table is None:
-            table = self.table()
+    def lambda_matrix(self, table: VariableTable) -> list:
         return [
             [self.entry_polynomial(table, i, j) for j in range(1, self.n + 1)]
             for i in range(1, self.n + 1)
         ]
-
-    def restrict(self, drop: int) -> "DiagonalSpec":
-        """Spec on the complementary coordinates of x_drop (renumbered)."""
-        if not 1 <= drop <= self.n:
-            raise ValueError("coordinate index out of range")
-        keep = [k for k in range(1, self.n + 1) if k != drop]
-        remap = {old: new + 1 for new, old in enumerate(keep)}
-        entries = {
-            (remap[i], remap[j]): v
-            for (i, j), v in self.entries.items()
-            if i != drop and j != drop
-        }
-        return DiagonalSpec(self.n - 1, entries)
 
     def __eq__(self, other):
         if not isinstance(other, DiagonalSpec):
@@ -229,28 +214,17 @@ def curl_eigenvalues(spec: DiagonalSpec) -> CurlEigenvalues:
 class LogForm:
     """The 1-form sum_i residues_i dx_i/x_i annihilating the image of Pi."""
 
-    def __init__(self, table: VariableTable, residues,
-                 holomorphic_part: DifferentialForm = None):
+    def __init__(self, table: VariableTable, residues):
         self.table = table
         self.residues = tuple(residues)
-        if holomorphic_part is None:
-            holomorphic_part = DifferentialForm.zero(table, 1)
-        self.holomorphic_part = holomorphic_part
 
     def cleared_form(self) -> DifferentialForm:
         """x1...xn times the form: a polynomial 1-form."""
-        n = self.table.n_coordinates
-        terms = {}
-        for i, res in enumerate(self.residues):
-            others = Polynomial.monomial(
-                self.table,
-                {name: 1 for k, name in enumerate(self.table.coordinates) if k != i})
-            coeff = others * res
-            if not coeff.is_zero():
-                terms[(i,)] = coeff
-        return DifferentialForm(self.table, 1, terms) + self.holomorphic_part * (
-            Polynomial.monomial(self.table,
-                                {name: 1 for name in self.table.coordinates}))
+        names = self.table.coordinates
+        return DifferentialForm(self.table, 1, {
+            (i,): res * Polynomial.monomial(
+                self.table, {name: 1 for k, name in enumerate(names) if k != i})
+            for i, res in enumerate(self.residues)})
 
     def __repr__(self):
         return f"<LogForm residues {[str(r) for r in self.residues]}>"
@@ -298,10 +272,10 @@ def is_generic(spec: DiagonalSpec) -> bool:
     return len(set(mu)) == len(mu)
 
 
-def random_generic_spec(n: int, rng: random.Random, bound: int = 10 ** 6,
-                        max_tries: int = 200) -> DiagonalSpec:
+def random_generic_spec(n: int, rng: random.Random,
+                        bound: int = 10 ** 6) -> DiagonalSpec:
     _coordinate_count(n)
-    for _ in range(max_tries):
+    for _ in range(200):  # a random draw is generic but for a thin set
         entries = {}
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):

@@ -249,11 +249,6 @@ def load_path(path: str):
         return loads(handle.read())
 
 
-def save_path(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize(obj))
-
-
 def parse_assignments(text: str, table: VariableTable, names=None,
                       exact: bool = True) -> dict:
     """Parse `--point`/`--params` data: positional values or name=value.

@@ -200,13 +200,6 @@ class _SuperElement:
         _wedge_into(sums, _raw_terms(self), _raw_terms(other))
         return _built(type(self), table, degree, sums)
 
-    def evaluate_float(self, values: Mapping[str, complex]) -> dict:
-        """Complex-double wedge coefficients in canonical index order."""
-        terms = self.sorted_terms()
-        compiled = FloatPolynomials(self.table, (c for _, c in terms))
-        return {ix: complex(v) for (ix, _), v in
-                zip(terms, compiled.evaluate(values))}
-
     def __repr__(self):
         if self.is_zero():
             return f"<{type(self).__name__} 0 (degree {self.degree})>"
@@ -477,16 +470,16 @@ class VolumeCurl:
     def __reduce__(self):
         return VolumeCurl, (self.main, self.correction, self.denominator)
 
-    def cleared(self) -> Multivector:
-        """u * value, a polynomial multivector."""
-        return self.main * self.denominator + self.correction
-
     def evaluate_float(self, values: Mapping[str, complex]) -> dict:
-        u = self.denominator.evaluate_float(values)
-        main = self.main.evaluate_float(values)
-        corr = self.correction.evaluate_float(values)
-        out = dict(main)
-        for ix, v in corr.items():
+        """Complex-double coefficients of main + correction / u, in
+        canonical index order, from one compiled form of u and both parts."""
+        main = self.main.sorted_terms()
+        correction = self.correction.sorted_terms()
+        polys = [self.denominator] + [c for _, c in main + correction]
+        u, *rest = map(complex, FloatPolynomials(
+            self.denominator.table, polys).evaluate(values))
+        out = {ix: v for (ix, _), v in zip(main, rest)}
+        for (ix, _), v in zip(correction, rest[len(main):]):
             out[ix] = out.get(ix, 0j) + v / u
         return out
 

@@ -68,10 +68,6 @@ class VariableTable:
         return len(self.coordinates)
 
     @property
-    def n_parameters(self) -> int:
-        return len(self.parameters)
-
-    @property
     def width(self) -> int:
         return len(self.coordinates) + len(self.parameters)
 
@@ -189,9 +185,6 @@ class Polynomial:
             raise ValueError("polynomial is not constant")
         return _make(*next(iter(self._raw.values())))
 
-    def is_monomial(self) -> bool:
-        return len(self._raw) == 1
-
     def coefficient(self, powers: Mapping[str, int]) -> GaussRational:
         exps = [0] * self.table.width
         for name, e in powers.items():
@@ -220,12 +213,6 @@ class Polynomial:
         """Terms in canonical (descending) monomial order."""
         key = _order_key_fn(self.table)
         return sorted(self.terms.items(), key=lambda kv: key(kv[0]), reverse=True)
-
-    def leading_monomial(self) -> tuple:
-        if not self._raw:
-            raise ValueError("zero polynomial has no leading monomial")
-        key = _order_key_fn(self.table)
-        return max(self._raw, key=key)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -323,10 +310,6 @@ class Polynomial:
                     acc = acc * _as_scalar(values[names[pos]]) ** e
             total = total + acc
         return total
-
-    def evaluate_float(self, values: Mapping[str, complex]) -> complex:
-        """Complex-double evaluation through the compiled float form."""
-        return complex(FloatPolynomials(self.table, [self]).evaluate(values)[0])
 
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Ring homomorphism sending each named variable to a polynomial on

@@ -18,6 +18,7 @@ from .multivectors import (BV_SIGN, DifferentialForm, Multivector,
 from .polynomials import Polynomial, VariableTable
 from .scalars import GaussRational, _norm
 
+# The table every identity suite draws its elements on.
 DEFAULT_TABLE = VariableTable(("x1", "x2", "x3", "x4"))
 
 
@@ -65,27 +66,25 @@ def _sign(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-def check_wedge_supercommutativity(rng, cases: int,
-                                   table: VariableTable = DEFAULT_TABLE) -> int:
+def check_wedge_supercommutativity(rng, cases: int) -> int:
     failures = 0
     for _ in range(cases):
         a_deg = rng.randint(0, 3)
         b_deg = rng.randint(0, 3)
-        a = random_element(rng, table, a_deg)
-        b = random_element(rng, table, b_deg)
+        a = random_element(rng, DEFAULT_TABLE, a_deg)
+        b = random_element(rng, DEFAULT_TABLE, b_deg)
         if wedge(a, b) != wedge(b, a) * _sign(a_deg * b_deg):
             failures += 1
     return failures
 
 
-def check_bracket_antisymmetry(rng, cases: int,
-                               table: VariableTable = DEFAULT_TABLE) -> int:
+def check_bracket_antisymmetry(rng, cases: int) -> int:
     failures = 0
     for _ in range(cases):
         a_deg = rng.randint(0, 3)
         b_deg = rng.randint(0, 3)
-        a = random_element(rng, table, a_deg)
-        b = random_element(rng, table, b_deg)
+        a = random_element(rng, DEFAULT_TABLE, a_deg)
+        b = random_element(rng, DEFAULT_TABLE, b_deg)
         lhs = schouten(a, b)
         rhs = schouten(b, a) * (-_sign((a_deg - 1) * (b_deg - 1)))
         if lhs != rhs:
@@ -93,16 +92,15 @@ def check_bracket_antisymmetry(rng, cases: int,
     return failures
 
 
-def check_bracket_leibniz(rng, cases: int,
-                          table: VariableTable = DEFAULT_TABLE) -> int:
+def check_bracket_leibniz(rng, cases: int) -> int:
     failures = 0
     for _ in range(cases):
         a_deg = rng.randint(0, 3)
         b_deg = rng.randint(0, 2)
         c_deg = rng.randint(0, 2)
-        a = random_element(rng, table, a_deg)
-        b = random_element(rng, table, b_deg)
-        c = random_element(rng, table, c_deg)
+        a = random_element(rng, DEFAULT_TABLE, a_deg)
+        b = random_element(rng, DEFAULT_TABLE, b_deg)
+        c = random_element(rng, DEFAULT_TABLE, c_deg)
         lhs = schouten(a, wedge(b, c))
         rhs = wedge(schouten(a, b), c) \
             + wedge(b, schouten(a, c)) * _sign((a_deg - 1) * b_deg)
@@ -111,12 +109,11 @@ def check_bracket_leibniz(rng, cases: int,
     return failures
 
 
-def check_bracket_jacobi(rng, cases: int,
-                         table: VariableTable = DEFAULT_TABLE) -> int:
+def check_bracket_jacobi(rng, cases: int) -> int:
     failures = 0
     for _ in range(cases):
         degs = [rng.randint(0, 3) for _ in range(3)]
-        a, b, c = (random_element(rng, table, d) for d in degs)
+        a, b, c = (random_element(rng, DEFAULT_TABLE, d) for d in degs)
         total = None
         for (u, du), (v, dv), (w, dw) in (
                 ((a, degs[0]), (b, degs[1]), (c, degs[2])),
@@ -129,14 +126,13 @@ def check_bracket_jacobi(rng, cases: int,
     return failures
 
 
-def check_bv_generates_bracket(rng, cases: int,
-                               table: VariableTable = DEFAULT_TABLE) -> int:
+def check_bv_generates_bracket(rng, cases: int) -> int:
     failures = 0
     for _ in range(cases):
         a_deg = rng.randint(0, 3)
         b_deg = rng.randint(0, 3)
-        a = random_element(rng, table, a_deg)
-        b = random_element(rng, table, b_deg)
+        a = random_element(rng, DEFAULT_TABLE, a_deg)
+        b = random_element(rng, DEFAULT_TABLE, b_deg)
         defect = bv_laplacian(wedge(a, b)) \
             - wedge(bv_laplacian(a), b) \
             - wedge(a, bv_laplacian(b)) * _sign(a_deg)
@@ -145,44 +141,41 @@ def check_bv_generates_bracket(rng, cases: int,
     return failures
 
 
-def check_squares_vanish(rng, cases: int,
-                         table: VariableTable = DEFAULT_TABLE) -> int:
+def check_squares_vanish(rng, cases: int) -> int:
     failures = 0
-    n = len(table.coordinates)
+    n = len(DEFAULT_TABLE.coordinates)
     for _ in range(cases):
-        form = random_element(rng, table, rng.randint(0, n - 1),
+        form = random_element(rng, DEFAULT_TABLE, rng.randint(0, n - 1),
                               cls=DifferentialForm)
         if not exterior_derivative(exterior_derivative(form)).is_zero():
             failures += 1
-        field = random_element(rng, table, rng.randint(0, n))
+        field = random_element(rng, DEFAULT_TABLE, rng.randint(0, n))
         if not bv_laplacian(bv_laplacian(field)).is_zero():
             failures += 1
     return failures
 
 
-def check_curl_is_signed_laplacian(rng, cases: int,
-                                   table: VariableTable = DEFAULT_TABLE) -> int:
+def check_curl_is_signed_laplacian(rng, cases: int) -> int:
     failures = 0
-    n = len(table.coordinates)
+    n = len(DEFAULT_TABLE.coordinates)
     for _ in range(cases):
         p = rng.randint(0, n)
-        a = random_element(rng, table, p)
+        a = random_element(rng, DEFAULT_TABLE, p)
         if curl(a) != bv_laplacian(a) * _sign(p + 1):
             failures += 1
     return failures
 
 
-def check_volume_curl_pair(rng, cases: int,
-                           table: VariableTable = DEFAULT_TABLE) -> int:
+def check_volume_curl_pair(rng, cases: int) -> int:
     """u*(curl_u A - curl A) must equal -contract(du, A) exactly."""
     failures = 0
-    n = len(table.coordinates)
+    n = len(DEFAULT_TABLE.coordinates)
     for _ in range(cases):
         p = rng.randint(1, n)
-        a = random_element(rng, table, p)
-        u = random_polynomial(rng, table, max_terms=2, max_degree=2)
+        a = random_element(rng, DEFAULT_TABLE, p)
+        u = random_polynomial(rng, DEFAULT_TABLE, max_terms=2, max_degree=2)
         while u.is_constant():
-            u = random_polynomial(rng, table, max_terms=2, max_degree=2)
+            u = random_polynomial(rng, DEFAULT_TABLE, max_terms=2, max_degree=2)
         pair = curl(a, u)
         defect = pair.correction + contract(exterior_derivative(u), a)
         if pair.main != curl(a) or not defect.is_zero() or pair.denominator != u:
@@ -190,27 +183,26 @@ def check_volume_curl_pair(rng, cases: int,
     return failures
 
 
-def check_pushforward_naturality(rng, cases: int,
-                                 table: VariableTable = DEFAULT_TABLE) -> int:
+def check_pushforward_naturality(rng, cases: int) -> int:
     failures = 0
-    coords = table.coordinates
+    coords = DEFAULT_TABLE.coordinates
     for _ in range(cases):
         roll = rng.randrange(3)
         if roll == 0:
-            phi = Translation(table, rng.choice(coords),
-                              random_polynomial(rng, table, 1, 0))
+            phi = Translation(DEFAULT_TABLE, rng.choice(coords),
+                              random_polynomial(rng, DEFAULT_TABLE, 1, 0))
         elif roll == 1:
-            phi = DiagonalScaling(table, {
+            phi = DiagonalScaling(DEFAULT_TABLE, {
                 name: random_scalar(rng) for name in coords})
         else:
             pos = rng.randrange(len(coords) - 1)
             later = VariableTable(coords[pos + 1:])
             shear = random_polynomial(rng, later, 2, 2)
-            lifted = Polynomial(table, {
+            lifted = Polynomial(DEFAULT_TABLE, {
                 (0,) * (pos + 1) + exps: c for exps, c in shear.terms.items()})
-            phi = TriangularShear(table, coords[pos], lifted)
-        a = random_element(rng, table, rng.randint(0, 2))
-        b = random_element(rng, table, rng.randint(0, 2))
+            phi = TriangularShear(DEFAULT_TABLE, coords[pos], lifted)
+        a = random_element(rng, DEFAULT_TABLE, rng.randint(0, 2))
+        b = random_element(rng, DEFAULT_TABLE, rng.randint(0, 2))
         if pushforward(phi, schouten(a, b)) != schouten(
                 pushforward(phi, a), pushforward(phi, b)):
             failures += 1

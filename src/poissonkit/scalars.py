@@ -151,10 +151,6 @@ class GaussRational:
     def __pos__(self):
         return self
 
-    def conjugate(self) -> "GaussRational":
-        a, b, d = self._t
-        return _make(a, -b, d)
-
     def __hash__(self):
         return hash(self._t)
 

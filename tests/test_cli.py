@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from poissonkit import (DeformationFamily, DiagonalSpec, GaussRational,
-                        loads, make_diagonal, save_path)
+                        loads, make_diagonal, serialize)
 from poissonkit.cli import main
 from poissonkit.polynomials import MAX_TERMS, MAX_TEXT_TERMS
 
@@ -32,13 +32,13 @@ def corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("docs")
     spec = numeric_spec(4, [2, 3, 5, 7, 11, 13])
     ps = make_diagonal(spec)
-    save_path(str(root / "diag4.mv"), ps)
-    save_path(str(root / "diag4.spec"), spec)
-    save_path(str(root / "diag5.spec"),
-              numeric_spec(5, [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]))
+    (root / "diag4.mv").write_text(serialize(ps))
+    (root / "diag4.spec").write_text(serialize(spec))
+    (root / "diag5.spec").write_text(serialize(
+        numeric_spec(5, [2, 3, 5, 7, 11, 13, 17, 19, 23, 29])))
     fam = DeformationFamily.build(spec, [("translation", "x1", "1/2*t"),
                                          ("translation", "x3", "-2*t")])
-    save_path(str(root / "fam4.json"), fam)
+    (root / "fam4.json").write_text(serialize(fam))
     return root
 
 
@@ -302,8 +302,8 @@ def test_term_count_bound_exits_two(corpus, capsys):
 
 def test_text_term_budget_exits_two(tmp_path, capsys):
     path = tmp_path / "diag5.mv"
-    save_path(str(path), make_diagonal(
-        numeric_spec(5, [2, 3, 5, 7, 11, 13, 17, 19, 23, 29])))
+    path.write_text(serialize(make_diagonal(
+        numeric_spec(5, [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]))))
     copy = "(x1+x2+x3+x4+x5)^8*(x1+x2+x3+x4+x5)^8"
     assert main(["hamiltonian", "--in", str(path),
                  "--f", " + ".join([copy] * 3)]) == 2

@@ -80,11 +80,12 @@ def test_tracking_with_shear():
 
 def test_tracking_error_paths():
     fam = build([("translation", "x1", "t")])
-    # Newton never converges, so the step halves from 1e-2 until the next
-    # halving would fall below min_step: the last step tried is 1e-2 / 2^13
+    # no residual is below a negative tolerance, so Newton never converges
+    # and the step halves from 1e-2 until the next halving would fall below
+    # MIN_STEP: the last step tried is 1e-2 / 2^13
     with pytest.raises(ValueError, match=r"left basin; reduce step "
                        r"\(reached tau=0 of 0\.05, last step 1\.22e-06\)"):
-        track_degenerate_point(fam, 0.05, max_iter=0)
+        track_degenerate_point(fam, 0.05, tol=-1.0)
 
 
 # Reference Newton iteration counts and tracked points for the families

@@ -39,12 +39,6 @@ def test_entry_polynomial_is_skew():
     assert spec.entry_polynomial(T, 2, 2).is_zero()
 
 
-def test_restrict_renumbers():
-    spec = numeric_spec(4, [2, 3, 5, 7, 11, 13])
-    dropped = spec.restrict(4)
-    assert dropped == numeric_spec(3, [2, 3, 7])
-
-
 def test_make_diagonal_is_integrable():
     ps = make_diagonal(DiagonalSpec.symbolic(5))
     assert ps.integrable is True

@@ -177,7 +177,7 @@ def _reference_chart_transition(biv, names, source, target):
                 degree += e
                 if hom[k] != target:
                     new[tslot[hom[k]]] += e
-            for j in range(table.n_parameters):
+            for j in range(len(table.parameters)):
                 new[ttable.n_coordinates + j] = exps[n + j]
             parts.setdefault(degree, {})[tuple(new)] = c
         return {d: Polynomial(ttable, terms) for d, terms in parts.items()}

@@ -123,8 +123,6 @@ def test_equality_and_hash_follow_the_value(x, y):
 def test_text_float_and_repr_forms(x):
     z = GaussRational(*x)
     assert parse_scalar(format_scalar(z)) == z
-    assert parts_of(z.conjugate()) == (x[0], -x[1])
-    assert canonical(z.conjugate())
     assert complex(z) == complex(float(x[0]), float(x[1]))
     assert repr(z) == f"GaussRational({x[0]!r}, {x[1]!r})"
     assert bool(z) == any(x) == (not z.is_zero())
