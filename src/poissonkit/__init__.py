@@ -25,9 +25,9 @@ from .rigidity import (MonomialSurvivors, RigiditySystem, check_multiplicity,
                        diagonality_constraints, simplex_multiplicity_filter,
                        solve_rigidity)
 from .scalars import GaussRational, format_scalar, parse_scalar
-from .structures import (DegeneracyIdeal, DivisorData, PoissonStructure,
-                         chart_extend, chart_transition, degeneracy_divisor,
-                         degeneracy_ideal, hamiltonian,
+from .structures import (CheckFailed, DegeneracyIdeal, DivisorData,
+                         PoissonStructure, chart_extend, chart_transition,
+                         degeneracy_divisor, degeneracy_ideal, hamiltonian,
                          invariant_hypersurface, jacobi_check,
                          poisson_bracket, rank_at, restrict_hyperplane,
                          wedge_power)
@@ -36,6 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BV_SIGN",
+    "CheckFailed",
     "CurlEigenvalues",
     "DeformationFamily",
     "DegeneracyIdeal",

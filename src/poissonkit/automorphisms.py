@@ -113,10 +113,10 @@ class TriangularShear(ElementaryAutomorphism):
 
 
 def _odd_images(phi: ElementaryAutomorphism) -> dict:
-    # raw xi_k  ->  sum_j (d phi_j / d x_k at the inverse image) xi_j
+    # raw xi_k  ->  sum_j (d phi_j / d x_k at the inverse image) xi_j; no
+    # entry involves the moved coordinate, so the inverse leaves it as is
     table = phi.table
     forward = phi.forward_images()
-    backward = phi.inverse_images()
     images = {}
     for k, name in enumerate(table.coordinates):
         comps = {}
@@ -126,8 +126,6 @@ def _odd_images(phi: ElementaryAutomorphism) -> dict:
                 entry = Polynomial.one(table) if j == k else Polynomial.zero(table)
             else:
                 entry = image.partial_derivative(name)
-                if not entry.is_constant():
-                    entry = entry.substitute(backward)
             if entry:
                 comps[(j,)] = entry._raw
         images[k] = comps

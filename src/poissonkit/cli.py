@@ -21,14 +21,15 @@ from .deform import DeformationFamily, jet_vanishing, track_degenerate_point
 from .diagonal import (DiagonalSpec, curl_eigenvalues, log_annihilator,
                        make_diagonal, pfaffian, random_generic_spec)
 from .multivectors import Multivector, curl, schouten
-from .polynomials import (MAX_COORDINATES, format_polynomial,
+from .polynomials import (MAX_COORDINATES, VariableTable, format_polynomial,
                           parse_polynomial)
 from .randomized import run_suites
 from .rigidity import (MAX_DIM, diagonality_constraints,
                        simplex_multiplicity_filter, solve_rigidity)
-from .structures import (PoissonStructure, chart_extend, degeneracy_ideal,
-                         hamiltonian, invariant_hypersurface, jacobi_check,
-                         poisson_bracket, rank_at, restrict_hyperplane)
+from .structures import (CheckFailed, PoissonStructure, chart_extend,
+                         degeneracy_ideal, hamiltonian, invariant_hypersurface,
+                         jacobi_check, poisson_bracket, rank_at,
+                         restrict_hyperplane)
 
 DEFAULT_SEED = 20250815
 
@@ -144,12 +145,8 @@ def cmd_restrict(args) -> int:
     ps = _structure(_load(args.infile))
     if args.coordinate not in ps.table.coordinates:
         raise ValueError(f"unknown coordinate {args.coordinate!r}")
-    try:
-        restricted = restrict_hyperplane(ps, args.coordinate)
-    except ValueError as exc:
-        print(f"restrict: {exc}", file=sys.stderr)
-        return 1
-    _emit(documents.serialize(restricted), args.out)
+    _emit(documents.serialize(restrict_hyperplane(ps, args.coordinate)),
+          args.out)
     return 0
 
 
@@ -163,14 +160,7 @@ def cmd_invariant(args) -> int:
 
 def cmd_chart(args) -> int:
     ps = _structure(_load(args.infile))
-    n = ps.table.n_coordinates
-    if not 0 <= args.target <= n:
-        raise ValueError(f"chart index must lie in 0..{n}")
-    try:
-        moved = chart_extend(ps, args.target, args.zero_name)
-    except ValueError as exc:
-        print(f"chart: {exc}", file=sys.stderr)
-        return 1
+    moved = chart_extend(ps, args.target, args.zero_name)
     _emit(documents.serialize(moved), args.out)
     return 0
 
@@ -211,14 +201,7 @@ def cmd_mu(args) -> int:
 
 
 def cmd_logform(args) -> int:
-    spec = _spec(_load(args.infile))
-    if spec.n % 2 == 0:
-        raise ValueError("log annihilator needs an odd number of coordinates")
-    try:
-        form = log_annihilator(spec)
-    except ValueError as exc:
-        print(f"logform: {exc}", file=sys.stderr)
-        return 1
+    form = log_annihilator(_spec(_load(args.infile)))
     lines = [format_polynomial(res) for res in form.residues]
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0
@@ -258,13 +241,8 @@ def cmd_simplex(args) -> int:
 
 def cmd_track(args) -> int:
     family = _family(_load(args.family))
-    try:
-        result = track_degenerate_point(
-            family, complex(args.t), tol=args.tol,
-            initial_step=args.step)
-    except ValueError as exc:
-        print(f"track: {exc}", file=sys.stderr)
-        return 1
+    result = track_degenerate_point(family, args.t, tol=args.tol,
+                                    initial_step=args.step)
     record = {
         "kind": "track",
         "t": [result.t.real, result.t.imag],
@@ -288,6 +266,15 @@ def cmd_jet(args) -> int:
     _emit((f">= {args.r + 1}" if order > args.r else str(order)) + "\n",
           args.out)
     return 0
+
+
+def _variable_name(text: str) -> str:
+    """A --zero-name value: a name a variable table admits."""
+    try:
+        VariableTable((text,))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
+    return text
 
 
 def _resolve_seed(flag_value) -> int:
@@ -370,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("chart", cmd_chart, "move a projective structure to another chart")
     p.add_argument("--target", type=int, required=True,
                    help="chart index in 0..n")
-    p.add_argument("--zero-name", default="x0", metavar="NAME",
+    p.add_argument("--zero-name", type=_variable_name, default="x0",
+                   metavar="NAME",
                    help="label for the incoming coordinate")
 
     p = verb("diagonal", cmd_diagonal, "build or generate a diagonal structure",
@@ -401,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("track", cmd_track, "track a degenerate point along a family",
              infile=False)
     p.add_argument("--family", required=True, metavar="FILE")
-    p.add_argument("--t", required=True, metavar="VALUE",
+    p.add_argument("--t", type=complex, required=True, metavar="VALUE",
                    help="parameter value, real or complex")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--step", type=float, default=1e-2,
@@ -431,6 +419,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
+    except CheckFailed as exc:
+        # the one way a verb reports a well-posed check that fails
+        print(f"{args.verb}: {exc}", file=sys.stderr)
+        return 1
     except (OSError, json.JSONDecodeError, KeyError, TypeError,
             ValueError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

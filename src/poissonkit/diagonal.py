@@ -20,7 +20,7 @@ from . import polynomials
 from .multivectors import DifferentialForm, Multivector
 from .polynomials import MAX_COORDINATES, Polynomial, VariableTable
 from .scalars import GaussRational
-from .structures import PoissonStructure, _pfaffian_memo
+from .structures import CheckFailed, PoissonStructure, _pfaffian_memo
 
 
 def _coordinate_count(n: int) -> int:
@@ -246,7 +246,7 @@ def log_annihilator(spec: DiagonalSpec) -> LogForm:
         value = polynomials._from_raw(table, pf(indices[:i] + indices[i + 1:]))
         residues.append(value if i % 2 == 0 else -value)
     if all(r.is_zero() for r in residues):
-        raise ValueError("non-generic spec")
+        raise CheckFailed("non-generic spec")
     if spec.is_numeric():
         lead = next(r for r in residues if not r.is_zero()).constant_value()
         inv = GaussRational.one() / lead

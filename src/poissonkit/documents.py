@@ -117,11 +117,11 @@ def serialize(obj) -> str:
 
 
 def _integer(value, field: str) -> int:
-    """A JSON integer; a number with a fractional part or out of range is
-    malformed rather than rounded."""
-    if isinstance(value, float) and not value.is_integer():
+    """A JSON integer; a string, a boolean or a number written with a
+    fraction or exponent is malformed rather than converted."""
+    if type(value) is not int:
         raise ValueError(f"{field} must be an integer, got {value!r}")
-    return int(value)
+    return value
 
 
 def _text(value, field: str) -> str:
@@ -169,7 +169,8 @@ def _element_from_document(doc: dict):
     terms = {}
     for record in records:
         record = _object(record, "a term record")
-        indices = tuple(_list(record["indices"], "indices"))
+        indices = tuple(_integer(k, "indices entry")
+                        for k in _list(record["indices"], "indices"))
         exps = [0] * table.width
         for name, power in _object(record.get("exponents", {}),
                                    "exponents").items():

@@ -19,6 +19,13 @@ from .polynomials import Polynomial, VariableTable, reduce_mod
 from .scalars import _reduced
 
 
+class CheckFailed(ValueError):
+    """A well-posed check that fails: a chart that does not extend, a
+    hyperplane that is not invariant, a non-generic spec, a tracked point
+    that leaves its basin or is not simple.  The command line exits 1 on
+    it and 2 on any other ValueError, which is unusable input."""
+
+
 class PoissonStructure:
     """A bivector whose integrability is computed once, on demand."""
 
@@ -259,7 +266,7 @@ def restrict_hyperplane(ps: PoissonStructure, coordinate) -> PoissonStructure:
     if not table.is_coordinate(coordinate):
         raise KeyError(f"not a coordinate: {coordinate!r}")
     if not invariant_hypersurface(ps, Polynomial.variable(table, coordinate)):
-        raise ValueError("not a Poisson hypersurface")
+        raise CheckFailed("not a Poisson hypersurface")
     pos = table.coordinates.index(coordinate)
     new_table = table.drop_coordinate(coordinate)
     new_terms = {}
@@ -281,7 +288,7 @@ def chart_transition(biv: Multivector, names: tuple, source: int,
     `names` lists the n+1 homogeneous coordinate labels; the chart with
     index c has affine coordinates names-without-names[c] in order.  The
     input lives on chart `source`; the result lives on chart `target`.
-    Raises ValueError("does not extend") if the pushforward has a pole.
+    Raises CheckFailed("does not extend") if the pushforward has a pole.
     """
     n = len(names) - 1
     table = biv.table
@@ -328,7 +335,7 @@ def chart_transition(biv: Multivector, names: tuple, source: int,
     sums = multivectors._pushforward_sums(ttable, images, xi_images)
     if any((c[0] or c[1]) and exps[anchor] < 0
            for acc in sums.values() for exps, c in acc.items()):
-        raise ValueError("does not extend")
+        raise CheckFailed("does not extend")
     return multivectors._built(Multivector, ttable, biv.degree, sums)
 
 

@@ -256,6 +256,43 @@ def test_track_verb(corpus):
     assert record["residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("verb, flags, field", [
+    ("track", ["--t", "0.05", "--step", "0"], "step"),
+    ("track", ["--t", "0.05", "--step", "-1"], "step"),
+    ("track", ["--t", "0.05", "--step", "nan"], "step"),
+    ("track", ["--t", "0.05", "--step", "1e-300"], "step"),
+    ("track", ["--t", "1e300"], "|t| / step"),
+    ("track", ["--t", "inf"], "t"),
+    ("track", ["--t", "nan"], "t"),
+    ("track", ["--t", "abc"], "argument --t"),
+    ("chart", ["--target", "1", "--zero-name", "1x"], "argument --zero-name"),
+    ("chart", ["--target", "1", "--zero-name", "i"], "argument --zero-name"),
+], ids=["step-zero", "step-negative", "step-nan", "step-tiny", "t-huge",
+        "t-inf", "t-nan", "t-text", "zero-name-digit", "zero-name-i"])
+def test_unusable_flags_exit_two_naming_the_flag(verb, flags, field, corpus,
+                                                 capsys):
+    source = ["--family", str(corpus / "fam4.json")] if verb == "track" \
+        else ["--in", str(corpus / "diag4.mv")]
+    assert main([verb, *source, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    last = captured.err.splitlines()[-1]
+    assert f"error: {field} " in last or f"error: {field}:" in last, last
+
+
+def test_only_a_failed_check_exits_one(corpus, tmp_path, capsys):
+    # a negative tolerance is never met, so tracking leaves the basin
+    assert main(["track", "--family", str(corpus / "fam4.json"),
+                 "--t", "0.05", "--tol", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("track: left basin")
+    spec = tmp_path / "zero5.spec"
+    spec.write_text(json.dumps({"kind": "diagonal-spec", "n": 5,
+                                "entries": []}))
+    assert main(["logform", "--in", str(spec)]) == 1
+    assert capsys.readouterr().err == "logform: non-generic spec\n"
+
+
 def test_jet_verb(corpus):
     code, stdout, _ = run_cli("jet", "--in", str(corpus / "diag4.mv"),
                               "--point", "0,0,0,0")
@@ -499,6 +536,17 @@ def _multivector_doc(**changes):
     ('{"kind": "diagonal-spec", "n": %d, "entries": []}' % 10 ** 30, "n"),
     (_multivector_doc(coordinates=[f"x{k}" for k in range(1, 15)]),
      "coordinates"),
+    ('{"kind": "diagonal-spec", "n": "2", "entries": []}', "n"),
+    ('{"kind": "diagonal-spec", "n": 3, "entries": '
+     '[{"i": true, "j": 2, "value": "1"}]}', "i"),
+    (_multivector_doc(degree=True), "degree"),
+    (_multivector_doc().replace('"x2": 1}', '"x2": true}'), "exponent"),
+    (_multivector_doc(terms=[{"coeff": "1", "exponents": {"x1": 1, "x2": 1},
+                              "indices": ["a", "b"]}]), "indices"),
+    (_multivector_doc(terms=[{"coeff": "1", "exponents": {"x1": 1, "x2": 1},
+                              "indices": [0.0, 1.0]}]), "indices"),
+    (_multivector_doc(terms=[{"coeff": "1", "exponents": {"x1": 1, "x2": 1},
+                              "indices": [True, 2]}]), "indices"),
 ], ids=["list", "string", "exponents-list", "coordinates-ints",
         "parameters-int", "exponent-overflow", "exponent-fraction",
         "degree-fraction", "term-degree", "term-count", "spec-n-overflow",
@@ -508,7 +556,9 @@ def _multivector_doc(**changes):
         "path-scales-list", "path-scale-true", "path-scale-null",
         "spec-value-true", "spec-value-tenth", "spec-value-huge",
         "term-record-int", "terms-int", "indices-int", "spec-entry-int",
-        "family-path-int", "spec-n-huge", "coordinates-past-bound"])
+        "family-path-int", "spec-n-huge", "coordinates-past-bound",
+        "spec-n-string", "spec-i-true", "degree-true", "exponent-true",
+        "indices-strings", "indices-floats", "indices-true"])
 def test_malformed_documents_exit_two_naming_the_field(text, field, tmp_path,
                                                        capsys):
     path = tmp_path / "bad.json"

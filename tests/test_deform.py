@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from poissonkit import (DeformationFamily, DiagonalSpec, GaussRational,
-                        Multivector, PoissonStructure, Polynomial,
+from poissonkit import (CheckFailed, DeformationFamily, DiagonalSpec,
+                        GaussRational, Multivector, PoissonStructure, Polynomial,
                         VariableTable, jacobi_check, jet_vanishing,
                         Translation, parse_polynomial,
                         scan_degenerate_points, schouten,
@@ -86,6 +86,38 @@ def test_tracking_error_paths():
     with pytest.raises(ValueError, match=r"left basin; reduce step "
                        r"\(reached tau=0 of 0\.05, last step 1\.22e-06\)"):
         track_degenerate_point(fam, 0.05, tol=-1.0)
+
+
+@pytest.mark.parametrize("t, step, message", [
+    (float("inf"), 1e-2, r"^t must be finite, got \(inf\+0j\)$"),
+    (complex(0, float("nan")), 1e-2, r"^t must be finite"),
+    (0.05, 0.0, r"^step must be finite and at least 1e-06, got 0\.0$"),
+    (0.05, -1.0, r"^step must be finite"),
+    (0.05, float("nan"), r"^step must be finite"),
+    (0.05, float("inf"), r"^step must be finite"),
+    (0.05, 1e-300, r"^step must be finite and at least 1e-06, got 1e-300$"),
+    (1e300, 1e-2, r"^\|t\| / step must be below 10000, got 1e\+300 / 0\.01$"),
+    (100, 1e-2, r"^\|t\| / step must be below 10000, got 100 / 0\.01$"),
+])
+def test_tracking_refuses_unusable_t_and_step(t, step, message):
+    fam = build([("translation", "x1", "t")])
+    with pytest.raises(ValueError, match=message) as caught:
+        track_degenerate_point(fam, t, initial_step=step)
+    assert not isinstance(caught.value, CheckFailed)
+
+
+def test_tracking_stops_after_max_steps(monkeypatch):
+    from poissonkit import deform
+    fam = build([("translation", "x1", "t")])
+    # 9,999 steps, one more for the rounding of tau, stay inside the bound
+    result = track_degenerate_point(fam, 0.9999, initial_step=1e-4)
+    assert result.residual <= 1e-12
+    # 0.1 / 1e-2 = 10 steps pass the check up front, but every step fails
+    # and halves, so the eleventh attempt ends the track before MIN_STEP
+    monkeypatch.setattr(deform, "MAX_STEPS", 11)
+    with pytest.raises(CheckFailed, match=r"left basin; reduce step "
+                       r"\(reached tau=0 of 0\.1, last step 4\.88e-06\)"):
+        track_degenerate_point(fam, 0.1, tol=-1.0)
 
 
 # Reference Newton iteration counts and tracked points for the families
