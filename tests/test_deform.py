@@ -109,7 +109,7 @@ def test_tracking_refuses_unusable_t_and_step(t, step, message):
 def test_tracking_stops_after_max_steps(monkeypatch):
     from poissonkit import deform
     fam = build([("translation", "x1", "t")])
-    # 9,999 steps, one more for the rounding of tau, stay inside the bound
+    # 9,999 steps, and one more if tau rounds short, stay inside the bound
     result = track_degenerate_point(fam, 0.9999, initial_step=1e-4)
     assert result.residual <= 1e-12
     # 0.1 / 1e-2 = 10 steps pass the check up front, but every step fails
