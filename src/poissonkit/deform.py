@@ -171,13 +171,16 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
                            initial_step: float = 1e-2) -> TrackResult:
     """Newton continuation for the zero of curl(Pi_t) near the origin.
 
-    t must be finite, and the initial step finite, at least MIN_STEP and
-    more than |t| / MAX_STEPS.  The continuation fails with CheckFailed
-    when it leaves the basin or meets a non-simple singularity.
+    t and tol must be finite, and the initial step finite, at least
+    MIN_STEP and more than |t| / MAX_STEPS.  A negative tol is never met.
+    The continuation fails with CheckFailed when it leaves the basin or
+    meets a non-simple singularity.
     """
     t = complex(t)
     if not isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
+    if not isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     if not (isfinite(initial_step) and initial_step >= MIN_STEP):
         raise ValueError(f"step must be finite and at least {MIN_STEP:g}, "
                          f"got {initial_step}")
@@ -238,12 +241,18 @@ def jet_vanishing(structure, point, r: int = 3, tol: float = 1e-6) -> int:
     """Least k <= r with a nonzero k-th Taylor coefficient at the point.
 
     Returns r+1 when every jet through order r vanishes below tolerance.
-    Taylor coefficients come from exact differentiation, evaluated in
-    double precision; a value that overflows it raises ValueError, since
-    an infinite or NaN value would compare as vanishing.
+    r must lie in 0..3 and tol be finite and non-negative: no value
+    compares above a NaN tolerance.  Taylor coefficients come from exact
+    differentiation, evaluated in double precision; a value that
+    overflows it raises ValueError, since an infinite or NaN value would
+    compare as vanishing.
     """
+    if r < 0:
+        raise ValueError(f"r must be at least 0, got {r}")
     if r > 3:
         raise ValueError("jet resolution is limited to r <= 3")
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     bivector = structure.bivector if isinstance(structure, PoissonStructure) \
         else structure
     table = bivector.table

@@ -197,7 +197,7 @@ class _SuperElement:
         if degree > table.n_coordinates:
             return type(self).zero(table, table.n_coordinates)
         sums = {}
-        _wedge_into(sums, _raw_terms(self), _raw_terms(other))
+        _wedge_into(sums, _raw_terms(self), _raw_terms(other), table._guard)
         return _built(type(self), table, degree, sums)
 
     def __repr__(self):
@@ -233,13 +233,13 @@ def _built(cls, table: VariableTable, degree: int, sums: dict):
                      for ix, acc in sums.items()})
 
 
-def _wedge_into(sums: dict, left: dict, right: dict) -> None:
+def _wedge_into(sums: dict, left: dict, right: dict, guard: int) -> None:
     """Add the exterior product of two raw elements into `sums`.
 
-    Both sides map index tuples to raw term dicts.  Each merged index
-    tuple collects its coefficient products straight through
-    `polynomials._mul_into`; a negative Koszul sign negates the left
-    coefficient, once per left term.
+    Both sides map index tuples to raw term dicts on a table with the
+    given `guard` mask.  Each merged index tuple collects its coefficient
+    products straight through `polynomials._mul_into`; a negative Koszul
+    sign negates the left coefficient, once per left term.
     """
     for ix1, t1 in left.items():
         negated = None
@@ -250,23 +250,26 @@ def _wedge_into(sums: dict, left: dict, right: dict) -> None:
             if sign < 0:
                 if negated is None:
                     negated = _scaled(t1, -1)
-                polynomials._mul_into(sums.setdefault(merged, {}), negated, t2)
+                polynomials._mul_into(sums.setdefault(merged, {}), negated, t2,
+                                      guard)
             else:
-                polynomials._mul_into(sums.setdefault(merged, {}), t1, t2)
+                polynomials._mul_into(sums.setdefault(merged, {}), t1, t2,
+                                      guard)
 
 
 def _pushforward_sums(table: VariableTable, images: dict,
                       xi_images: dict) -> dict:
     """The raw accumulator of sum_S c_S xi_S under a coordinate change:
     `images[S]` is the raw image of c_S, `xi_images[k]` that of xi_k."""
-    unit = {(): {(0,) * table.width: (1, 0, 1)}}
+    unit = {(): {0: (1, 0, 1)}}
+    guard = table._guard
     sums = {}
     for indices, coeff in images.items():
         image = unit
         for k in indices:
             image, previous = {}, image
-            _wedge_into(image, previous, xi_images[k])
-        _wedge_into(sums, image, {(): coeff})
+            _wedge_into(image, previous, xi_images[k], guard)
+        _wedge_into(sums, image, {(): coeff}, guard)
     return sums
 
 
@@ -312,7 +315,7 @@ def contract(eta: DifferentialForm, a: Multivector) -> Multivector:
                 pos = indices.index(k)
                 polynomials._mul_into(
                     sums.setdefault(indices[:pos] + indices[pos + 1:], {}),
-                    coeff, negated if pos % 2 else g)
+                    coeff, negated if pos % 2 else g, a.table._guard)
     return _built(Multivector, a.table, max(a.degree - 1, 0), sums)
 
 
@@ -331,7 +334,7 @@ def exterior_derivative(omega) -> DifferentialForm:
         for k in range(n):
             if k in indices:
                 continue
-            derived = polynomials._derivative_terms(coeff, k)
+            derived = polynomials._derivative_terms(coeff, table, k)
             if derived:
                 sign, merged = _merge_sign((k,), indices)
                 polynomials._add_into(sums.setdefault(merged, {}), (
@@ -376,9 +379,10 @@ def _odd_even_sum(sums: dict, odd: Multivector, even: Multivector,
 
     The factor and the sign of d_L go into the left terms, once per k.
     """
+    table = odd.table
     odd_terms = _raw_terms(odd)
     even_terms = odd_terms if even is odd else _raw_terms(even)
-    for k in range(odd.table.n_coordinates):
+    for k in range(table.n_coordinates):
         left = {}
         for indices, coeff in odd_terms.items():
             if k in indices:
@@ -389,10 +393,10 @@ def _odd_even_sum(sums: dict, odd: Multivector, even: Multivector,
         if left:
             right = {}
             for ix, coeff in even_terms.items():
-                derived = polynomials._derivative_terms(coeff, k)
+                derived = polynomials._derivative_terms(coeff, table, k)
                 if derived:
                     right[ix] = derived
-            _wedge_into(sums, left, right)
+            _wedge_into(sums, left, right, table._guard)
 
 
 def bv_laplacian(a: Multivector) -> Multivector:
@@ -405,7 +409,7 @@ def bv_laplacian(a: Multivector) -> Multivector:
     sums = {}
     for indices, coeff in _raw_terms(a).items():
         for pos, k in enumerate(indices):
-            derived = polynomials._derivative_terms(coeff, k)
+            derived = polynomials._derivative_terms(coeff, a.table, k)
             if derived:
                 # d/dxi_k moves xi_k to the front past pos generators
                 polynomials._add_into(

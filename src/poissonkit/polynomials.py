@@ -2,25 +2,49 @@
 
 Variables come in two flavours: *coordinates* (the geometric variables,
 subject to differentiation and monomial ordering) and *parameters*
-(structure constants, deformation parameters).  A monomial is stored as a
-single exponent tuple over coordinates-then-parameters, mapped to the
-reduced nonzero triple (a, b, d) of its coefficient (a + b i)/d, on which
-all arithmetic runs; `Polynomial.terms` reads them as GaussRational values.
+(structure constants, deformation parameters).  A monomial is stored as
+one packed integer whose fixed-width fields are laid out by the
+`VariableTable`, most significant first:
+
+    [coordinate degree | x_1 ... x_nc | parameter degree | p_1 ... p_np]
+
+and maps to the reduced nonzero triple (a, b, d) of its coefficient
+(a + b i)/d, on which all arithmetic runs.  A product of monomials is
+the sum of their keys; `Polynomial.terms`, the constructor and the text
+and document forms speak exponent tuples over coordinates-then-parameters.
 
 The monomial order is graded lexicographic on the coordinate part with a
 graded lexicographic tie-break on the parameter part, so parameters act
 as coefficients: division never reorders the coordinate-level structure.
+With the degrees in the leading fields, that order is integer comparison
+of the packed keys.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from math import comb
-from operator import add
 from typing import Iterable, Mapping
 
 from .scalars import (GaussRational, _make, _power, _product, _quotient,
                       _reduced, _sum, format_scalar)
+
+# Every field of a packed key is FIELD_BITS wide, and its top bit is a
+# guard: an exponent or degree must stay below FIELD_LIMIT = 32,768, so
+# adding two keys never carries into the next field, and a sum that
+# reaches the limit shows in the guard bit.  `_pack` refuses such a
+# field and the product loop raises ValueError on it.  What the command
+# line reads is of total degree at most MAX_DEGREE = 25; the largest
+# degrees a verb then forms are a Pfaffian of six entries on 13
+# coordinates (150), [Pi, Pi] (49) and a chart transition, pole bias
+# included (29), all far below the limit.  Only a family path of
+# shears multiplies degrees step by step: four shears by 20th powers,
+# x1 by x2^20 through x4 by t^20, are refused with exit 2 once a
+# product reaches the limit.
+FIELD_BITS = 16  # one big-endian unsigned short, "H", per field
+FIELD_LIMIT = 1 << (FIELD_BITS - 1)
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 class PolynomialSyntaxError(ValueError):
@@ -28,14 +52,18 @@ class PolynomialSyntaxError(ValueError):
 
 
 class VariableTable:
-    """Immutable registry of coordinate and parameter names.
+    """Immutable registry of coordinate and parameter names, and the
+    layout of their packed monomial keys.
 
     Exponent tuples are laid out as coordinates first, parameters second.
-    Names must be unique, valid identifiers, and distinct from the
-    reserved imaginary unit `i`.
+    A packed key holds FIELD_BITS-wide fields, most significant first:
+    the coordinate degree, one field per coordinate, the parameter
+    degree, one field per parameter.  Names must be unique, valid
+    identifiers, and distinct from the reserved imaginary unit `i`.
     """
 
-    __slots__ = ("coordinates", "parameters", "_slots")
+    __slots__ = ("coordinates", "parameters", "_slots", "_shifts", "_units",
+                 "_guard", "_degree_shifts", "_packer", "_unpacker")
 
     def __init__(self, coordinates: Iterable[str], parameters: Iterable[str] = ()):
         coords = tuple(coordinates)
@@ -49,9 +77,25 @@ class VariableTable:
             if name in seen:
                 raise ValueError(f"duplicate variable name: {name!r}")
             seen[name] = pos
-        object.__setattr__(self, "coordinates", coords)
-        object.__setattr__(self, "parameters", params)
-        object.__setattr__(self, "_slots", seen)
+        nc, npar = len(coords), len(params)
+        fields = nc + npar + 2
+        # field f, counted from the most significant, starts at this bit
+        start = [FIELD_BITS * (fields - 1 - f) for f in range(fields)]
+        degree_shifts = (start[0], start[nc + 1])
+        shifts = tuple(start[1:nc + 1] + start[nc + 2:])
+        # one more in a variable's field and in its part's degree field
+        units = tuple((1 << s) + (1 << degree_shifts[pos >= nc])
+                      for pos, s in enumerate(shifts))
+        set_ = object.__setattr__
+        set_(self, "coordinates", coords)
+        set_(self, "parameters", params)
+        set_(self, "_slots", seen)
+        set_(self, "_shifts", shifts)
+        set_(self, "_units", units)
+        set_(self, "_guard", sum(1 << (s + FIELD_BITS - 1) for s in start))
+        set_(self, "_degree_shifts", degree_shifts)
+        set_(self, "_packer", struct.Struct(f">{fields}H"))
+        set_(self, "_unpacker", struct.Struct(f">2x{nc}H2x{npar}H"))
 
     def __setattr__(self, name, value):
         raise AttributeError("VariableTable is immutable")
@@ -86,6 +130,31 @@ class VariableTable:
         coords = tuple(c for c in self.coordinates if c != name)
         return VariableTable(coords, self.parameters)
 
+    def _pack(self, exps) -> int:
+        """The packed key of a sequence of exponents, coordinates then
+        parameters.  A negative or non-integer exponent is refused, and so
+        is a degree (hence any field) at FIELD_LIMIT."""
+        nc = len(self.coordinates)
+        coords, params = exps[:nc], exps[nc:]
+        degree, pdegree = sum(coords), sum(params)
+        if degree >= FIELD_LIMIT or pdegree >= FIELD_LIMIT:
+            raise ValueError(f"a degree of {max(degree, pdegree)} does not "
+                             f"fit below {FIELD_LIMIT}")
+        try:
+            return int.from_bytes(self._packer.pack(
+                degree, *coords, pdegree, *params), "big")
+        except struct.error:
+            raise ValueError(f"bad exponent tuple {tuple(exps)!r}") from None
+
+    def _unpack(self, key: int) -> tuple:
+        """The exponent tuple of a packed key."""
+        return self._unpacker.unpack(key.to_bytes(self._packer.size, "big"))
+
+    def _degrees(self, raw: Mapping) -> list:
+        """The total degree of each key of a raw term dict."""
+        top, low = self._degree_shifts
+        return [(key >> top) + (key >> low & _FIELD_MASK) for key in raw]
+
     def __eq__(self, other):
         if not isinstance(other, VariableTable):
             return NotImplemented
@@ -112,8 +181,10 @@ def _as_scalar(value) -> GaussRational:
 class Polynomial:
     """Element of Q(i)[coordinates, parameters] in canonical sparse form.
 
-    `_raw` maps exponent tuples to reduced nonzero (a, b, d) triples;
-    zero never stores a term, so structural equality is semantic equality.
+    `_raw` maps packed monomial keys (laid out by the table) to reduced
+    nonzero (a, b, d) triples; zero never stores a term, so structural
+    equality is semantic equality.  The constructor and `terms` speak
+    exponent tuples.
     """
 
     __slots__ = ("table", "_raw")
@@ -121,14 +192,15 @@ class Polynomial:
     def __init__(self, table: VariableTable, terms: Mapping[tuple, GaussRational]):
         raw = {}
         width = table.width
+        pack = table._pack
         for exps, coeff in terms.items():
             coeff = _as_scalar(coeff)
             if coeff.is_zero():
                 continue
             exps = tuple(exps)
-            if len(exps) != width or any(e < 0 for e in exps):
+            if len(exps) != width:
                 raise ValueError(f"bad exponent tuple {exps!r} for table of width {width}")
-            raw[exps] = coeff._t
+            raw[pack(exps)] = coeff._t
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_raw", raw)
 
@@ -136,7 +208,8 @@ class Polynomial:
     def terms(self) -> dict:
         """A fresh {exponents: GaussRational} dict of the nonzero terms;
         writing into it leaves the polynomial unchanged."""
-        return {e: _make(*t) for e, t in self._raw.items()}
+        unpack = self.table._unpack
+        return {unpack(e): _make(*t) for e, t in self._raw.items()}
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -156,7 +229,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, table: VariableTable, value) -> "Polynomial":
-        return cls(table, {(0,) * table.width: _as_scalar(value)})
+        return _from_raw(table, {0: _as_scalar(value)._t})
 
     @classmethod
     def variable(cls, table: VariableTable, name: str) -> "Polynomial":
@@ -175,7 +248,7 @@ class Polynomial:
         return not self._raw
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self._raw)
+        return not any(self._raw)
 
     def constant_value(self) -> GaussRational:
         """The value of a constant polynomial (error otherwise)."""
@@ -189,30 +262,36 @@ class Polynomial:
         exps = [0] * self.table.width
         for name, e in powers.items():
             exps[self.table.slot(name)] = e
-        return _make(*self._raw.get(tuple(exps), (0, 0, 1)))
+        try:
+            key = self.table._pack(exps)
+        except ValueError:  # no stored monomial has such an exponent
+            return GaussRational.zero()
+        return _make(*self._raw.get(key, (0, 0, 1)))
 
     def variables_present(self) -> set:
-        names = self.table.names
-        return {names[pos] for exps in self._raw
-                for pos, e in enumerate(exps) if e}
+        present = 0
+        for key in self._raw:
+            present |= key
+        return {name for name, e in zip(self.table.names,
+                                        self.table._unpack(present)) if e}
 
     def coordinate_degree(self) -> int:
         """Max total degree in the coordinates; -1 for the zero polynomial."""
-        nc = self.table.n_coordinates
         if not self._raw:
             return -1
-        return max(sum(e[:nc]) for e in self._raw)
+        return max(self._raw) >> self.table._degree_shifts[0]
 
     def homogeneous_degree(self):
         """Common total coordinate degree of all terms, or None if mixed."""
-        nc = self.table.n_coordinates
-        degrees = {sum(e[:nc]) for e in self._raw}
+        top = self.table._degree_shifts[0]
+        degrees = {key >> top for key in self._raw}
         return degrees.pop() if len(degrees) == 1 else None
 
     def sorted_terms(self) -> list:
         """Terms in canonical (descending) monomial order."""
-        key = _order_key_fn(self.table)
-        return sorted(self.terms.items(), key=lambda kv: key(kv[0]), reverse=True)
+        unpack, raw = self.table._unpack, self._raw
+        return [(unpack(key), _make(*raw[key]))
+                for key in sorted(raw, reverse=True)]
 
     # -- arithmetic -----------------------------------------------------
 
@@ -252,7 +331,7 @@ class Polynomial:
             return NotImplemented
         self._check_table(other)
         acc = {}
-        _mul_into(acc, self._raw, other._raw)
+        _mul_into(acc, self._raw, other._raw, self.table._guard)
         return _from_raw(self.table, acc)
 
     __rmul__ = __mul__
@@ -293,7 +372,7 @@ class Polynomial:
         if not self.table.is_coordinate(name):
             raise KeyError(f"not a coordinate: {name!r}")
         return _from_raw(self.table, _derivative_terms(
-            self._raw, self.table.slot(name)))
+            self._raw, self.table, self.table.slot(name)))
 
     def evaluate(self, values: Mapping[str, object]) -> GaussRational:
         """Exact evaluation; every variable present in the polynomial must
@@ -315,26 +394,25 @@ class Polynomial:
         """Ring homomorphism sending each named variable to a polynomial on
         the same table; unnamed variables map to themselves."""
         table = self.table
-        names = table.names
         cache = {}
         for name, img in images.items():
             slot = table.slot(name)
             if img.table != table:
                 raise ValueError("substitution image on a different variable table")
-            cache[slot] = img
-        one = {(0,) * table.width: (1, 0, 1)}
+            cache[slot] = (table._shifts[slot], table._units[slot], img)
+        one = {0: (1, 0, 1)}
         acc = {}
-        for exps, t in self._raw.items():
-            residual = list(exps)
+        for key, t in self._raw.items():
+            residual = key
             factor = None
-            for slot, img in cache.items():
-                e = residual[slot]
+            for shift, unit, img in cache.values():
+                e = key >> shift & _FIELD_MASK
                 if e:
-                    residual[slot] = 0
+                    residual -= e * unit
                     piece = img ** e
                     factor = piece if factor is None else factor * piece
-            _mul_into(acc, {tuple(residual): t},
-                      one if factor is None else factor._raw)
+            _mul_into(acc, {residual: t},
+                      one if factor is None else factor._raw, table._guard)
         return _from_raw(table, acc)
 
     def __str__(self):
@@ -350,7 +428,7 @@ def _scaled(raw: Mapping, s: int) -> dict:
 
 
 def _from_raw(table: VariableTable, raw: dict) -> Polynomial:
-    """The one trusted builder, from a raw term dict of exponent tuples
+    """The one trusted builder, from a raw term dict of packed keys
     valid for `table`: each nonzero triple is reduced, and zero sums are
     dropped."""
     p = object.__new__(Polynomial)
@@ -363,36 +441,42 @@ def _from_raw(table: VariableTable, raw: dict) -> Polynomial:
 def _add_into(acc: dict, raw: Mapping) -> None:
     """Add a raw term dict into the raw dict `acc`: the one sum loop.
     Sums that cancel stay as zero triples until `_from_raw`."""
-    for exps, t in raw.items():
-        prev = acc.get(exps)
-        acc[exps] = t if prev is None else _sum(prev, t)
+    for key, t in raw.items():
+        prev = acc.get(key)
+        acc[key] = t if prev is None else _sum(prev, t)
 
 
-def _mul_into(acc: dict, terms1: Mapping, terms2: Mapping) -> None:
+def _mul_into(acc: dict, terms1: Mapping, terms2: Mapping, guard: int) -> None:
     """Add the product of two raw term dicts into the raw dict `acc`.
 
-    The one polynomial product loop: scalars stay (a, b, d) triples and
-    no scalar object is made.  Sums that cancel stay in `acc` as zero
-    triples; `_from_raw` drops them when the result is built.
+    The one polynomial product loop: monomials multiply by adding their
+    packed keys, scalars stay (a, b, d) triples and no scalar object is
+    made.  A sum with a bit of the table's `guard` mask set has a field
+    at FIELD_LIMIT and raises ValueError.  Sums that cancel stay in
+    `acc` as zero triples; `_from_raw` drops them when the result is
+    built.
     """
     get = acc.get
     for e1, c1 in terms1.items():
         for e2, c2 in terms2.items():
-            exps = tuple(map(add, e1, e2))
-            prev = get(exps)
-            acc[exps] = (_product(c1, c2) if prev is None
+            key = e1 + e2
+            if key & guard:
+                raise ValueError(f"an exponent or degree of a product "
+                                 f"reaches {FIELD_LIMIT}")
+            prev = get(key)
+            acc[key] = (_product(c1, c2) if prev is None
                          else _sum(prev, _product(c1, c2)))
 
 
-def _derivative_terms(raw: Mapping, slot: int) -> dict:
-    """The raw term dict of d/dx at exponent position `slot`; lowering
+def _derivative_terms(raw: Mapping, table: VariableTable, slot: int) -> dict:
+    """The raw term dict of d/dx for the coordinate at `slot`; lowering
     one exponent keeps distinct monomials distinct, so nothing collects."""
+    shift, unit = table._shifts[slot], table._units[slot]
     out = {}
-    for exps, c in raw.items():
-        e = exps[slot]
+    for key, c in raw.items():
+        e = key >> shift & _FIELD_MASK
         if e:
-            lowered = exps[:slot] + (e - 1,) + exps[slot + 1:]
-            out[lowered] = c if e == 1 else (c[0] * e, c[1] * e, c[2])
+            out[key - unit] = c if e == 1 else (c[0] * e, c[1] * e, c[2])
     return out
 
 
@@ -453,35 +537,24 @@ class FloatPolynomials:
                      for name in self.table.names])
 
 
-# -- monomial order ------------------------------------------------------
-
-
-def _order_key_fn(table: VariableTable):
-    nc = table.n_coordinates
-
-    def key(exps: tuple):
-        coord = exps[:nc]
-        param = exps[nc:]
-        return (sum(coord), coord, sum(param), param)
-
-    return key
+# -- division ------------------------------------------------------------
 
 
 def reduce_mod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Division with remainder by a single polynomial: f = q*g + r.
 
     Uses the table's graded lexicographic order (coordinates first,
-    parameters as tie-break).  No monomial of r is divisible by the
-    leading monomial of g, so r = 0 exactly when f lies in the principal
-    ideal (g): a single polynomial is a Groebner basis of the ideal it
-    generates.
+    parameters as tie-break), which is integer order on packed keys.  No
+    monomial of r is divisible by the leading monomial of g, so r = 0
+    exactly when f lies in the principal ideal (g): a single polynomial
+    is a Groebner basis of the ideal it generates.
     """
     if g.is_zero():
         raise ZeroDivisionError("reduction modulo the zero polynomial")
     f._check_table(g)
     table = f.table
-    key = _order_key_fn(table)
-    lead_g = max(g._raw, key=key)
+    guard = table._guard
+    lead_g = max(g._raw)
     lc_g = g._raw[lead_g]
     # the other terms of g, negated: each step adds factor * shift * tail
     tail = [(e, (-a, -b, d)) for e, (a, b, d) in g._raw.items() if e != lead_g]
@@ -490,14 +563,19 @@ def reduce_mod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
     quotient = {}
     remainder = {}
     while work:
-        m = max(work, key=key)
+        m = max(work)
         c = work.pop(m)
-        if all(a >= b for a, b in zip(m, lead_g)):
-            shift = tuple(a - b for a, b in zip(m, lead_g))
+        # lead_g divides m when no field of m - lead_g borrows: a borrow
+        # sets that field's guard bit, or the sign if it is the top field
+        shift = m - lead_g
+        if shift >= 0 and not (shift & guard):
             # every target is below m in the order, so no shift repeats
             factor = quotient[shift] = _reduced(_quotient(c, lc_g))
-            for exps, t in tail:
-                target = tuple(map(add, exps, shift))
+            for key, t in tail:
+                target = key + shift
+                if target & guard:
+                    raise ValueError(f"an exponent or degree of a quotient "
+                                     f"term reaches {FIELD_LIMIT}")
                 acc = _sum(work.get(target, (0, 0, 1)), _product(factor, t))
                 if acc[0] or acc[1]:
                     work[target] = _reduced(acc)
@@ -577,7 +655,7 @@ MAX_COORDINATES = 13
 
 
 def _total_degree(f: Polynomial) -> int:
-    return max(map(sum, f._raw), default=0)
+    return max(f.table._degrees(f._raw), default=0)
 
 
 def _term_bound(f: Polynomial, g: Polynomial, e: int = 1) -> int:
@@ -586,9 +664,9 @@ def _term_bound(f: Polynomial, g: Polynomial, e: int = 1) -> int:
     monomial of its degree range in the variables present."""
     if not (f._raw and g._raw):
         return len(g._raw)
-    df, dg = (list(map(sum, h._raw)) for h in (f, g))
+    df, dg = (h.table._degrees(h._raw) for h in (f, g))
     lo, hi = min(df) * e + min(dg), max(df) * e + max(dg)
-    n = len({s for h in (f, g) for x in h._raw for s, v in enumerate(x) if v})
+    n = len(f.variables_present() | g.variables_present())
     pairs = comb(len(f._raw) + e - 1, e) * len(g._raw)
     return min(pairs, comb(n + hi, n) - (comb(n + lo - 1, n) if lo else 0))
 

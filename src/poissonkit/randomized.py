@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from . import multivectors
+from . import multivectors, polynomials
 from .automorphisms import (DiagonalScaling, Translation, TriangularShear,
                             pushforward)
 from .multivectors import (BV_SIGN, DifferentialForm, Multivector,
@@ -36,15 +36,13 @@ def random_scalar(rng: random.Random, bound: int = 4) -> GaussRational:
 def random_polynomial(rng: random.Random, table: VariableTable,
                       max_terms: int = 2, max_degree: int = 2,
                       bound: int = 3) -> Polynomial:
-    terms = {}  # repeated monomials add up; the constructor drops zero sums
+    raw = {}  # repeated monomials add up; _from_raw drops zero sums
     for _ in range(rng.randint(1, max_terms)):
-        exps = [0] * table.width
+        key = 0  # a packed monomial grows by one unit per degree
         for _ in range(rng.randint(0, max_degree)):
-            exps[rng.randrange(table.width)] += 1
-        exps = tuple(exps)
-        coeff = random_scalar(rng, bound)
-        terms[exps] = terms[exps] + coeff if exps in terms else coeff
-    return Polynomial(table, terms)
+            key += table._units[rng.randrange(table.width)]
+        polynomials._add_into(raw, {key: random_scalar(rng, bound)._t})
+    return polynomials._from_raw(table, raw)
 
 
 def random_element(rng: random.Random, table: VariableTable, degree: int,

@@ -91,12 +91,12 @@ def wedge_power(a: Multivector, k: int) -> Multivector:
     return out
 
 
-def _pfaffian_memo(entries: dict):
+def _pfaffian_memo(entries: dict, guard: int):
     """Principal sub-Pfaffians Pf(A_S) of a skew table, memoized.
 
     `entries` maps (i, j) with i < j to the raw term dict
-    {exponents: (a, b, d)} of a_ij; absent pairs are zero, and a plain
-    scalar fits as {(): triple}.
+    {packed key: (a, b, d)} of a_ij on a table with the given `guard`
+    mask; absent pairs are zero.
     The returned pf(S) takes a sorted index tuple S of even length and
     expands along the first row,
     Pf(A_S) = sum_p (-1)^p a_(s_0, s_(p+1)) Pf(A_S without s_0, s_(p+1)),
@@ -120,7 +120,7 @@ def _pfaffian_memo(entries: dict):
             if a:
                 sub = pf(rest[:pos] + rest[pos + 1:])
                 if sub:
-                    polynomials._mul_into(acc, a, sub)
+                    polynomials._mul_into(acc, a, sub, guard)
         acc = memo[indices] = {e: _reduced(c) for e, c in acc.items()
                                if c[0] or c[1]}
         return acc
@@ -135,7 +135,7 @@ def _power_coefficients(ps: PoissonStructure):
     the coefficient table A of Pi, so every k shares one Pfaffian memo.
     """
     table = ps.table
-    pf = _pfaffian_memo(multivectors._raw_terms(ps.bivector))
+    pf = _pfaffian_memo(multivectors._raw_terms(ps.bivector), table._guard)
 
     def coefficients(k: int) -> list:
         scale = factorial(k)
@@ -202,7 +202,7 @@ def degeneracy_divisor(ps: PoissonStructure) -> DivisorData:
     n_coords = table.n_coordinates
     for g in generators:
         support |= {v for v in g.variables_present() if table.is_coordinate(v)}
-        for exps in g._raw:
+        for exps in map(table._unpack, g._raw):
             coords = exps[:n_coords]
             gcd_exps = coords if gcd_exps is None else tuple(
                 min(a, b) for a, b in zip(gcd_exps, coords))
@@ -274,8 +274,11 @@ def restrict_hyperplane(ps: PoissonStructure, coordinate) -> PoissonStructure:
         if pos in indices:
             continue
         new_indices = tuple(i - 1 if i > pos else i for i in indices)
-        kept = {exps[:pos] + exps[pos + 1:]: t
-                for exps, t in coeff._raw.items() if not exps[pos]}
+        kept = {}
+        for key, t in coeff._raw.items():
+            exps = table._unpack(key)
+            if not exps[pos]:
+                kept[new_table._pack(exps[:pos] + exps[pos + 1:])] = t
         new_terms[new_indices] = polynomials._from_raw(new_table, kept)
     return PoissonStructure(
         multivectors._trusted(Multivector, new_table, 2, new_terms))
@@ -304,11 +307,8 @@ def chart_transition(biv: Multivector, names: tuple, source: int,
     anchor = tslot[source]  # slot of z_a = 1/y_b in the target chart
     one, minus_one = (1, 0, 1), (-1, 0, 1)
 
-    def monomial(*slots) -> tuple:
-        exps = [0] * ttable.width
-        for slot in slots:
-            exps[slot] += 1
-        return tuple(exps)
+    def monomial(*slots) -> int:
+        return sum(ttable._units[slot] for slot in slots)
 
     # xi_k -> z_a xi_m, and xi_b -> -z_a sum_m z_m xi_m for y_b = 1/z_a,
     # as raw term dicts for the shared pushforward
@@ -319,23 +319,32 @@ def chart_transition(biv: Multivector, names: tuple, source: int,
                         else {(tslot[mm],): {monomial(anchor, tslot[mm]): minus_one}
                               for mm in range(n + 1) if mm != target})
 
-    # y^e -> z^e' / z_a^|e|: the numerator keeps the pole as a negative
-    # exponent at the anchor, which the sum must clear
+    # y^e -> z^e' z_a^(D - |e|) / z_a^D for the top coordinate degree D:
+    # each numerator carries the pole as a bias of D at the anchor, so
+    # no field goes negative; every nonzero sum must keep the bias
+    top = max((c.coordinate_degree() for c in biv.terms.values()), default=0)
     images = {}
     for indices, coeff in biv.terms.items():
         numerator = images[indices] = {}
-        for exps, t in coeff._raw.items():
+        for key, t in coeff._raw.items():
+            exps = table._unpack(key)
             new = [0] * ttable.width
             for k in range(n):
                 if hom[k] != target:
                     new[tslot[hom[k]]] = exps[k]
-            new[anchor] = -sum(exps[:n])
+            new[anchor] = top - sum(exps[:n])
             new[ttable.n_coordinates:] = exps[n:]
-            numerator[tuple(new)] = t
-    sums = multivectors._pushforward_sums(ttable, images, xi_images)
-    if any((c[0] or c[1]) and exps[anchor] < 0
-           for acc in sums.values() for exps, c in acc.items()):
-        raise CheckFailed("does not extend")
+            numerator[ttable._pack(new)] = t
+    bias = top * ttable._units[anchor]
+    sums = {}
+    for indices, acc in multivectors._pushforward_sums(
+            ttable, images, xi_images).items():
+        lowered = sums[indices] = {}
+        for key, c in acc.items():
+            if c[0] or c[1]:
+                if ttable._unpack(key)[anchor] < top:
+                    raise CheckFailed("does not extend")
+                lowered[key - bias] = c
     return multivectors._built(Multivector, ttable, biv.degree, sums)
 
 

@@ -237,6 +237,19 @@ def test_rigidity_output_is_byte_identical_for_every_dimension(tmp_path,
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, dim
 
 
+def test_symbolic_pfaffian_on_twelve_coordinates_is_byte_identical(tmp_path,
+                                                                   capsys):
+    """Pf of the symbolic 12-coordinate spec: 10,395 terms in 66
+    parameters, whose printed order rests on the parameter part of the
+    monomial order alone.  The digest was taken with tuple exponents."""
+    spec = tmp_path / "sym12.spec"
+    assert main(["diagonal", "--symbolic", "12", "--out", str(spec)]) == 0
+    assert main(["pfaffian", "--in", str(spec)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7764aacb6c32df3cd9b7a7c3b6e3fedc9b931b8e03d3fb8d7f36ebacaa2c6bf8")
+
+
 def test_simplex_verb():
     code, stdout, _ = run_cli("simplex", "--k", "3")
     assert code == 0
@@ -267,8 +280,17 @@ def test_track_verb(corpus):
     ("track", ["--t", "abc"], "argument --t"),
     ("chart", ["--target", "1", "--zero-name", "1x"], "argument --zero-name"),
     ("chart", ["--target", "1", "--zero-name", "i"], "argument --zero-name"),
+    ("track", ["--t", "0.05", "--tol", "nan"], "tol"),
+    ("track", ["--t", "0.05", "--tol", "inf"], "tol"),
+    ("jet", ["--point", "1,1,1,1", "--tol", "nan"], "tol"),
+    ("jet", ["--point", "1,1,1,1", "--tol", "inf"], "tol"),
+    ("jet", ["--point", "1,1,1,1", "--tol", "-1"], "tol"),
+    ("jet", ["--point", "1,1,1,1", "--r", "-1"], "r"),
+    ("jet", ["--point", "1,1,1,1", "--r", "-5"], "r"),
 ], ids=["step-zero", "step-negative", "step-nan", "step-tiny", "t-huge",
-        "t-inf", "t-nan", "t-text", "zero-name-digit", "zero-name-i"])
+        "t-inf", "t-nan", "t-text", "zero-name-digit", "zero-name-i",
+        "track-tol-nan", "track-tol-inf", "jet-tol-nan", "jet-tol-inf",
+        "jet-tol-negative", "jet-r-negative", "jet-r-very-negative"])
 def test_unusable_flags_exit_two_naming_the_flag(verb, flags, field, corpus,
                                                  capsys):
     source = ["--family", str(corpus / "fam4.json")] if verb == "track" \
@@ -404,6 +426,24 @@ def test_integrable_flag_is_verified_on_load(corpus, tmp_path):
     code, stdout, stderr = run_cli("parse", "--in", str(denied))
     assert (code, stdout) == (2, "")
     assert "claims integrable: false" in stderr
+
+
+def test_a_flag_past_the_bracket_budget_exits_two(tmp_path):
+    # 708 distinct terms whose monomials hold all 13 coordinates: [Pi, Pi]
+    # would take up to 1,002,528 term products
+    names = [f"x{k}" for k in range(1, 14)]
+    pairs = [[i, j] for i in range(13) for j in range(i + 1, 13)]
+    terms = [{"coeff": "1", "indices": pairs[r % 78], "exponents": {
+        name: 1 + (k == r % 13) + (k == r // 13 % 13) + r // 169 * (k == 0)
+        for k, name in enumerate(names)}} for r in range(708)]
+    path = tmp_path / "dense.mv"
+    path.write_text(json.dumps({
+        "kind": "multivector", "coordinates": names, "parameters": [],
+        "degree": 2, "integrable": "true", "terms": terms}))
+    code, stdout, stderr = run_cli("parse", "--in", str(path))
+    assert (code, stdout) == (2, "")
+    assert "Traceback" not in stderr
+    assert stderr.splitlines()[-1].startswith("error: integrable: ")
 
 
 def test_deep_nesting_exits_two_without_traceback(tmp_path):

@@ -293,3 +293,64 @@ def test_document_coordinates_are_bounded():
     with pytest.raises(ValueError, match=f"^n must be at most "
                                          f"{MAX_COORDINATES}$"):
         from_document(spec)
+
+
+def _dense_structure_doc(records, flag):
+    """`records` distinct terms on 13 coordinates whose monomials hold
+    every coordinate: [Pi, Pi] costs about 2 * records^2 term products."""
+    names = [f"x{k}" for k in range(1, 14)]
+    pairs = [(i, j) for i in range(13) for j in range(i + 1, 13)]
+    terms = []
+    for r in range(records):
+        exponents = {name: 1 for name in names}
+        exponents[names[r % 13]] += 1 + r // 169
+        exponents[names[r // 13 % 13]] += 1
+        terms.append({"coeff": "1", "exponents": exponents,
+                      "indices": list(pairs[r % len(pairs)])})
+    return json.dumps({"kind": "multivector", "coordinates": names,
+                       "parameters": [], "degree": 2, "integrable": flag,
+                       "terms": terms})
+
+
+def test_a_stated_flag_is_refused_past_the_bracket_budget():
+    from poissonkit.documents import MAX_BRACKET_PRODUCTS
+
+    text = _dense_structure_doc(708, "false")
+    with pytest.raises(ValueError, match=(
+            f"^integrable: checking \\[Pi, Pi\\] takes up to 1002528 term "
+            f"products, more than {MAX_BRACKET_PRODUCTS}$")):
+        loads(text)
+    # "unknown" states nothing, so no bracket is computed or charged
+    assert len(loads(text.replace('"false"', '"unknown"')).bivector.terms) == 78
+
+
+def test_the_bracket_estimate_bounds_the_products(monkeypatch):
+    import random
+
+    from poissonkit import Polynomial, documents, polynomials
+
+    products = []
+    original = polynomials._mul_into
+
+    def counting(acc, terms1, terms2, guard):
+        products.append(len(terms1) * len(terms2))
+        return original(acc, terms1, terms2, guard)
+
+    monkeypatch.setattr(polynomials, "_mul_into", counting)
+    rng = random.Random("bracket-budget")
+    T = VariableTable(("x1", "x2", "x3", "x4", "x5"), ("a",))
+    counted = 0
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randint(1, 12)):
+            indices = tuple(sorted(rng.sample(range(5), 2)))
+            exps = tuple(rng.randint(0, 2) for _ in range(T.width))
+            terms.setdefault(indices, {})[exps] = GaussRational(
+                rng.randint(1, 9), rng.randint(0, 2))
+        ps = PoissonStructure(Multivector(T, 2, {
+            ix: Polynomial(T, t) for ix, t in terms.items()}))
+        products.clear()
+        ps.integrable
+        assert sum(products) <= documents._bracket_products(terms, 5)
+        counted += sum(products)
+    assert counted

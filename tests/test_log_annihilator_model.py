@@ -119,9 +119,9 @@ def test_one_memo_for_all_residues(monkeypatch):
     calls = []
     original = diagonal._pfaffian_memo
 
-    def counting(entries):
+    def counting(entries, guard):
         calls.append(entries)
-        return original(entries)
+        return original(entries, guard)
 
     monkeypatch.setattr(diagonal, "_pfaffian_memo", counting)
     log_annihilator(DiagonalSpec.symbolic(7))

@@ -162,13 +162,14 @@ def test_writing_into_terms_leaves_the_value_unchanged():
 def test_unpickling_goes_through_the_validating_constructors():
     # values the trusted constructors build without checks
     one = Polynomial.one(T)
-    bad_width = polynomials._from_raw(T, {(1, 0): (1, 0, 1)})
+    # a packed key whose last field has reached its guard bit
+    bad_field = polynomials._from_raw(T, {polynomials.FIELD_LIMIT: (1, 0, 1)})
     bad_arity = multivectors._trusted(Multivector, T, 1, {(0, 1): one})
     twice = object.__new__(VariableTable)
     for name, value in (("coordinates", ("x", "x")), ("parameters", ()),
                         ("_slots", {"x": 1})):
         object.__setattr__(twice, name, value)
-    for forged in (bad_width, bad_arity, twice):
+    for forged in (bad_field, bad_arity, twice):
         data = pickle.dumps(forged)
         with pytest.raises(ValueError):
             pickle.loads(data)
