@@ -43,9 +43,11 @@ def _spec(n, values):
 
 def build_inputs() -> dict:
     """File name -> document text, built with the library."""
+    import random
+
     from poissonkit import (DeformationFamily, DiagonalSpec, Multivector,
                             VariableTable, chart_extend, make_diagonal,
-                            parse_polynomial, serialize)
+                            parse_polynomial, random_generic_spec, serialize)
 
     diag4 = _spec(4, [2, 3, 5, 7, 11, 13])
     qi4 = _spec(4, ["3/2+1/2*i", "-2/3", "i", "5/7-3*i", "1/4*i", "-7"])
@@ -77,6 +79,21 @@ def build_inputs() -> dict:
         (0, 2): parse_polynomial("(1/2-i)*x2*x4^2", table)})
     for c in range(1, 5):
         docs[f"qi4-chart{c}.mv"] = chart_extend(make_diagonal(qi4), c)
+    # a vector field and a trivector, for a bracket of mixed degree
+    docs["vec4.mv"] = Multivector(table, 1, {
+        (0,): parse_polynomial("x2*x3 - 1/2", table),
+        (2,): parse_polynomial("(1+i)*x1^2*x4", table),
+        (3,): parse_polynomial("x4", table)})
+    docs["tri4.mv"] = Multivector(table, 3, {
+        (0, 1, 2): parse_polynomial("x1*x4", table),
+        (0, 2, 3): parse_polynomial("2/3*x2^2 + i*x3", table),
+        (1, 2, 3): parse_polynomial("-x1*x2*x3", table)})
+    # the generic diagonal structure of `diagonal --random 8 --seed 5`,
+    # on P^8 and two of its other charts
+    rand8 = make_diagonal(random_generic_spec(8, random.Random(5)))
+    docs["rand8.mv"] = rand8
+    for c in (3, 8):
+        docs[f"rand8-chart{c}.mv"] = chart_extend(rand8, c)
     texts = {name: serialize(obj) for name, obj in docs.items()}
     texts["bad-coeff.mv"] = json.dumps({
         "kind": "multivector", "coordinates": ["x1", "x2"], "parameters": [],
@@ -154,6 +171,15 @@ def cases() -> list:
             ["jet", "--in", "@sym4.mv", "--point", "0,0,1,1",
              "--params", "l12=1,l13=2,l14=3,l23=4,l24=5,l34=6"]]
     out += [["selftest", "--seed", "1", "--cases", "12"]]
+    # P^8: every chart of one generic structure, and the bracket and
+    # the top degeneracy order on two of its charts
+    out += [["diagonal", "--random", "8", "--seed", "5"]]
+    out += [["chart", "--in", "@rand8.mv", "--target", str(c)]
+            for c in range(9)]
+    for name in ("rand8-chart3.mv", "rand8-chart8.mv"):
+        out += [["jacobi", "--in", "@" + name],
+                ["degeneracy", "--in", "@" + name, "--order", "6"]]
+    out += [["schouten", "--in", "@vec4.mv", "--with", "@tri4.mv"]]
     return out
 
 
