@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .polynomials import Polynomial, VariableTable
+from .polynomials import Polynomial, VariableTable, _substituted
 from .scalars import GaussRational
 from .multivectors import Multivector, _built, _pushforward_sums
 
@@ -113,22 +113,22 @@ class TriangularShear(ElementaryAutomorphism):
 
 
 def _odd_images(phi: ElementaryAutomorphism) -> dict:
-    # raw xi_k  ->  sum_j (d phi_j / d x_k at the inverse image) xi_j; no
+    # flat xi_k  ->  sum_j (d phi_j / d x_k at the inverse image) xi_j; no
     # entry involves the moved coordinate, so the inverse leaves it as is
     table = phi.table
+    shift = table._mask_shift
     forward = phi.forward_images()
     images = {}
     for k, name in enumerate(table.coordinates):
-        comps = {}
+        image = images[k] = {}
         for j, target in enumerate(table.coordinates):
-            image = forward.get(target)
-            if image is None:
-                entry = Polynomial.one(table) if j == k else Polynomial.zero(table)
+            f = forward.get(target)
+            if f is None:
+                if j == k:
+                    image[1 << j << shift] = (1, 0, 1)
             else:
-                entry = image.partial_derivative(name)
-            if entry:
-                comps[(j,)] = entry._raw
-        images[k] = comps
+                for key, t in f.partial_derivative(name)._raw.items():
+                    image[(1 << j << shift) + key] = t
     return images
 
 
@@ -146,7 +146,6 @@ def pushforward(phi, a: Multivector) -> Multivector:
     table = a.table
     if phi.table != table:
         raise ValueError("automorphism and multivector on different tables")
-    backward = phi.inverse_images()
-    images = {ix: c.substitute(backward)._raw for ix, c in a.terms.items()}
+    images = _substituted(a._flat, table, phi.inverse_images())
     return _built(Multivector, table, a.degree,
                   _pushforward_sums(table, images, _odd_images(phi)))

@@ -154,10 +154,11 @@ def _names(value, field: str) -> tuple:
 
 # A bound on the term products of the [Pi, Pi] check that a stated
 # `integrable` flag starts at load, estimated before computing it.  The
-# costliest admitted documents found load in about 1 s on a 2-vCPU Xeon
+# costliest admitted documents found load in 1 to 2 s on a 2-vCPU Xeon
 # with Python 3.11: 707 records on 13 coordinates whose monomials all
-# hold every coordinate (0.9 s), the same with 1,000-digit fractions at
-# 100 records (1.0 s), and 960 records concentrated on x1 (0.7 s).
+# hold every coordinate (1.7 s: its bracket collects 529,473 terms in
+# one flat dict), the same with 1,000-digit fractions at 100 records
+# (1.2 s), and 960 records concentrated on x1 (1.0 s).
 MAX_BRACKET_PRODUCTS = 1_000_000
 
 
@@ -213,6 +214,8 @@ def _element_from_document(doc: dict):
                                   for ix, t in terms.items()})
     if "integrable" in doc:
         claim = doc["integrable"]
+        if claim not in ("true", "false", "unknown"):
+            raise ValueError('integrable must be "true", "false" or "unknown"')
         flag = {"true": True, "false": False, "unknown": None}[claim]
         ps = PoissonStructure(element)
         # a stated flag must match the Schouten bracket; "unknown" states none

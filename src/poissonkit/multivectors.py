@@ -6,6 +6,14 @@ xi_k are the odd generators standing for the coordinate vector fields.
 Differential forms use the dual odd generators dx_k.  All sign discipline
 is the Koszul rule for the chosen generator order.
 
+An element is stored flat: one dict from packed keys to reduced nonzero
+(a, b, d) triples, one entry per monomial of each coefficient.  A key is
+(mask << table._mask_shift) | monomial key, where bit k of the mask is
+xi_k (dx_k for a form) and the monomial key is laid out by the
+`VariableTable`.  A product of two terms is the sum of their keys, which
+ORs disjoint masks, times the Koszul sign of the shuffle, `_mask_sign`.
+The {indices: Polynomial} mapping `terms` is built on first read.
+
 Conventions frozen here (and regression-tested):
 
 * contraction fills the first slot: contract(dx1, xi1^xi2) = xi2;
@@ -26,45 +34,38 @@ from types import MappingProxyType
 from typing import Mapping
 
 from . import polynomials
-from .polynomials import FloatPolynomials, Polynomial, VariableTable, _scaled
-from .scalars import GaussRational
+from .polynomials import FIELD_LIMIT, FloatPolynomials, Polynomial, VariableTable
+from .scalars import GaussRational, _product, _sum
 
-# Index pairs recur across a computation: checking two generic diagonal
-# structures on every chart of P^8 asks for 3,851 distinct pairs 73,920 times.
-MERGE_SIGN_CACHE = 1 << 16
+# Mask pairs recur: checking two generic diagonal structures on every
+# chart of P^8 asks for a few thousand pairs tens of thousands of times.
+MASK_SIGN_CACHE = 1 << 16
 
 
-@lru_cache(maxsize=MERGE_SIGN_CACHE)
-def _merge_sign(left: tuple, right: tuple):
-    """Merge two strictly increasing, disjoint index tuples.
-
-    Returns (sign, merged) where sign is the Koszul sign of the shuffle,
-    or (0, None) if the tuples intersect.
-    """
+@lru_cache(maxsize=MASK_SIGN_CACHE)
+def _mask_sign(left: int, right: int) -> int:
+    """The Koszul sign of the shuffle that sorts the generators of the
+    mask `left` followed by those of `right`, or 0 if they share one."""
+    if left & right:
+        return 0
     inversions = 0
-    for s in left:
-        for t in right:
-            if s == t:
-                return 0, None
-            if s > t:
-                inversions += 1
-    merged = tuple(sorted(left + right))
-    return (-1 if inversions & 1 else 1), merged
+    while right:
+        low = right & -right
+        inversions += (left & ~(low - 1)).bit_count()  # left ones above it
+        right ^= low
+    return -1 if inversions & 1 else 1
 
 
-def _complement_sign(indices: tuple, n: int):
-    """Sign of the permutation (indices, complement) of (0..n-1)."""
-    complement = tuple(k for k in range(n) if k not in indices)
-    sign, _ = _merge_sign(indices, complement)
-    # sign of merging equals sign of sorting the concatenation
-    return sign, complement
+@lru_cache(maxsize=MASK_SIGN_CACHE)
+def _indices(mask: int) -> tuple:
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 class _SuperElement:
     """Shared machinery for multivectors and forms; `terms` is a read-only
     {indices: Polynomial} mapping of the nonzero coefficients."""
 
-    __slots__ = ("table", "degree", "terms")
+    __slots__ = ("table", "degree", "_flat", "_terms")
     _prefix = "e"
 
     def __init__(self, table: VariableTable, degree: int,
@@ -87,15 +88,30 @@ class _SuperElement:
                 raise ValueError("coefficient on a different variable table")
             if not coeff.is_zero():
                 cleaned[indices] = coeff
+        shift = table._mask_shift
+        flat = {}
+        for indices, coeff in cleaned.items():
+            base = sum(1 << k for k in indices) << shift
+            for key, t in coeff._raw.items():
+                flat[base | key] = t
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", MappingProxyType(cleaned))
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "_terms", MappingProxyType(cleaned))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         return type(self), (self.table, self.degree, dict(self.terms))
+
+    @property
+    def terms(self) -> Mapping:
+        if self._terms is None:
+            object.__setattr__(self, "_terms", MappingProxyType({
+                ix: polynomials._from_raw(self.table, raw)
+                for ix, raw in _split(self).items()}))
+        return self._terms
 
     @classmethod
     def zero(cls, table: VariableTable, degree: int = 0):
@@ -115,7 +131,7 @@ class _SuperElement:
         return cls(table, len(indices), {indices: coeff})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._flat
 
     def coefficient(self, indices) -> Polynomial:
         return self.terms.get(tuple(indices), Polynomial.zero(self.table))
@@ -145,28 +161,29 @@ class _SuperElement:
             return other
         if other.is_zero():
             return self
-        terms = dict(self.terms)
-        for indices, coeff in other.terms.items():
-            acc = terms.get(indices)
-            terms[indices] = coeff if acc is None else acc + coeff
-        return _trusted(type(self), self.table, self.degree, terms)
+        flat = dict(self._flat)
+        polynomials._add_into(flat, other._flat)
+        return _built(type(self), self.table, self.degree, flat)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return _trusted(type(self), self.table, self.degree,
-                        {ix: -c for ix, c in self.terms.items()})
+        return _built(type(self), self.table, self.degree,
+                      polynomials._scaled(self._flat, -1))
 
     def __mul__(self, factor):
         if isinstance(factor, (int, Fraction, GaussRational)):
-            factor = polynomials._as_scalar(factor)
-            return _trusted(type(self), self.table, self.degree,
-                            {ix: c.scale(factor) for ix, c in self.terms.items()})
+            t = polynomials._as_scalar(factor)._t
+            return _built(type(self), self.table, self.degree,
+                          {k: _product(c, t) for k, c in self._flat.items()})
         if not isinstance(factor, Polynomial):
             return NotImplemented
-        return _trusted(type(self), self.table, self.degree,
-                        {ix: c * factor for ix, c in self.terms.items()})
+        if factor.table != self.table:
+            raise ValueError("polynomials live on different variable tables")
+        flat = {}
+        _wedge_into(flat, self._flat, factor._raw, self.table)  # mask 0
+        return _built(type(self), self.table, self.degree, flat)
 
     __rmul__ = __mul__
 
@@ -177,12 +194,11 @@ class _SuperElement:
             return False
         if self.is_zero() and other.is_zero():
             return True
-        return self.degree == other.degree and self.terms == other.terms
+        return self.degree == other.degree and self._flat == other._flat
 
     def __hash__(self):
         return hash((type(self).__name__, self.table,
-                     frozenset((ix, frozenset(c._raw.items()))
-                               for ix, c in self.terms.items())))
+                     frozenset(self._flat.items())))
 
     def __bool__(self):
         return not self.is_zero()
@@ -196,9 +212,9 @@ class _SuperElement:
         degree = self.degree + other.degree
         if degree > table.n_coordinates:
             return type(self).zero(table, table.n_coordinates)
-        sums = {}
-        _wedge_into(sums, _raw_terms(self), _raw_terms(other), table._guard)
-        return _built(type(self), table, degree, sums)
+        flat = {}
+        _wedge_into(flat, self._flat, other._flat, table)
+        return _built(type(self), table, degree, flat)
 
     def __repr__(self):
         if self.is_zero():
@@ -210,66 +226,101 @@ class _SuperElement:
         return f"<{type(self).__name__} {' + '.join(bits)}>"
 
 
-def _trusted(cls, table: VariableTable, degree: int, terms: dict):
-    """Trusted constructor for results built from valid elements."""
+def _built(cls, table: VariableTable, degree: int, flat: Mapping):
+    """The one trusted builder, from a flat dict valid for `table`: each
+    nonzero triple is reduced and zero sums are dropped, in one pass."""
     element = object.__new__(cls)
     object.__setattr__(element, "table", table)
     object.__setattr__(element, "degree", degree)
-    object.__setattr__(element, "terms", MappingProxyType(
-        {ix: c for ix, c in terms.items() if c}))
+    object.__setattr__(element, "_flat", polynomials._normalized(flat))
+    object.__setattr__(element, "_terms", None)
     return element
 
 
-def _raw_terms(element) -> dict:
-    """{indices: raw term dict} of an element's coefficients."""
-    return {ix: c._raw for ix, c in element.terms.items()}
+def _split(element) -> dict:
+    """{indices: raw term dict} of an element's coefficients, in one pass
+    over its flat dict."""
+    shift = element.table._mask_shift
+    low = (1 << shift) - 1
+    groups = {}
+    for key, t in element._flat.items():
+        groups.setdefault(key >> shift, {})[key & low] = t
+    return {_indices(mask): raw for mask, raw in groups.items()}
 
 
-def _built(cls, table: VariableTable, degree: int, sums: dict):
-    """The element of a raw accumulator {indices: raw term dict}; zero
-    sums and zero coefficients are dropped here, once."""
-    return _trusted(cls, table, degree,
-                    {ix: polynomials._from_raw(table, acc)
-                     for ix, acc in sums.items()})
+def _wedge_into(acc: dict, left: Mapping, right: Mapping,
+                table: VariableTable) -> None:
+    """Add the exterior product of two flat dicts on `table` into `acc`:
+    the one product loop of the exterior algebra.
 
-
-def _wedge_into(sums: dict, left: dict, right: dict, guard: int) -> None:
-    """Add the exterior product of two raw elements into `sums`.
-
-    Both sides map index tuples to raw term dicts on a table with the
-    given `guard` mask.  Each merged index tuple collects its coefficient
-    products straight through `polynomials._mul_into`; a negative Koszul
-    sign negates the left coefficient, once per left term.
+    Terms whose masks meet give zero; otherwise the product key is
+    k1 + k2.  No field carries into the mask: each field of a stored key
+    is below FIELD_LIMIT, so a field sum fits its FIELD_BITS, and one
+    that reaches FIELD_LIMIT sets its guard bit and is refused before
+    it is stored, the top field included.  So k1 + k2 holds m1 | m2
+    above the product monomial.  Cancelled sums stay until `_built`.
     """
-    for ix1, t1 in left.items():
+    shift, guard = table._mask_shift, table._guard
+    get = acc.get
+    right = [(k >> shift, k, t) for k, t in right.items()]
+    for k1, t1 in left.items():
+        m1 = k1 >> shift
         negated = None
-        for ix2, t2 in right.items():
-            sign, merged = _merge_sign(ix1, ix2)
-            if not sign:
+        for m2, k2, t2 in right:
+            if m1 & m2:
                 continue
-            if sign < 0:
+            key = k1 + k2
+            if key & guard:
+                raise ValueError(f"an exponent or degree of a product "
+                                 f"reaches {FIELD_LIMIT}")
+            if _mask_sign(m1, m2) < 0:
                 if negated is None:
-                    negated = _scaled(t1, -1)
-                polynomials._mul_into(sums.setdefault(merged, {}), negated, t2,
-                                      guard)
+                    negated = (-t1[0], -t1[1], t1[2])
+                c = _product(negated, t2)
             else:
-                polynomials._mul_into(sums.setdefault(merged, {}), t1, t2,
-                                      guard)
+                c = _product(t1, t2)
+            prev = get(key)
+            acc[key] = c if prev is None else _sum(prev, c)
 
 
-def _pushforward_sums(table: VariableTable, images: dict,
+def _xi_derivative(flat: Mapping, k: int, shift: int, factor: int = 1) -> dict:
+    """factor * d_L/dxi_k of a flat dict, whose masks sit at `shift`:
+    the left derivative moves xi_k to the front past the generators
+    below it.  Dropping one mask bit keeps distinct keys distinct."""
+    bit = 1 << k
+    drop = bit << shift
+    out = {}
+    for key, t in flat.items():
+        mask = key >> shift
+        if mask & bit:
+            s = -factor if (mask & (bit - 1)).bit_count() & 1 else factor
+            out[key - drop] = t if s == 1 else (t[0] * s, t[1] * s, t[2])
+    return out
+
+
+def _pushforward_sums(table: VariableTable, images: Mapping,
                       xi_images: dict) -> dict:
-    """The raw accumulator of sum_S c_S xi_S under a coordinate change:
-    `images[S]` is the raw image of c_S, `xi_images[k]` that of xi_k."""
-    unit = {(): {0: (1, 0, 1)}}
-    guard = table._guard
+    """The flat accumulator of sum_S c_S xi_S under a coordinate change.
+
+    Each key of `images` keeps the mask S of its source term above the
+    image of that term's monomial; `xi_images[k]` is the flat image of
+    xi_k.  The image of each xi_S is built once, by wedging.
+    """
+    shift = table._mask_shift
+    low = (1 << shift) - 1
+    wedges = {}
     sums = {}
-    for indices, coeff in images.items():
-        image = unit
-        for k in indices:
-            image, previous = {}, image
-            _wedge_into(image, previous, xi_images[k], guard)
-        _wedge_into(sums, image, {(): coeff}, guard)
+    for key, t in images.items():
+        mask = key >> shift
+        image = wedges.get(mask)
+        if image is None:
+            first, *rest = _indices(mask) or (None,)
+            image = xi_images.get(first, {0: (1, 0, 1)})  # 1 for S = ()
+            for k in rest:
+                image, previous = {}, image
+                _wedge_into(image, previous, xi_images[k], table)
+            wedges[mask] = image
+        _wedge_into(sums, image, {key & low: t}, table)
     return sums
 
 
@@ -305,18 +356,12 @@ def contract(eta: DifferentialForm, a: Multivector) -> Multivector:
         raise TypeError("contract expects a multivector in the second slot")
     if eta.table != a.table:
         raise ValueError("form and multivector on different variable tables")
-    sums = {}
-    fields = _raw_terms(a)
-    for (k,), g in eta.terms.items():
-        g = g._raw
-        negated = _scaled(g, -1)
-        for indices, coeff in fields.items():
-            if k in indices:
-                pos = indices.index(k)
-                polynomials._mul_into(
-                    sums.setdefault(indices[:pos] + indices[pos + 1:], {}),
-                    coeff, negated if pos % 2 else g, a.table._guard)
-    return _built(Multivector, a.table, max(a.degree - 1, 0), sums)
+    table = a.table
+    flat = {}
+    for (k,), g in _split(eta).items():
+        _wedge_into(flat, g, _xi_derivative(a._flat, k, table._mask_shift),
+                    table)
+    return _built(Multivector, table, max(a.degree - 1, 0), flat)
 
 
 def exterior_derivative(omega) -> DifferentialForm:
@@ -329,17 +374,13 @@ def exterior_derivative(omega) -> DifferentialForm:
     n = table.n_coordinates
     if omega.degree >= n:
         return DifferentialForm.zero(table, n)
-    sums = {}
-    for indices, coeff in _raw_terms(omega).items():
-        for k in range(n):
-            if k in indices:
-                continue
-            derived = polynomials._derivative_terms(coeff, table, k)
-            if derived:
-                sign, merged = _merge_sign((k,), indices)
-                polynomials._add_into(sums.setdefault(merged, {}), (
-                    derived if sign > 0 else _scaled(derived, -1)))
-    return _built(DifferentialForm, table, omega.degree + 1, sums)
+    flat = {}
+    for k in range(n):
+        derived = polynomials._derivative_terms(omega._flat, table, k)
+        if derived:
+            _wedge_into(flat, {1 << k << table._mask_shift: (1, 0, 1)},
+                        derived, table)
+    return _built(DifferentialForm, table, omega.degree + 1, flat)
 
 
 def schouten(a: Multivector, b: Multivector) -> Multivector:
@@ -360,43 +401,32 @@ def schouten(a: Multivector, b: Multivector) -> Multivector:
         raise ValueError("multivectors on different variable tables")
     table = a.table
     degree = min(max(a.degree + b.degree - 1, 0), table.n_coordinates)
-    sums = {}
+    flat = {}
     if a is b:
         # The second sign is -1 for every degree and the two sums agree:
         # they add up for even degree and cancel for odd degree.
         if not a.degree % 2:
-            _odd_even_sum(sums, a, a, -2)
+            _odd_even_sum(flat, a, a, -2)
     else:
-        _odd_even_sum(sums, a, b, 1 if a.degree % 2 else -1)
+        _odd_even_sum(flat, a, b, 1 if a.degree % 2 else -1)
         # dA/dx_k ^ d_L B/dxi_k, rewritten with the odd factor in front
-        _odd_even_sum(sums, b, a, 1 if (a.degree * (b.degree + 1)) % 2 else -1)
-    return _built(Multivector, table, degree, sums)
+        _odd_even_sum(flat, b, a, 1 if (a.degree * (b.degree + 1)) % 2 else -1)
+    return _built(Multivector, table, degree, flat)
 
 
-def _odd_even_sum(sums: dict, odd: Multivector, even: Multivector,
+def _odd_even_sum(acc: dict, odd: Multivector, even: Multivector,
                   factor: int) -> None:
-    """Add factor * sum_k (d_L odd / dxi_k) ^ (d even / dx_k) into `sums`.
+    """Add factor * sum_k (d_L odd / dxi_k) ^ (d even / dx_k) into `acc`.
 
     The factor and the sign of d_L go into the left terms, once per k.
     """
     table = odd.table
-    odd_terms = _raw_terms(odd)
-    even_terms = odd_terms if even is odd else _raw_terms(even)
     for k in range(table.n_coordinates):
-        left = {}
-        for indices, coeff in odd_terms.items():
-            if k in indices:
-                pos = indices.index(k)
-                scale = -factor if pos % 2 else factor
-                left[indices[:pos] + indices[pos + 1:]] = (
-                    coeff if scale == 1 else _scaled(coeff, scale))
+        left = _xi_derivative(odd._flat, k, table._mask_shift, factor)
         if left:
-            right = {}
-            for ix, coeff in even_terms.items():
-                derived = polynomials._derivative_terms(coeff, table, k)
-                if derived:
-                    right[ix] = derived
-            _wedge_into(sums, left, right, table._guard)
+            right = polynomials._derivative_terms(even._flat, table, k)
+            if right:
+                _wedge_into(acc, left, right, table)
 
 
 def bv_laplacian(a: Multivector) -> Multivector:
@@ -406,16 +436,12 @@ def bv_laplacian(a: Multivector) -> Multivector:
     - (-1)^a A^Delta(B) = BV_SIGN * (-1)^a * [A, B] exactly, and
     curl(A) = (-1)^(p+1) Delta(A) on degree-p multivectors.
     """
-    sums = {}
-    for indices, coeff in _raw_terms(a).items():
-        for pos, k in enumerate(indices):
-            derived = polynomials._derivative_terms(coeff, a.table, k)
-            if derived:
-                # d/dxi_k moves xi_k to the front past pos generators
-                polynomials._add_into(
-                    sums.setdefault(indices[:pos] + indices[pos + 1:], {}),
-                    _scaled(derived, -1) if pos % 2 else derived)
-    return _built(Multivector, a.table, max(a.degree - 1, 0), sums)
+    table = a.table
+    flat = {}
+    for k in range(table.n_coordinates):
+        polynomials._add_into(flat, polynomials._derivative_terms(
+            _xi_derivative(a._flat, k, table._mask_shift), table, k))
+    return _built(Multivector, table, max(a.degree - 1, 0), flat)
 
 
 #: Sign s in Delta(A^B) - Delta(A)^B - (-1)^a A^Delta(B) = s*(-1)^a*[A,B].
@@ -423,26 +449,31 @@ def bv_laplacian(a: Multivector) -> Multivector:
 BV_SIGN = -1
 
 
+def _complemented(element, cls, to_form: bool):
+    """The flat image of each term under S -> S^c, signed by the
+    permutation (S, S^c) of the multivector side's index set S."""
+    table = element.table
+    n = table.n_coordinates
+    shift = table._mask_shift
+    low = (1 << shift) - 1
+    full = (1 << n) - 1
+    flat = {}
+    for key, t in element._flat.items():
+        mask = key >> shift
+        complement = full ^ mask
+        side = mask if to_form else complement
+        flat[complement << shift | key & low] = (
+            t if _mask_sign(side, full ^ side) > 0 else (-t[0], -t[1], t[2]))
+    return _built(cls, table, n - element.degree, flat)
+
+
 def volume_isomorphism(a: Multivector) -> DifferentialForm:
     """xi_S f |-> sign(S, S^c) f dx_{S^c} for the standard volume form."""
-    table = a.table
-    n = table.n_coordinates
-    terms = {}
-    for indices, coeff in a.terms.items():
-        sign, complement = _complement_sign(indices, n)
-        terms[complement] = coeff if sign > 0 else -coeff
-    return DifferentialForm(table, n - a.degree, terms)
+    return _complemented(a, DifferentialForm, True)
 
 
 def volume_isomorphism_inverse(omega: DifferentialForm) -> Multivector:
-    table = omega.table
-    n = table.n_coordinates
-    terms = {}
-    for indices, coeff in omega.terms.items():
-        _, complement = _complement_sign(indices, n)
-        sign, _ = _complement_sign(complement, n)
-        terms[complement] = coeff if sign > 0 else -coeff
-    return Multivector(table, n - omega.degree, terms)
+    return _complemented(omega, Multivector, False)
 
 
 class VolumeCurl:

@@ -58,12 +58,15 @@ class VariableTable:
     Exponent tuples are laid out as coordinates first, parameters second.
     A packed key holds FIELD_BITS-wide fields, most significant first:
     the coordinate degree, one field per coordinate, the parameter
-    degree, one field per parameter.  Names must be unique, valid
-    identifiers, and distinct from the reserved imaginary unit `i`.
+    degree, one field per parameter.  The bits from `_mask_shift` up,
+    above every field, are free: a multivector's key puts its generator
+    mask there.  Names must be unique, valid identifiers, and distinct
+    from the reserved imaginary unit `i`.
     """
 
     __slots__ = ("coordinates", "parameters", "_slots", "_shifts", "_units",
-                 "_guard", "_degree_shifts", "_packer", "_unpacker")
+                 "_guard", "_degree_shifts", "_mask_shift", "_packer",
+                 "_unpacker")
 
     def __init__(self, coordinates: Iterable[str], parameters: Iterable[str] = ()):
         coords = tuple(coordinates)
@@ -94,6 +97,7 @@ class VariableTable:
         set_(self, "_units", units)
         set_(self, "_guard", sum(1 << (s + FIELD_BITS - 1) for s in start))
         set_(self, "_degree_shifts", degree_shifts)
+        set_(self, "_mask_shift", FIELD_BITS * fields)
         set_(self, "_packer", struct.Struct(f">{fields}H"))
         set_(self, "_unpacker", struct.Struct(f">2x{nc}H2x{npar}H"))
 
@@ -393,27 +397,8 @@ class Polynomial:
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Ring homomorphism sending each named variable to a polynomial on
         the same table; unnamed variables map to themselves."""
-        table = self.table
-        cache = {}
-        for name, img in images.items():
-            slot = table.slot(name)
-            if img.table != table:
-                raise ValueError("substitution image on a different variable table")
-            cache[slot] = (table._shifts[slot], table._units[slot], img)
-        one = {0: (1, 0, 1)}
-        acc = {}
-        for key, t in self._raw.items():
-            residual = key
-            factor = None
-            for shift, unit, img in cache.values():
-                e = key >> shift & _FIELD_MASK
-                if e:
-                    residual -= e * unit
-                    piece = img ** e
-                    factor = piece if factor is None else factor * piece
-            _mul_into(acc, {residual: t},
-                      one if factor is None else factor._raw, table._guard)
-        return _from_raw(table, acc)
+        return _from_raw(self.table, _substituted(self._raw, self.table,
+                                                  images))
 
     def __str__(self):
         return format_polynomial(self)
@@ -427,15 +412,47 @@ def _scaled(raw: Mapping, s: int) -> dict:
     return {e: (a * s, b * s, d) for e, (a, b, d) in raw.items()}
 
 
+def _normalized(raw: Mapping) -> dict:
+    """A raw term dict with each nonzero triple reduced and zero sums
+    dropped, in one pass."""
+    return {e: t if t[2] == 1 else _reduced(t)
+            for e, t in raw.items() if t[0] or t[1]}
+
+
 def _from_raw(table: VariableTable, raw: dict) -> Polynomial:
     """The one trusted builder, from a raw term dict of packed keys
-    valid for `table`: each nonzero triple is reduced, and zero sums are
-    dropped."""
+    valid for `table`."""
     p = object.__new__(Polynomial)
     object.__setattr__(p, "table", table)
-    object.__setattr__(p, "_raw", {e: t if t[2] == 1 else _reduced(t)
-                                   for e, t in raw.items() if t[0] or t[1]})
+    object.__setattr__(p, "_raw", _normalized(raw))
     return p
+
+
+def _substituted(raw: Mapping, table: VariableTable,
+                 images: Mapping[str, Polynomial]) -> dict:
+    """The normalized raw term dict of `raw` with each named variable
+    sent to its image.  Only the named fields of a key are read, so a
+    multivector's flat dict keeps its generator masks."""
+    cache = {}
+    for name, img in images.items():
+        slot = table.slot(name)
+        if img.table != table:
+            raise ValueError("substitution image on a different variable table")
+        cache[slot] = (table._shifts[slot], table._units[slot], img)
+    one = {0: (1, 0, 1)}
+    acc = {}
+    for key, t in raw.items():
+        residual = key
+        factor = None
+        for shift, unit, img in cache.values():
+            e = key >> shift & _FIELD_MASK
+            if e:
+                residual -= e * unit
+                piece = img ** e
+                factor = piece if factor is None else factor * piece
+        _mul_into(acc, {residual: t},
+                  one if factor is None else factor._raw, table._guard)
+    return _normalized(acc)
 
 
 def _add_into(acc: dict, raw: Mapping) -> None:

@@ -51,13 +51,12 @@ def random_element(rng: random.Random, table: VariableTable, degree: int,
     if degree > n:
         return cls.zero(table, degree)
     pool = list(range(n))
-    terms = {}  # repeated index sets add up; _trusted drops zero sums
+    flat = {}  # repeated index sets add up; _built drops zero sums
     for _ in range(rng.randint(1, max_components)):
-        indices = tuple(sorted(rng.sample(pool, degree)))
-        coeff = random_polynomial(rng, table)
-        terms[indices] = (terms[indices] + coeff if indices in terms
-                          else coeff)
-    return multivectors._trusted(cls, table, degree, terms)
+        base = sum(1 << k for k in rng.sample(pool, degree)) << table._mask_shift
+        polynomials._add_into(flat, {base + key: t for key, t in
+                                     random_polynomial(rng, table)._raw.items()})
+    return multivectors._built(cls, table, degree, flat)
 
 
 def _sign(k: int) -> int:

@@ -15,7 +15,8 @@ from typing import Mapping
 
 from . import multivectors, polynomials
 from .multivectors import Multivector, contract, exterior_derivative, schouten
-from .polynomials import Polynomial, VariableTable, reduce_mod
+from .polynomials import (_FIELD_MASK, FIELD_BITS, Polynomial, VariableTable,
+                          reduce_mod)
 from .scalars import _reduced
 
 
@@ -135,7 +136,7 @@ def _power_coefficients(ps: PoissonStructure):
     the coefficient table A of Pi, so every k shares one Pfaffian memo.
     """
     table = ps.table
-    pf = _pfaffian_memo(multivectors._raw_terms(ps.bivector), table._guard)
+    pf = _pfaffian_memo(multivectors._split(ps.bivector), table._guard)
 
     def coefficients(k: int) -> list:
         scale = factorial(k)
@@ -269,19 +270,16 @@ def restrict_hyperplane(ps: PoissonStructure, coordinate) -> PoissonStructure:
         raise CheckFailed("not a Poisson hypersurface")
     pos = table.coordinates.index(coordinate)
     new_table = table.drop_coordinate(coordinate)
-    new_terms = {}
-    for indices, coeff in ps.bivector.terms.items():
-        if pos in indices:
-            continue
-        new_indices = tuple(i - 1 if i > pos else i for i in indices)
-        kept = {}
-        for key, t in coeff._raw.items():
-            exps = table._unpack(key)
-            if not exps[pos]:
-                kept[new_table._pack(exps[:pos] + exps[pos + 1:])] = t
-        new_terms[new_indices] = polynomials._from_raw(new_table, kept)
+    shift, bit = table._mask_shift, 1 << pos
+    flat = {}
+    for key, t in ps.bivector._flat.items():
+        mask, exps = key >> shift, table._unpack(key & (1 << shift) - 1)
+        if not (mask & bit or exps[pos]):  # drop xi_pos and x_pos
+            mask = mask & (bit - 1) | mask >> 1 & ~(bit - 1)
+            flat[mask << new_table._mask_shift
+                 | new_table._pack(exps[:pos] + exps[pos + 1:])] = t
     return PoissonStructure(
-        multivectors._trusted(Multivector, new_table, 2, new_terms))
+        multivectors._built(Multivector, new_table, 2, flat))
 
 
 def chart_transition(biv: Multivector, names: tuple, source: int,
@@ -305,47 +303,50 @@ def chart_transition(biv: Multivector, names: tuple, source: int,
     hom = [i for i in range(n + 1) if i != source]  # source pos -> hom index
     tslot = {m: target_coords.index(names[m]) for m in range(n + 1) if m != target}
     anchor = tslot[source]  # slot of z_a = 1/y_b in the target chart
+    units, shift = ttable._units, ttable._mask_shift  # shift is the source's
     one, minus_one = (1, 0, 1), (-1, 0, 1)
 
-    def monomial(*slots) -> int:
-        return sum(ttable._units[slot] for slot in slots)
-
     # xi_k -> z_a xi_m, and xi_b -> -z_a sum_m z_m xi_m for y_b = 1/z_a,
-    # as raw term dicts for the shared pushforward
+    # as flat dicts for the shared pushforward
     xi_images = {}
     for k in range(n):
         m = hom[k]
-        xi_images[k] = ({(tslot[m],): {monomial(anchor): one}} if m != target
-                        else {(tslot[mm],): {monomial(anchor, tslot[mm]): minus_one}
+        xi_images[k] = ({(1 << tslot[m] << shift) + units[anchor]: one}
+                        if m != target
+                        else {(1 << tslot[mm] << shift) + units[anchor]
+                              + units[tslot[mm]]: minus_one
                               for mm in range(n + 1) if mm != target})
 
     # y^e -> z^e' z_a^(D - |e|) / z_a^D for the top coordinate degree D:
     # each numerator carries the pole as a bias of D at the anchor, so
-    # no field goes negative; every nonzero sum must keep the bias
-    top = max((c.coordinate_degree() for c in biv.terms.values()), default=0)
+    # no field goes negative; every nonzero sum must keep the bias.  Both
+    # tables have the same fields, so the map is field arithmetic: each
+    # coordinate field but y_b's stays or moves by one field, as z_a
+    # enters the row and y_b leaves; z_a gets D - |e|, the degree D - e_b.
+    low, top_shift = (1 << shift) - 1, table._degree_shifts[0]
+    b_field, a_field = table._shifts[hom.index(target)], ttable._shifts[anchor]
+    moves = {-1: 0, 0: 0, 1: 0}  # the fields that move up, stay, move down
+    for k in range(n):
+        if hom[k] != target:
+            moves[tslot[hom[k]] - k] |= _FIELD_MASK << table._shifts[k]
+    keep = moves[0] | (1 << table._degree_shifts[1] + FIELD_BITS) - 1
+    top = max((key & low) >> top_shift for key in biv._flat) if biv else 0
     images = {}
-    for indices, coeff in biv.terms.items():
-        numerator = images[indices] = {}
-        for key, t in coeff._raw.items():
-            exps = table._unpack(key)
-            new = [0] * ttable.width
-            for k in range(n):
-                if hom[k] != target:
-                    new[tslot[hom[k]]] = exps[k]
-            new[anchor] = top - sum(exps[:n])
-            new[ttable.n_coordinates:] = exps[n:]
-            numerator[ttable._pack(new)] = t
-    bias = top * ttable._units[anchor]
-    sums = {}
-    for indices, acc in multivectors._pushforward_sums(
+    for key, t in biv._flat.items():
+        e = key & low
+        images[key - e + (e & keep) + ((e & moves[1]) >> FIELD_BITS)
+               + ((e & moves[-1]) << FIELD_BITS)
+               + (top - (e >> top_shift) << a_field)
+               + (top - (e >> b_field & _FIELD_MASK) << top_shift)] = t
+    bias = top * units[anchor]
+    flat = {}
+    for key, c in multivectors._pushforward_sums(
             ttable, images, xi_images).items():
-        lowered = sums[indices] = {}
-        for key, c in acc.items():
-            if c[0] or c[1]:
-                if ttable._unpack(key)[anchor] < top:
-                    raise CheckFailed("does not extend")
-                lowered[key - bias] = c
-    return multivectors._built(Multivector, ttable, biv.degree, sums)
+        if c[0] or c[1]:
+            if key >> a_field & _FIELD_MASK < top:
+                raise CheckFailed("does not extend")
+            flat[key - bias] = c
+    return multivectors._built(Multivector, ttable, biv.degree, flat)
 
 
 def chart_extend(ps: PoissonStructure, target: int,

@@ -428,6 +428,19 @@ def test_integrable_flag_is_verified_on_load(corpus, tmp_path):
     assert "claims integrable: false" in stderr
 
 
+@pytest.mark.parametrize("claim", ['"yes"', "0", "null", "{}", "[]"])
+def test_an_integrable_flag_of_another_value_exits_two(corpus, tmp_path,
+                                                       claim):
+    text = (corpus / "diag4.mv").read_text()
+    assert '"integrable": "true"' in text
+    path = tmp_path / "flag.mv"
+    path.write_text(text.replace('"integrable": "true"',
+                                 f'"integrable": {claim}'))
+    code, stdout, stderr = run_cli("parse", "--in", str(path))
+    assert (code, stdout) == (2, "")
+    assert stderr == 'error: integrable must be "true", "false" or "unknown"\n'
+
+
 def test_a_flag_past_the_bracket_budget_exits_two(tmp_path):
     # 708 distinct terms whose monomials hold all 13 coordinates: [Pi, Pi]
     # would take up to 1,002,528 term products

@@ -163,6 +163,15 @@ def test_term_coeff_must_be_a_string():
         from_document(doc)
 
 
+@pytest.mark.parametrize("claim", ["yes", 0, None, {}, [], True, "True"])
+def test_integrable_must_be_one_of_three_strings(claim):
+    doc = to_document(make_diagonal(numeric_spec(4, [2, 3, 5, 7, 11, 13])))
+    doc["integrable"] = claim
+    with pytest.raises(ValueError, match='^integrable must be "true", '
+                                         '"false" or "unknown"$'):
+        from_document(doc)
+
+
 def test_serialized_text_ends_with_newline():
     ps = make_diagonal(DiagonalSpec.symbolic(2))
     text = serialize(ps)
@@ -327,16 +336,19 @@ def test_a_stated_flag_is_refused_past_the_bracket_budget():
 def test_the_bracket_estimate_bounds_the_products(monkeypatch):
     import random
 
-    from poissonkit import Polynomial, documents, polynomials
+    from poissonkit import Polynomial, documents, multivectors
 
     products = []
-    original = polynomials._mul_into
+    original = multivectors._wedge_into
 
-    def counting(acc, terms1, terms2, guard):
-        products.append(len(terms1) * len(terms2))
-        return original(acc, terms1, terms2, guard)
+    def counting(acc, left, right, table):
+        # the term pairs with disjoint masks, each one product
+        shift = table._mask_shift
+        products.append(sum(not (k1 >> shift) & (k2 >> shift)
+                            for k1 in left for k2 in right))
+        return original(acc, left, right, table)
 
-    monkeypatch.setattr(polynomials, "_mul_into", counting)
+    monkeypatch.setattr(multivectors, "_wedge_into", counting)
     rng = random.Random("bracket-budget")
     T = VariableTable(("x1", "x2", "x3", "x4", "x5"), ("a",))
     counted = 0

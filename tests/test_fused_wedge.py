@@ -12,7 +12,7 @@ import pytest
 
 from poissonkit import (DifferentialForm, Multivector, VariableTable,
                         parse_polynomial, schouten)
-from poissonkit.multivectors import _merge_sign
+from poissonkit.multivectors import _mask_sign
 from poissonkit.randomized import random_element
 
 T = VariableTable(("x1", "x2", "x3", "x4"), ("a",))
@@ -110,8 +110,9 @@ def test_self_bracket_equals_bracket_with_an_equal_copy(degree):
         assert nonzero  # the even-degree path is not vacuous
 
 
-def test_merge_sign_cache_is_bounded():
-    assert _merge_sign.cache_info().maxsize is not None
-    assert _merge_sign((0, 2), (1,)) == (-1, (0, 1, 2))
-    assert _merge_sign((2,), (0, 1)) == (1, (0, 1, 2))
-    assert _merge_sign((0, 2), (2,)) == (0, None)
+def test_mask_sign_cache_is_bounded():
+    # bit k of a mask is xi_k; the merged mask is the OR of disjoint ones
+    assert _mask_sign.cache_info().maxsize is not None
+    assert _mask_sign(0b101, 0b010) == -1  # (0, 2) then (1,)
+    assert _mask_sign(0b100, 0b011) == 1  # (2,) then (0, 1)
+    assert _mask_sign(0b101, 0b100) == 0  # (0, 2) then (2,)

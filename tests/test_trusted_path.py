@@ -164,7 +164,8 @@ def test_unpickling_goes_through_the_validating_constructors():
     one = Polynomial.one(T)
     # a packed key whose last field has reached its guard bit
     bad_field = polynomials._from_raw(T, {polynomials.FIELD_LIMIT: (1, 0, 1)})
-    bad_arity = multivectors._trusted(Multivector, T, 1, {(0, 1): one})
+    bad_arity = multivectors._built(Multivector, T, 1, {
+        0b11 << T._mask_shift | key: t for key, t in one._raw.items()})
     twice = object.__new__(VariableTable)
     for name, value in (("coordinates", ("x", "x")), ("parameters", ()),
                         ("_slots", {"x": 1})):
