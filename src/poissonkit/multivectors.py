@@ -38,7 +38,7 @@ from .polynomials import FIELD_LIMIT, FloatPolynomials, Polynomial, VariableTabl
 from .scalars import GaussRational, _product, _sum
 
 # Mask pairs recur: checking two generic diagonal structures on every
-# chart of P^8 asks for a few thousand pairs tens of thousands of times.
+# chart of P^8 asks for 252 distinct pairs 8,288 times.
 MASK_SIGN_CACHE = 1 << 16
 
 
@@ -91,7 +91,9 @@ class _SuperElement:
         shift = table._mask_shift
         flat = {}
         for indices, coeff in cleaned.items():
-            base = sum(1 << k for k in indices) << shift
+            base = 0
+            for k in indices:
+                base |= 1 << k << shift
             for key, t in coeff._raw.items():
                 flat[base | key] = t
         object.__setattr__(self, "table", table)
@@ -109,8 +111,8 @@ class _SuperElement:
     def terms(self) -> Mapping:
         if self._terms is None:
             object.__setattr__(self, "_terms", MappingProxyType({
-                ix: polynomials._from_raw(self.table, raw)
-                for ix, raw in _split(self).items()}))
+                _indices(mask): polynomials._from_raw(self.table, raw)
+                for mask, raw in _split(self).items()}))
         return self._terms
 
     @classmethod
@@ -238,14 +240,17 @@ def _built(cls, table: VariableTable, degree: int, flat: Mapping):
 
 
 def _split(element) -> dict:
-    """{indices: raw term dict} of an element's coefficients, in one pass
+    """{mask: raw term dict} of an element's coefficients, in one pass
     over its flat dict."""
     shift = element.table._mask_shift
-    low = (1 << shift) - 1
     groups = {}
     for key, t in element._flat.items():
-        groups.setdefault(key >> shift, {})[key & low] = t
-    return {_indices(mask): raw for mask, raw in groups.items()}
+        mask = key >> shift
+        raw = groups.get(mask)
+        if raw is None:
+            raw = groups[mask] = {}
+        raw[key - (mask << shift)] = t
+    return groups
 
 
 def _wedge_into(acc: dict, left: Mapping, right: Mapping,
@@ -283,11 +288,10 @@ def _wedge_into(acc: dict, left: Mapping, right: Mapping,
             acc[key] = c if prev is None else _sum(prev, c)
 
 
-def _xi_derivative(flat: Mapping, k: int, shift: int, factor: int = 1) -> dict:
-    """factor * d_L/dxi_k of a flat dict, whose masks sit at `shift`:
-    the left derivative moves xi_k to the front past the generators
-    below it.  Dropping one mask bit keeps distinct keys distinct."""
-    bit = 1 << k
+def _xi_derivative(flat: Mapping, bit: int, shift: int, factor: int = 1) -> dict:
+    """factor * d_L/dxi_k of a flat dict, for bit = 1 << k, whose masks sit
+    at `shift`: the left derivative moves xi_k to the front past the
+    generators below it.  Dropping one mask bit keeps keys distinct."""
     drop = bit << shift
     out = {}
     for key, t in flat.items():
@@ -358,8 +362,8 @@ def contract(eta: DifferentialForm, a: Multivector) -> Multivector:
         raise ValueError("form and multivector on different variable tables")
     table = a.table
     flat = {}
-    for (k,), g in _split(eta).items():
-        _wedge_into(flat, g, _xi_derivative(a._flat, k, table._mask_shift),
+    for bit, g in _split(eta).items():
+        _wedge_into(flat, g, _xi_derivative(a._flat, bit, table._mask_shift),
                     table)
     return _built(Multivector, table, max(a.degree - 1, 0), flat)
 
@@ -422,7 +426,7 @@ def _odd_even_sum(acc: dict, odd: Multivector, even: Multivector,
     """
     table = odd.table
     for k in range(table.n_coordinates):
-        left = _xi_derivative(odd._flat, k, table._mask_shift, factor)
+        left = _xi_derivative(odd._flat, 1 << k, table._mask_shift, factor)
         if left:
             right = polynomials._derivative_terms(even._flat, table, k)
             if right:
@@ -440,7 +444,7 @@ def bv_laplacian(a: Multivector) -> Multivector:
     flat = {}
     for k in range(table.n_coordinates):
         polynomials._add_into(flat, polynomials._derivative_terms(
-            _xi_derivative(a._flat, k, table._mask_shift), table, k))
+            _xi_derivative(a._flat, 1 << k, table._mask_shift), table, k))
     return _built(Multivector, table, max(a.degree - 1, 0), flat)
 
 

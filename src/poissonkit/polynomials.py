@@ -421,10 +421,12 @@ def _normalized(raw: Mapping) -> dict:
 
 def _from_raw(table: VariableTable, raw: dict) -> Polynomial:
     """The one trusted builder, from a raw term dict of packed keys
-    valid for `table`."""
+    valid for `table`: the `_normalized` pass, inlined, since every
+    polynomial result is built here."""
     p = object.__new__(Polynomial)
     object.__setattr__(p, "table", table)
-    object.__setattr__(p, "_raw", _normalized(raw))
+    object.__setattr__(p, "_raw", {e: t if t[2] == 1 else _reduced(t)
+                                   for e, t in raw.items() if t[0] or t[1]})
     return p
 
 

@@ -136,7 +136,8 @@ def _power_coefficients(ps: PoissonStructure):
     the coefficient table A of Pi, so every k shares one Pfaffian memo.
     """
     table = ps.table
-    pf = _pfaffian_memo(multivectors._split(ps.bivector), table._guard)
+    pf = _pfaffian_memo({multivectors._indices(mask): raw for mask, raw in
+                         multivectors._split(ps.bivector).items()}, table._guard)
 
     def coefficients(k: int) -> list:
         scale = factorial(k)
