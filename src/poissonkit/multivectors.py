@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import lt
 from types import MappingProxyType
 from typing import Mapping
 
@@ -78,7 +79,7 @@ class _SuperElement:
             indices = tuple(indices)
             if len(indices) != degree:
                 raise ValueError(f"index tuple {indices!r} does not match degree {degree}")
-            if any(indices[k] >= indices[k + 1] for k in range(len(indices) - 1)):
+            if not all(map(lt, indices, indices[1:])):
                 raise ValueError(f"index tuple {indices!r} is not strictly increasing")
             if indices and (indices[0] < 0 or indices[-1] >= n):
                 raise ValueError(f"index tuple {indices!r} out of range")
@@ -109,11 +110,14 @@ class _SuperElement:
 
     @property
     def terms(self) -> Mapping:
-        if self._terms is None:
-            object.__setattr__(self, "_terms", MappingProxyType({
-                _indices(mask): polynomials._from_raw(self.table, raw)
-                for mask, raw in _split(self).items()}))
-        return self._terms
+        terms = self._terms
+        if terms is None:
+            terms = {}
+            for mask, raw in _split(self).items():
+                terms[_indices(mask)] = polynomials._wrapped(self.table, raw)
+            terms = MappingProxyType(terms)
+            object.__setattr__(self, "_terms", terms)
+        return terms
 
     @classmethod
     def zero(cls, table: VariableTable, degree: int = 0):
@@ -362,9 +366,9 @@ def contract(eta: DifferentialForm, a: Multivector) -> Multivector:
         raise ValueError("form and multivector on different variable tables")
     table = a.table
     flat = {}
-    for bit, g in _split(eta).items():
-        _wedge_into(flat, g, _xi_derivative(a._flat, bit, table._mask_shift),
-                    table)
+    for (k,), g in eta.terms.items():
+        _wedge_into(flat, g._raw,
+                    _xi_derivative(a._flat, 1 << k, table._mask_shift), table)
     return _built(Multivector, table, max(a.degree - 1, 0), flat)
 
 

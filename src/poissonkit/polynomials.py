@@ -397,8 +397,8 @@ class Polynomial:
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Ring homomorphism sending each named variable to a polynomial on
         the same table; unnamed variables map to themselves."""
-        return _from_raw(self.table, _substituted(self._raw, self.table,
-                                                  images))
+        return _wrapped(self.table, _substituted(self._raw, self.table,
+                                                 images))
 
     def __str__(self):
         return format_polynomial(self)
@@ -420,13 +420,22 @@ def _normalized(raw: Mapping) -> dict:
 
 
 def _from_raw(table: VariableTable, raw: dict) -> Polynomial:
-    """The one trusted builder, from a raw term dict of packed keys
-    valid for `table`: the `_normalized` pass, inlined, since every
-    polynomial result is built here."""
+    """The trusted builder, from a raw term dict of packed keys valid
+    for `table`: the `_normalized` pass, inlined, since every polynomial
+    result is built here."""
     p = object.__new__(Polynomial)
     object.__setattr__(p, "table", table)
     object.__setattr__(p, "_raw", {e: t if t[2] == 1 else _reduced(t)
                                    for e, t in raw.items() if t[0] or t[1]})
+    return p
+
+
+def _wrapped(table: VariableTable, raw: dict) -> Polynomial:
+    """A polynomial around a raw term dict that is already normalized,
+    such as one coefficient split from a multivector's flat dict."""
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "table", table)
+    object.__setattr__(p, "_raw", raw)
     return p
 
 

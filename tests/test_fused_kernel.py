@@ -3,9 +3,9 @@ operators against the algorithms they replaced.
 
 `chart_transition`, `pushforward`, `schouten`, `contract`,
 `exterior_derivative` and `bv_laplacian` each accumulate their result
-into one {indices: {exponents: scalar}} dict and build it once.  The
-reference functions below are the old algorithms, kept as the models
-the single-pass routines must match exactly:
+into one flat {mask and monomial key: (a, b, d)} dict and build it
+once.  The reference functions below are the old algorithms, kept as the
+models the single-pass routines must match exactly:
 
 * `_reference_schouten` adds one `_slot_contract(odd, k).wedge(
   d even / dx_k)` per coordinate into a running Multivector and

@@ -1,9 +1,9 @@
 """The fused wedge kernel against the pairwise algorithm it replaced.
 
-`wedge` multiplies coefficient terms straight into one term dict per
-merged index tuple; `_reference_wedge` is the plain pairwise algorithm,
-one Polynomial product and one sum per pair of terms, kept here as the
-reference the fused kernel must match exactly.
+`wedge` multiplies the terms of two flat dicts straight into one flat
+dict, whose keys carry the merged generator mask; `_reference_wedge` is
+the plain pairwise algorithm, one Polynomial product and one sum per
+pair of terms, kept here as the reference the kernel must match exactly.
 """
 
 import random
