@@ -154,11 +154,11 @@ def _names(value, field: str) -> tuple:
 
 # A bound on the term products of the [Pi, Pi] check that a stated
 # `integrable` flag starts at load, estimated before computing it.  The
-# costliest admitted documents found load in 1 to 2 s on a 2-vCPU Xeon
+# costliest admitted documents found load in about 1 s on a 2-vCPU Xeon
 # with Python 3.11: 707 records on 13 coordinates whose monomials all
-# hold every coordinate (1.7 s: its bracket collects 529,473 terms in
+# hold every coordinate (1.2 s; its bracket collects 529,473 terms in
 # one flat dict), the same with 1,000-digit fractions at 100 records
-# (1.2 s), and 960 records concentrated on x1 (1.0 s).
+# (0.7 to 0.8 s), and 960 records concentrated on x1 (0.6 to 0.8 s).
 MAX_BRACKET_PRODUCTS = 1_000_000
 
 
