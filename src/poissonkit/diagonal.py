@@ -156,7 +156,7 @@ def pfaffian(matrix: list):
     # scalar entries become constants on a table with no variables
     zero = Polynomial.zero(VariableTable(()) if table is None else table)
     value = polynomials._from_raw(zero.table, _pfaffian_memo(
-        {ix: (zero + v)._raw for ix, v in upper.items()},
+        {1 << i | 1 << j: (zero + v)._raw for (i, j), v in upper.items()},
         zero.table._guard)(tuple(range(size))))
     if table is not None:
         return value
@@ -172,7 +172,8 @@ def _spec_pfaffians(spec: DiagonalSpec, table: VariableTable):
     """Pf(Lambda_S) as a raw term dict for every sorted 0-based index
     tuple S, from one memo over the spec's entries; Pf of the empty set
     is 1."""
-    pf = _pfaffian_memo({(i - 1, j - 1): spec.entry_polynomial(table, i, j)._raw
+    pf = _pfaffian_memo({1 << (i - 1) | 1 << (j - 1):
+                         spec.entry_polynomial(table, i, j)._raw
                          for i, j in spec.entries}, table._guard)
     one = {0: (1, 0, 1)}
     return lambda indices: pf(indices) if indices else one

@@ -95,9 +95,10 @@ def wedge_power(a: Multivector, k: int) -> Multivector:
 def _pfaffian_memo(entries: dict, guard: int):
     """Principal sub-Pfaffians Pf(A_S) of a skew table, memoized.
 
-    `entries` maps (i, j) with i < j to the raw term dict
-    {packed key: (a, b, d)} of a_ij on a table with the given `guard`
-    mask; absent pairs are zero.
+    `entries` maps the mask (1 << i) | (1 << j) of each pair i < j, as
+    in a bivector's flat key, to the raw term dict {packed key:
+    (a, b, d)} of a_ij on a table with the given `guard` mask; absent
+    pairs are zero.
     The returned pf(S) takes a sorted index tuple S of even length and
     expands along the first row,
     Pf(A_S) = sum_p (-1)^p a_(s_0, s_(p+1)) Pf(A_S without s_0, s_(p+1)),
@@ -112,12 +113,12 @@ def _pfaffian_memo(entries: dict, guard: int):
         got = memo.get(indices)
         if got is not None:
             return got
-        first, rest = indices[0], indices[1:]
+        first, rest = 1 << indices[0], indices[1:]
         if len(rest) == 1:
-            return entries.get(indices, {})
+            return entries.get(first | 1 << rest[0], {})
         acc = {}
         for pos, j in enumerate(rest):
-            a = (negated if pos % 2 else entries).get((first, j))
+            a = (negated if pos % 2 else entries).get(first | 1 << j)
             if a:
                 sub = pf(rest[:pos] + rest[pos + 1:])
                 if sub:
@@ -136,8 +137,7 @@ def _power_coefficients(ps: PoissonStructure):
     the coefficient table A of Pi, so every k shares one Pfaffian memo.
     """
     table = ps.table
-    pf = _pfaffian_memo({multivectors._indices(mask): raw for mask, raw in
-                         multivectors._split(ps.bivector).items()}, table._guard)
+    pf = _pfaffian_memo(multivectors._split(ps.bivector), table._guard)
 
     def coefficients(k: int) -> list:
         scale = factorial(k)
