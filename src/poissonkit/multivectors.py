@@ -39,7 +39,8 @@ from .polynomials import FIELD_LIMIT, FloatPolynomials, Polynomial, VariableTabl
 from .scalars import GaussRational, _product, _sum
 
 # Mask pairs recur: checking two generic diagonal structures on every
-# chart of P^8 asks for 252 distinct pairs 8,288 times.
+# chart of P^8 asks for 252 distinct pairs 8,288 times.  The bound holds
+# for both mask caches below.
 MASK_SIGN_CACHE = 1 << 16
 
 
