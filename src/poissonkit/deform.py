@@ -171,16 +171,16 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
                            initial_step: float = 1e-2) -> TrackResult:
     """Newton continuation for the zero of curl(Pi_t) near the origin.
 
-    t and tol must be finite, and the initial step finite, at least
-    MIN_STEP and more than |t| / MAX_STEPS.  A negative tol is never met.
+    t must be finite, tol finite and non-negative, and the initial step
+    finite, at least MIN_STEP and more than |t| / MAX_STEPS.
     The continuation fails with CheckFailed when it leaves the basin or
     meets a non-simple singularity.
     """
     t = complex(t)
     if not isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    if not isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if not (isfinite(initial_step) and initial_step >= MIN_STEP):
         raise ValueError(f"step must be finite and at least {MIN_STEP:g}, "
                          f"got {initial_step}")

@@ -157,7 +157,7 @@ def pfaffian(matrix: list):
     zero = Polynomial.zero(VariableTable(()) if table is None else table)
     value = polynomials._from_raw(zero.table, _pfaffian_memo(
         {1 << i | 1 << j: (zero + v)._raw for (i, j), v in upper.items()},
-        zero.table._guard)(tuple(range(size))))
+        zero.table)(tuple(range(size))))
     if table is not None:
         return value
     value = value.constant_value()
@@ -174,7 +174,7 @@ def _spec_pfaffians(spec: DiagonalSpec, table: VariableTable):
     is 1."""
     pf = _pfaffian_memo({1 << (i - 1) | 1 << (j - 1):
                          spec.entry_polynomial(table, i, j)._raw
-                         for i, j in spec.entries}, table._guard)
+                         for i, j in spec.entries}, table)
     one = {0: (1, 0, 1)}
     return lambda indices: pf(indices) if indices else one
 

@@ -116,37 +116,35 @@ def serialize(obj) -> str:
     return json.dumps(to_document(obj), indent=2) + "\n"
 
 
-def _integer(value, field: str) -> int:
-    """A JSON integer; a string, a boolean or a number written with a
-    fraction or exponent is malformed rather than converted."""
-    if type(value) is not int:
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
+_MISSING = object()
+# the JSON kinds a field may be asked to have, as its error names them
+_KINDS = {str: "a string", dict: "an object", list: "a list"}
 
 
-def _text(value, field: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{field} must be a string, not "
+def _typed(value, field: str, kind: type):
+    """`value` if it is of the JSON `kind`, str, dict, list or int, else a
+    ValueError naming the field.  An integer must be a JSON integer: a
+    string, a boolean or a number with a fraction or exponent is refused."""
+    if kind is int:
+        if type(value) is not int:
+            raise ValueError(f"{field} must be an integer, got {value!r}")
+    elif not isinstance(value, kind):
+        raise ValueError(f"{field} must be {_KINDS[kind]}, not "
                          f"{type(value).__name__}")
     return value
 
 
-def _object(value, field: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{field} must be an object, not "
-                         f"{type(value).__name__}")
-    return value
+def _field(record: dict, name: str, kind: type, default=_MISSING):
+    """The field `name` of a document or record, checked by `_typed`; an
+    absent field is `default`, or `<name> is missing` without one."""
+    value = record.get(name, default)
+    if value is _MISSING:
+        raise ValueError(f"{name} is missing")
+    return _typed(value, name, kind)
 
 
-def _list(value, field: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{field} must be a list, not "
-                         f"{type(value).__name__}")
-    return value
-
-
-def _names(value, field: str) -> tuple:
-    names = tuple(_list(value, field))
+def _names(record: dict, field: str, default=_MISSING) -> tuple:
+    names = tuple(_field(record, field, list, default))
     if not all(isinstance(name, str) for name in names):
         raise ValueError(f"{field} must be a list of names")
     return names
@@ -181,33 +179,31 @@ def _bracket_products(terms: dict, n: int) -> int:
 
 
 def _element_from_document(doc: dict):
-    coordinates = _names(doc["coordinates"], "coordinates")
+    coordinates = _names(doc, "coordinates")
     if len(coordinates) > MAX_COORDINATES:
         raise ValueError(f"coordinates must list at most {MAX_COORDINATES} "
                          f"names, not {len(coordinates)}")
-    table = VariableTable(coordinates,
-                          _names(doc.get("parameters", []), "parameters"))
+    table = VariableTable(coordinates, _names(doc, "parameters", []))
     cls = Multivector if doc["kind"] == "multivector" else DifferentialForm
-    degree = _integer(doc["degree"], "degree")
-    records = _list(doc["terms"], "terms")
+    degree = _field(doc, "degree", int)
+    records = _field(doc, "terms", list)
     if len(records) > MAX_TERMS:
         raise ValueError(f"terms holds {len(records)} records, more than "
                          f"{MAX_TERMS}")
     # indices -> {exponents: scalar}; records that repeat a monomial add up
     terms = {}
     for record in records:
-        record = _object(record, "a term record")
-        indices = tuple(_integer(k, "indices entry")
-                        for k in _list(record["indices"], "indices"))
+        record = _typed(record, "a term record", dict)
+        indices = tuple(_typed(k, "indices entry", int)
+                        for k in _field(record, "indices", list))
         exps = [0] * table.width
-        for name, power in _object(record.get("exponents", {}),
-                                   "exponents").items():
-            exps[table.slot(name)] = _integer(power, "exponent")
+        for name, power in _field(record, "exponents", dict, {}).items():
+            exps[table.slot(name)] = _typed(power, "exponent", int)
         if sum(exps) > MAX_DEGREE:
             raise ValueError(f"a term of degree {sum(exps)} is larger than "
                              f"{MAX_DEGREE}")
         exps = tuple(exps)
-        coeff = parse_scalar(_text(record["coeff"], "coeff"))
+        coeff = parse_scalar(_field(record, "coeff", str))
         acc = terms.setdefault(indices, {})
         acc[exps] = acc[exps] + coeff if exps in acc else coeff
     element = cls(table, degree, {ix: Polynomial(table, t)
@@ -234,34 +230,34 @@ def _element_from_document(doc: dict):
 
 
 def _spec_from_document(doc: dict) -> DiagonalSpec:
-    n = _coordinate_count(_integer(doc["n"], "n"))
+    n = _coordinate_count(_field(doc, "n", int))
     entries = {}
-    for record in _list(doc["entries"], "entries"):
-        record = _object(record, "a spec entry")
-        value = _text(record["value"], "value")
+    for record in _field(doc, "entries", list):
+        record = _typed(record, "a spec entry", dict)
+        value = _field(record, "value", str)
         # a bare identifier other than the imaginary unit names a parameter
         if not value.isidentifier() or value == "i":
             value = parse_scalar(value)
-        entries[(_integer(record["i"], "i"), _integer(record["j"], "j"))] = value
+        entries[_field(record, "i", int), _field(record, "j", int)] = value
     return DiagonalSpec(n, entries)
 
 
 def _family_from_document(doc: dict) -> DeformationFamily:
-    base = _spec_from_document(_object(doc["base"], "base"))
+    base = _spec_from_document(_field(doc, "base", dict))
     steps = []
-    for record in _list(doc["path"], "path"):
-        kind = _object(record, "a path record")["kind"]
+    for record in _field(doc, "path", list):
+        kind = _field(_typed(record, "a path record", dict), "kind", str)
         if kind in ("translation", "shear"):
-            steps.append((kind, _text(record["coordinate"], "coordinate"),
-                          _text(record["data"], "data")))
+            steps.append((kind, _field(record, "coordinate", str),
+                          _field(record, "data", str)))
         elif kind == "scaling":
             steps.append((kind, {
-                name: _text(value, "scale") for name, value in
-                _object(record["scales"], "scales").items()}))
+                name: _typed(value, "scale", str) for name, value in
+                _field(record, "scales", dict).items()}))
         else:
             raise ValueError(f"unknown path step kind {kind!r}")
     return DeformationFamily.build(
-        base, steps, _text(doc.get("parameter", "t"), "parameter"))
+        base, steps, _field(doc, "parameter", str, "t"))
 
 
 def from_document(doc: dict):

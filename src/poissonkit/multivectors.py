@@ -10,9 +10,10 @@ An element is stored flat: one dict from packed keys to reduced nonzero
 (a, b, d) triples, one entry per monomial of each coefficient.  A key is
 (mask << table._mask_shift) | monomial key, where bit k of the mask is
 xi_k (dx_k for a form) and the monomial key is laid out by the
-`VariableTable`.  A product of two terms is the sum of their keys, which
-ORs disjoint masks, times the Koszul sign of the shuffle, `_mask_sign`.
-The {indices: Polynomial} mapping `terms` is built on first read.
+`VariableTable`; a polynomial's raw dict is the mask-0 case.  Every
+product runs through `polynomials._mul_into`, which adds keys, so ORs
+disjoint masks, and signs by the Koszul sign of the shuffle.  The
+{indices: Polynomial} mapping `terms` is built on first read.
 
 Conventions frozen here (and regression-tested):
 
@@ -35,27 +36,9 @@ from types import MappingProxyType
 from typing import Mapping
 
 from . import polynomials
-from .polynomials import FIELD_LIMIT, FloatPolynomials, Polynomial, VariableTable
-from .scalars import GaussRational, _product, _sum
-
-# Mask pairs recur: checking two generic diagonal structures on every
-# chart of P^8 asks for 252 distinct pairs 8,288 times.  The bound holds
-# for both mask caches below.
-MASK_SIGN_CACHE = 1 << 16
-
-
-@lru_cache(maxsize=MASK_SIGN_CACHE)
-def _mask_sign(left: int, right: int) -> int:
-    """The Koszul sign of the shuffle that sorts the generators of the
-    mask `left` followed by those of `right`, or 0 if they share one."""
-    if left & right:
-        return 0
-    inversions = 0
-    while right:
-        low = right & -right
-        inversions += (left & ~(low - 1)).bit_count()  # left ones above it
-        right ^= low
-    return -1 if inversions & 1 else 1
+from .polynomials import (MASK_SIGN_CACHE, FloatPolynomials, Polynomial,
+                          VariableTable, _mask_sign)
+from .scalars import GaussRational, _product
 
 
 @lru_cache(maxsize=MASK_SIGN_CACHE)
@@ -189,7 +172,7 @@ class _SuperElement:
         if factor.table != self.table:
             raise ValueError("polynomials live on different variable tables")
         flat = {}
-        _wedge_into(flat, self._flat, factor._raw, self.table)  # mask 0
+        polynomials._mul_into(flat, factor._raw, self._flat, self.table)
         return _built(type(self), self.table, self.degree, flat)
 
     __rmul__ = __mul__
@@ -220,7 +203,7 @@ class _SuperElement:
         if degree > table.n_coordinates:
             return type(self).zero(table, table.n_coordinates)
         flat = {}
-        _wedge_into(flat, self._flat, other._flat, table)
+        polynomials._mul_into(flat, self._flat, other._flat, table)
         return _built(type(self), table, degree, flat)
 
     def __repr__(self):
@@ -258,41 +241,6 @@ def _split(element) -> dict:
     return groups
 
 
-def _wedge_into(acc: dict, left: Mapping, right: Mapping,
-                table: VariableTable) -> None:
-    """Add the exterior product of two flat dicts on `table` into `acc`:
-    the one product loop of the exterior algebra.
-
-    Terms whose masks meet give zero; otherwise the product key is
-    k1 + k2.  No field carries into the mask: each field of a stored key
-    is below FIELD_LIMIT, so a field sum fits its FIELD_BITS, and one
-    that reaches FIELD_LIMIT sets its guard bit and is refused before
-    it is stored, the top field included.  So k1 + k2 holds m1 | m2
-    above the product monomial.  Cancelled sums stay until `_built`.
-    """
-    shift, guard = table._mask_shift, table._guard
-    get = acc.get
-    right = [(k >> shift, k, t) for k, t in right.items()]
-    for k1, t1 in left.items():
-        m1 = k1 >> shift
-        negated = None
-        for m2, k2, t2 in right:
-            if m1 & m2:
-                continue
-            key = k1 + k2
-            if key & guard:
-                raise ValueError(f"an exponent or degree of a product "
-                                 f"reaches {FIELD_LIMIT}")
-            if _mask_sign(m1, m2) < 0:
-                if negated is None:
-                    negated = (-t1[0], -t1[1], t1[2])
-                c = _product(negated, t2)
-            else:
-                c = _product(t1, t2)
-            prev = get(key)
-            acc[key] = c if prev is None else _sum(prev, c)
-
-
 def _xi_derivative(flat: Mapping, bit: int, shift: int, factor: int = 1) -> dict:
     """factor * d_L/dxi_k of a flat dict, for bit = 1 << k, whose masks sit
     at `shift`: the left derivative moves xi_k to the front past the
@@ -327,9 +275,9 @@ def _pushforward_sums(table: VariableTable, images: Mapping,
             image = xi_images.get(first, {0: (1, 0, 1)})  # 1 for S = ()
             for k in rest:
                 image, previous = {}, image
-                _wedge_into(image, previous, xi_images[k], table)
+                polynomials._mul_into(image, previous, xi_images[k], table)
             wedges[mask] = image
-        _wedge_into(sums, image, {key & low: t}, table)
+        polynomials._mul_into(sums, {key & low: t}, image, table)
     return sums
 
 
@@ -368,8 +316,8 @@ def contract(eta: DifferentialForm, a: Multivector) -> Multivector:
     table = a.table
     flat = {}
     for (k,), g in eta.terms.items():
-        _wedge_into(flat, g._raw,
-                    _xi_derivative(a._flat, 1 << k, table._mask_shift), table)
+        polynomials._mul_into(flat, g._raw, _xi_derivative(
+            a._flat, 1 << k, table._mask_shift), table)
     return _built(Multivector, table, max(a.degree - 1, 0), flat)
 
 
@@ -387,8 +335,8 @@ def exterior_derivative(omega) -> DifferentialForm:
     for k in range(n):
         derived = polynomials._derivative_terms(omega._flat, table, k)
         if derived:
-            _wedge_into(flat, {1 << k << table._mask_shift: (1, 0, 1)},
-                        derived, table)
+            polynomials._mul_into(
+                flat, {1 << k << table._mask_shift: (1, 0, 1)}, derived, table)
     return _built(DifferentialForm, table, omega.degree + 1, flat)
 
 
@@ -435,7 +383,7 @@ def _odd_even_sum(acc: dict, odd: Multivector, even: Multivector,
         if left:
             right = polynomials._derivative_terms(even._flat, table, k)
             if right:
-                _wedge_into(acc, left, right, table)
+                polynomials._mul_into(acc, left, right, table)
 
 
 def bv_laplacian(a: Multivector) -> Multivector:

@@ -12,6 +12,9 @@ and maps to the reduced nonzero triple (a, b, d) of its coefficient
 (a + b i)/d, on which all arithmetic runs.  A product of monomials is
 the sum of their keys; `Polynomial.terms`, the constructor and the text
 and document forms speak exponent tuples over coordinates-then-parameters.
+A multivector keeps a generator mask above the fields, so this module
+owns the whole packed key: fields, guard, mask sign and `_mul_into`,
+the one product loop of the package.
 
 The monomial order is graded lexicographic on the coordinate part with a
 graded lexicographic tie-break on the parameter part, so parameters act
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
 
@@ -45,6 +49,24 @@ from .scalars import (GaussRational, _make, _power, _product, _quotient,
 FIELD_BITS = 16  # one big-endian unsigned short, "H", per field
 FIELD_LIMIT = 1 << (FIELD_BITS - 1)
 _FIELD_MASK = (1 << FIELD_BITS) - 1
+# Generator mask pairs recur: checking two generic diagonal structures on
+# every chart of P^8 asks for 252 distinct pairs 8,288 times.  The bound
+# holds for every mask cache of the package.
+MASK_SIGN_CACHE = 1 << 16
+
+
+@lru_cache(maxsize=MASK_SIGN_CACHE)
+def _mask_sign(left: int, right: int) -> int:
+    """The Koszul sign of the shuffle that sorts the generators of the
+    mask `left` followed by those of `right`, or 0 if they share one."""
+    if left & right:
+        return 0
+    inversions = 0
+    while right:
+        low = right & -right
+        inversions += (left & ~(low - 1)).bit_count()  # left ones above it
+        right ^= low
+    return -1 if inversions & 1 else 1
 
 
 class PolynomialSyntaxError(ValueError):
@@ -335,7 +357,7 @@ class Polynomial:
             return NotImplemented
         self._check_table(other)
         acc = {}
-        _mul_into(acc, self._raw, other._raw, self.table._guard)
+        _mul_into(acc, self._raw, other._raw, self.table)
         return _from_raw(self.table, acc)
 
     __rmul__ = __mul__
@@ -421,13 +443,8 @@ def _normalized(raw: Mapping) -> dict:
 
 def _from_raw(table: VariableTable, raw: dict) -> Polynomial:
     """The trusted builder, from a raw term dict of packed keys valid
-    for `table`: the `_normalized` pass, inlined, since every polynomial
-    result is built here."""
-    p = object.__new__(Polynomial)
-    object.__setattr__(p, "table", table)
-    object.__setattr__(p, "_raw", {e: t if t[2] == 1 else _reduced(t)
-                                   for e, t in raw.items() if t[0] or t[1]})
-    return p
+    for `table`."""
+    return _wrapped(table, _normalized(raw))
 
 
 def _wrapped(table: VariableTable, raw: dict) -> Polynomial:
@@ -461,39 +478,64 @@ def _substituted(raw: Mapping, table: VariableTable,
                 residual -= e * unit
                 piece = img ** e
                 factor = piece if factor is None else factor * piece
-        _mul_into(acc, {residual: t},
-                  one if factor is None else factor._raw, table._guard)
+        _mul_into(acc, one if factor is None else factor._raw,
+                  {residual: t}, table)
     return _normalized(acc)
 
 
 def _add_into(acc: dict, raw: Mapping) -> None:
     """Add a raw term dict into the raw dict `acc`: the one sum loop.
-    Sums that cancel stay as zero triples until `_from_raw`."""
+    Sums that cancel stay as zero triples until the result is built."""
     for key, t in raw.items():
         prev = acc.get(key)
         acc[key] = t if prev is None else _sum(prev, t)
 
 
-def _mul_into(acc: dict, terms1: Mapping, terms2: Mapping, guard: int) -> None:
-    """Add the product of two raw term dicts into the raw dict `acc`.
+def _mul_into(acc: dict, left: Mapping, right: Mapping,
+              table: VariableTable) -> None:
+    """Add the product of two raw term dicts on `table` into `acc`: the
+    one product loop, for polynomials and the flat dicts of elements.
 
-    The one polynomial product loop: monomials multiply by adding their
-    packed keys, scalars stay (a, b, d) triples and no scalar object is
-    made.  A sum with a bit of the table's `guard` mask set has a field
-    at FIELD_LIMIT and raises ValueError.  Sums that cancel stay in
-    `acc` as zero triples; `_from_raw` drops them when the result is
-    built.
+    Keys add, so monomials multiply and disjoint generator masks OR; a
+    pair whose masks meet is zero, and `_mask_sign` signs the rest.  A
+    left term of mask 0 needs neither, so callers put a mask-0 operand
+    on the left.  No field carries: each stored field is below
+    FIELD_LIMIT, so a field sum fits its FIELD_BITS, and one reaching
+    FIELD_LIMIT sets its bit of `table._guard` and raises ValueError
+    before it is stored, the top field included.  Sums that cancel stay
+    in `acc` as zero triples until the result is built.
     """
+    shift, guard = table._mask_shift, table._guard
     get = acc.get
-    for e1, c1 in terms1.items():
-        for e2, c2 in terms2.items():
-            key = e1 + e2
+    for k1, t1 in left.items():
+        m1 = k1 >> shift
+        if not m1:
+            for k2, t2 in right.items():
+                key = k1 + k2
+                if key & guard:
+                    raise ValueError(f"an exponent or degree of a product "
+                                     f"reaches {FIELD_LIMIT}")
+                prev = get(key)
+                acc[key] = (_product(t1, t2) if prev is None
+                            else _sum(prev, _product(t1, t2)))
+            continue
+        negated = None
+        for k2, t2 in right.items():
+            m2 = k2 >> shift
+            if m1 & m2:
+                continue
+            key = k1 + k2
             if key & guard:
                 raise ValueError(f"an exponent or degree of a product "
                                  f"reaches {FIELD_LIMIT}")
+            if _mask_sign(m1, m2) < 0:
+                if negated is None:
+                    negated = (-t1[0], -t1[1], t1[2])
+                c = _product(negated, t2)
+            else:
+                c = _product(t1, t2)
             prev = get(key)
-            acc[key] = (_product(c1, c2) if prev is None
-                         else _sum(prev, _product(c1, c2)))
+            acc[key] = c if prev is None else _sum(prev, c)
 
 
 def _derivative_terms(raw: Mapping, table: VariableTable, slot: int) -> dict:

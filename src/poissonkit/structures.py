@@ -17,7 +17,6 @@ from . import multivectors, polynomials
 from .multivectors import Multivector, contract, exterior_derivative, schouten
 from .polynomials import (_FIELD_MASK, FIELD_BITS, Polynomial, VariableTable,
                           reduce_mod)
-from .scalars import _reduced
 
 
 class CheckFailed(ValueError):
@@ -92,13 +91,12 @@ def wedge_power(a: Multivector, k: int) -> Multivector:
     return out
 
 
-def _pfaffian_memo(entries: dict, guard: int):
+def _pfaffian_memo(entries: dict, table: VariableTable):
     """Principal sub-Pfaffians Pf(A_S) of a skew table, memoized.
 
     `entries` maps the mask (1 << i) | (1 << j) of each pair i < j, as
     in a bivector's flat key, to the raw term dict {packed key:
-    (a, b, d)} of a_ij on a table with the given `guard` mask; absent
-    pairs are zero.
+    (a, b, d)} of a_ij on `table`; absent pairs are zero.
     The returned pf(S) takes a sorted index tuple S of even length and
     expands along the first row,
     Pf(A_S) = sum_p (-1)^p a_(s_0, s_(p+1)) Pf(A_S without s_0, s_(p+1)),
@@ -122,9 +120,8 @@ def _pfaffian_memo(entries: dict, guard: int):
             if a:
                 sub = pf(rest[:pos] + rest[pos + 1:])
                 if sub:
-                    polynomials._mul_into(acc, a, sub, guard)
-        acc = memo[indices] = {e: _reduced(c) for e, c in acc.items()
-                               if c[0] or c[1]}
+                    polynomials._mul_into(acc, a, sub, table)
+        acc = memo[indices] = polynomials._normalized(acc)
         return acc
 
     return pf
@@ -137,7 +134,7 @@ def _power_coefficients(ps: PoissonStructure):
     the coefficient table A of Pi, so every k shares one Pfaffian memo.
     """
     table = ps.table
-    pf = _pfaffian_memo(multivectors._split(ps.bivector), table._guard)
+    pf = _pfaffian_memo(multivectors._split(ps.bivector), table)
 
     def coefficients(k: int) -> list:
         scale = factorial(k)

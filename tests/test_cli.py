@@ -282,6 +282,7 @@ def test_track_verb(corpus):
     ("chart", ["--target", "1", "--zero-name", "i"], "argument --zero-name"),
     ("track", ["--t", "0.05", "--tol", "nan"], "tol"),
     ("track", ["--t", "0.05", "--tol", "inf"], "tol"),
+    ("track", ["--t", "0.05", "--tol", "-1"], "tol"),
     ("jet", ["--point", "1,1,1,1", "--tol", "nan"], "tol"),
     ("jet", ["--point", "1,1,1,1", "--tol", "inf"], "tol"),
     ("jet", ["--point", "1,1,1,1", "--tol", "-1"], "tol"),
@@ -289,7 +290,8 @@ def test_track_verb(corpus):
     ("jet", ["--point", "1,1,1,1", "--r", "-5"], "r"),
 ], ids=["step-zero", "step-negative", "step-nan", "step-tiny", "t-huge",
         "t-inf", "t-nan", "t-text", "zero-name-digit", "zero-name-i",
-        "track-tol-nan", "track-tol-inf", "jet-tol-nan", "jet-tol-inf",
+        "track-tol-nan", "track-tol-inf", "track-tol-negative",
+        "jet-tol-nan", "jet-tol-inf",
         "jet-tol-negative", "jet-r-negative", "jet-r-very-negative"])
 def test_unusable_flags_exit_two_naming_the_flag(verb, flags, field, corpus,
                                                  capsys):
@@ -303,10 +305,13 @@ def test_unusable_flags_exit_two_naming_the_flag(verb, flags, field, corpus,
     assert f"error: {field} " in last or f"error: {field}:" in last, last
 
 
-def test_only_a_failed_check_exits_one(corpus, tmp_path, capsys):
-    # a negative tolerance is never met, so tracking leaves the basin
+def test_only_a_failed_check_exits_one(corpus, tmp_path, capsys,
+                                      monkeypatch):
+    from poissonkit import deform
+    # with no Newton iterations no step converges: tracking leaves the basin
+    monkeypatch.setattr(deform, "NEWTON_ITERATIONS", 0)
     assert main(["track", "--family", str(corpus / "fam4.json"),
-                 "--t", "0.05", "--tol", "-1"]) == 1
+                 "--t", "0.05"]) == 1
     assert capsys.readouterr().err.startswith("track: left basin")
     spec = tmp_path / "zero5.spec"
     spec.write_text(json.dumps({"kind": "diagonal-spec", "n": 5,
@@ -548,6 +553,16 @@ def _multivector_doc(**changes):
     return json.dumps(doc)
 
 
+def _without(text, *path):
+    """A document's text with the field at the end of `path` removed."""
+    doc = json.loads(text)
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    del holder[path[-1]]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("text, field", [
     ("[]", "document"),
     ('"x"', "document"),
@@ -600,6 +615,12 @@ def _multivector_doc(**changes):
                               "indices": [0.0, 1.0]}]), "indices"),
     (_multivector_doc(terms=[{"coeff": "1", "exponents": {"x1": 1, "x2": 1},
                               "indices": [True, 2]}]), "indices"),
+    (_without(_multivector_doc(), "coordinates"), "coordinates"),
+    (_without(_multivector_doc(), "degree"), "degree"),
+    (_without(_multivector_doc(), "terms", 0, "coeff"), "coeff"),
+    (_without(_spec_doc('"3"'), "n"), "n"),
+    (_without(_spec_doc('"3"'), "entries", 0, "value"), "value"),
+    (_without(_family_doc(), "path", 0, "kind"), "kind"),
 ], ids=["list", "string", "exponents-list", "coordinates-ints",
         "parameters-int", "exponent-overflow", "exponent-fraction",
         "degree-fraction", "term-degree", "term-count", "spec-n-overflow",
@@ -611,7 +632,9 @@ def _multivector_doc(**changes):
         "term-record-int", "terms-int", "indices-int", "spec-entry-int",
         "family-path-int", "spec-n-huge", "coordinates-past-bound",
         "spec-n-string", "spec-i-true", "degree-true", "exponent-true",
-        "indices-strings", "indices-floats", "indices-true"])
+        "indices-strings", "indices-floats", "indices-true",
+        "no-coordinates", "no-degree", "no-coeff", "no-spec-n",
+        "no-entry-value", "no-path-kind"])
 def test_malformed_documents_exit_two_naming_the_field(text, field, tmp_path,
                                                        capsys):
     path = tmp_path / "bad.json"

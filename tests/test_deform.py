@@ -78,14 +78,16 @@ def test_tracking_with_shear():
     assert result.jet0 <= 1e-6 and result.jet1 <= 1e-6
 
 
-def test_tracking_error_paths():
+def test_tracking_error_paths(monkeypatch):
+    from poissonkit import deform
     fam = build([("translation", "x1", "t")])
-    # no residual is below a negative tolerance, so Newton never converges
-    # and the step halves from 1e-2 until the next halving would fall below
-    # MIN_STEP: the last step tried is 1e-2 / 2^13
+    # with no Newton iterations no step converges, so the step halves
+    # from 1e-2 until the next halving would fall below MIN_STEP: the
+    # last step tried is 1e-2 / 2^13
+    monkeypatch.setattr(deform, "NEWTON_ITERATIONS", 0)
     with pytest.raises(ValueError, match=r"left basin; reduce step "
                        r"\(reached tau=0 of 0\.05, last step 1\.22e-06\)"):
-        track_degenerate_point(fam, 0.05, tol=-1.0)
+        track_degenerate_point(fam, 0.05)
 
 
 @pytest.mark.parametrize("t, step, message", [
@@ -106,6 +108,17 @@ def test_tracking_refuses_unusable_t_and_step(t, step, message):
     assert not isinstance(caught.value, CheckFailed)
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_tracking_refuses_an_unusable_tol(tol):
+    fam = build([("translation", "x1", "t")])
+    with pytest.raises(ValueError, match=r"^tol must be finite and "
+                                         r"non-negative, got") as caught:
+        track_degenerate_point(fam, 0.05, tol=tol)
+    assert not isinstance(caught.value, CheckFailed)
+    # a zero tolerance is usable: this family's residual reaches 0.0
+    assert track_degenerate_point(fam, 0.05, tol=0.0).residual == 0.0
+
+
 def test_tracking_stops_after_max_steps(monkeypatch):
     from poissonkit import deform
     fam = build([("translation", "x1", "t")])
@@ -115,9 +128,10 @@ def test_tracking_stops_after_max_steps(monkeypatch):
     # 0.1 / 1e-2 = 10 steps pass the check up front, but every step fails
     # and halves, so the eleventh attempt ends the track before MIN_STEP
     monkeypatch.setattr(deform, "MAX_STEPS", 11)
+    monkeypatch.setattr(deform, "NEWTON_ITERATIONS", 0)
     with pytest.raises(CheckFailed, match=r"left basin; reduce step "
                        r"\(reached tau=0 of 0\.1, last step 4\.88e-06\)"):
-        track_degenerate_point(fam, 0.1, tol=-1.0)
+        track_degenerate_point(fam, 0.1)
 
 
 # Reference Newton iteration counts and tracked points for the families

@@ -254,6 +254,21 @@ def _with_record(**changes):
     return _bivector_record_doc(terms=[record])
 
 
+def _missing(doc, *path):
+    """`doc` with the field at the end of `path` deleted."""
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    del holder[path[-1]]
+    return doc
+
+
+def _scaling_family_doc():
+    doc = _family_doc()
+    doc["path"].append({"kind": "scaling", "scales": {"x1": "3"}})
+    return doc
+
+
 @pytest.mark.parametrize("doc, message", [
     (_bivector_record_doc(terms=[3]), "^a term record must be an object, "
                                       "not int$"),
@@ -270,12 +285,44 @@ def _with_record(**changes):
      "^a spec entry must be an object, not int$"),
     ({"kind": "diagonal-spec", "n": 2, "entries": 5},
      "^entries must be a list, not int$"),
+    (_missing(_bivector_record_doc(), "coordinates"), "^coordinates is missing$"),
+    (_missing(_bivector_record_doc(), "degree"), "^degree is missing$"),
+    (_missing(_bivector_record_doc(), "terms"), "^terms is missing$"),
+    (_missing(_with_record(), "terms", 0, "indices"), "^indices is missing$"),
+    (_missing(_with_record(), "terms", 0, "coeff"), "^coeff is missing$"),
+    (_missing(_spec_doc(), "n"), "^n is missing$"),
+    (_missing(_spec_doc(), "entries"), "^entries is missing$"),
+    (_missing(_spec_doc(), "entries", 0, "i"), "^i is missing$"),
+    (_missing(_spec_doc(), "entries", 0, "j"), "^j is missing$"),
+    (_missing(_spec_doc(), "entries", 0, "value"), "^value is missing$"),
+    (_missing(_family_doc(), "base"), "^base is missing$"),
+    (_missing(_family_doc(), "base", "n"), "^n is missing$"),
+    (_missing(_family_doc(), "path"), "^path is missing$"),
+    (_missing(_family_doc(), "path", 0, "kind"), "^kind is missing$"),
+    (_missing(_family_doc(), "path", 0, "coordinate"),
+     "^coordinate is missing$"),
+    (_missing(_family_doc(), "path", 1, "data"), "^data is missing$"),
+    (_missing(_scaling_family_doc(), "path", 2, "scales"),
+     "^scales is missing$"),
 ], ids=["term-int", "terms-int", "terms-object", "indices-int",
         "indices-string", "coordinates-string", "parameters-string",
-        "entry-int", "entries-int"])
+        "entry-int", "entries-int", "no-coordinates", "no-degree",
+        "no-terms", "no-indices", "no-coeff", "no-spec-n", "no-entries",
+        "no-entry-i", "no-entry-j", "no-entry-value", "no-base",
+        "no-base-n", "no-path", "no-path-kind", "no-path-coordinate",
+        "no-path-data", "no-path-scales"])
 def test_document_shapes_are_checked(doc, message):
     with pytest.raises(ValueError, match=message):
         from_document(doc)
+
+
+def test_optional_fields_take_their_defaults():
+    doc = _missing(_missing(_with_record(), "parameters"),
+                   "terms", 0, "exponents")
+    assert from_document(doc).bivector.terms == {(0, 1): parse_polynomial(
+        "1", VariableTable(("x1", "x2")))}
+    family = from_document(_missing(_family_doc(), "parameter"))
+    assert family.parameter == "t"
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -336,10 +383,10 @@ def test_a_stated_flag_is_refused_past_the_bracket_budget():
 def test_the_bracket_estimate_bounds_the_products(monkeypatch):
     import random
 
-    from poissonkit import Polynomial, documents, multivectors
+    from poissonkit import Polynomial, documents, polynomials
 
     products = []
-    original = multivectors._wedge_into
+    original = polynomials._mul_into
 
     def counting(acc, left, right, table):
         # the term pairs with disjoint masks, each one product
@@ -348,7 +395,7 @@ def test_the_bracket_estimate_bounds_the_products(monkeypatch):
                             for k1 in left for k2 in right))
         return original(acc, left, right, table)
 
-    monkeypatch.setattr(multivectors, "_wedge_into", counting)
+    monkeypatch.setattr(polynomials, "_mul_into", counting)
     rng = random.Random("bracket-budget")
     T = VariableTable(("x1", "x2", "x3", "x4", "x5"), ("a",))
     counted = 0

@@ -14,8 +14,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from poissonkit import (DifferentialForm, GaussRational, Multivector,  # noqa: E402
                         Polynomial, VariableTable)
-from poissonkit.multivectors import _mask_sign, _wedge_into  # noqa: E402
-from poissonkit.polynomials import FIELD_LIMIT  # noqa: E402
+from poissonkit.polynomials import (FIELD_LIMIT, _mask_sign,  # noqa: E402
+                                    _mul_into, _normalized)
 
 derandomized = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -154,11 +154,47 @@ def test_a_top_field_past_its_guard_is_refused_below_the_mask(data):
     merged = mask(left) | mask(right)
     acc = {}
     with pytest.raises(ValueError):
-        _wedge_into(acc, {**cls.basis(table, left)._flat, **a._flat},
-                    cls.basis(table, right, y ** low)._flat, table)
+        _mul_into(acc, {**cls.basis(table, left)._flat, **a._flat},
+                  cls.basis(table, right, y ** low)._flat, table)
     assert [key >> shift for key in acc] == [merged]
     # one below the limit, the top field is full and the mask exact
     edge = a.wedge(cls.basis(table, right, y ** (FIELD_LIMIT - 1 - high)))
     assert [key >> shift for key in edge._flat] == [merged]
     (coeff,) = edge.terms.values()
     assert coeff.coordinate_degree() == FIELD_LIMIT - 1
+
+
+@derandomized
+@given(st.data())
+def test_a_mask_zero_left_operand_multiplies_every_term(data):
+    table = data.draw(tables)
+    cls = data.draw(classes)
+    p = data.draw(polynomial(table))
+    a = data.draw(element(table, cls))
+    reference = cls(table, a.degree, {ix: p * c for ix, c in a.terms.items()})
+    for left, right in ((p._raw, a._flat), (a._flat, p._raw)):
+        acc = {}
+        _mul_into(acc, left, right, table)
+        assert _normalized(acc) == reference._flat
+    assert cls.from_polynomial(p).wedge(a)._flat == reference._flat
+    assert (a * p)._flat == reference._flat
+
+
+@derandomized
+@given(st.data())
+def test_a_pair_whose_masks_meet_is_zero_before_its_guard_test(data):
+    table = data.draw(tables.filter(lambda t: t.n_coordinates))
+    n = table.n_coordinates
+    cls = data.draw(classes)
+    shared = data.draw(st.integers(0, n - 1))
+    left, right = (tuple(sorted({shared, *data.draw(index_sets(
+        n, data.draw(st.integers(0, n))))})) for _ in range(2))
+    x, y = (Polynomial.variable(table, data.draw(st.sampled_from(
+        table.coordinates))) for _ in range(2))
+    high = data.draw(st.integers(1, FIELD_LIMIT - 1))
+    low = data.draw(st.integers(FIELD_LIMIT - high, FIELD_LIMIT - 1))
+    a, b = cls.basis(table, left, x ** high), cls.basis(table, right, y ** low)
+    acc = {}
+    _mul_into(acc, a._flat, b._flat, table)  # the fields sum past the limit
+    assert acc == {}
+    assert a.wedge(b).is_zero()

@@ -12,7 +12,7 @@ import pytest
 
 from poissonkit import (DifferentialForm, Multivector, VariableTable,
                         parse_polynomial, schouten)
-from poissonkit.multivectors import _mask_sign
+from poissonkit.polynomials import _mask_sign
 from poissonkit.randomized import random_element
 
 T = VariableTable(("x1", "x2", "x3", "x4"), ("a",))

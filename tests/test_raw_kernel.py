@@ -58,7 +58,7 @@ def test_raw_loop_matches_the_scalar_loop_term_for_term():
             f, g = pairs[0]
             pairs.append((f, {e: -c for e, c in g.items()}))
         for f, g in pairs:
-            _mul_into(raw, _raw(f), _raw(g), T._guard)
+            _mul_into(raw, _raw(f), _raw(g), T)
             _reference_mul_into(ref, f, g)
         got, want = _from_raw(T, raw), Polynomial(T, ref)
         assert got.terms == want.terms
@@ -74,12 +74,11 @@ def test_an_accumulator_keeps_the_lcm_of_its_denominators():
         for order in (range(1, k + 1), range(k, 0, -1)):
             acc = {}
             for j in order:
-                _mul_into(acc, {one: (1, 0, 2 ** j)}, {one: (1, 0, 1)},
-                          T._guard)
+                _mul_into(acc, {one: (1, 0, 2 ** j)}, {one: (1, 0, 1)}, T)
             assert acc[one][2] == 2 ** k
     acc = {}
     for d in (2, 3, 4, 6, 9):
-        _mul_into(acc, {one: (1, 1, 1)}, {one: (1, 0, d)}, T._guard)
+        _mul_into(acc, {one: (1, 1, 1)}, {one: (1, 0, d)}, T)
     assert acc[one][2] == 36
     assert _from_raw(T, acc).terms[(0,) * T.width] == GaussRational(
         Fraction(1, 2) + Fraction(1, 3) + Fraction(1, 4) + Fraction(1, 6)
