@@ -20,7 +20,7 @@ from . import polynomials
 from .multivectors import DifferentialForm, Multivector
 from .polynomials import MAX_COORDINATES, Polynomial, VariableTable
 from .scalars import GaussRational
-from .structures import CheckFailed, PoissonStructure, _pfaffian_memo
+from .structures import CheckFailed, PoissonStructure, _PfaffianMemo
 
 
 def _coordinate_count(n: int) -> int:
@@ -155,7 +155,7 @@ def pfaffian(matrix: list):
                   if isinstance(v, Polynomial)), None)
     # scalar entries become constants on a table with no variables
     zero = Polynomial.zero(VariableTable(()) if table is None else table)
-    value = polynomials._from_raw(zero.table, _pfaffian_memo(
+    value = polynomials._from_raw(zero.table, _PfaffianMemo(
         {1 << i | 1 << j: (zero + v)._raw for (i, j), v in upper.items()},
         zero.table)(tuple(range(size))))
     if table is not None:
@@ -172,9 +172,9 @@ def _spec_pfaffians(spec: DiagonalSpec, table: VariableTable):
     """Pf(Lambda_S) as a raw term dict for every sorted 0-based index
     tuple S, from one memo over the spec's entries; Pf of the empty set
     is 1."""
-    pf = _pfaffian_memo({1 << (i - 1) | 1 << (j - 1):
-                         spec.entry_polynomial(table, i, j)._raw
-                         for i, j in spec.entries}, table)
+    pf = _PfaffianMemo({1 << (i - 1) | 1 << (j - 1):
+                        spec.entry_polynomial(table, i, j)._raw
+                        for i, j in spec.entries}, table)
     one = {0: (1, 0, 1)}
     return lambda indices: pf(indices) if indices else one
 

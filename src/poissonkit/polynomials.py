@@ -368,9 +368,7 @@ class Polynomial:
         return _power(self, n, Polynomial.one(self.table))
 
     def scale(self, value) -> "Polynomial":
-        value = _as_scalar(value)._t
-        return _from_raw(self.table, {e: _product(t, value)
-                                      for e, t in self._raw.items()})
+        return self * _as_scalar(value)
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):

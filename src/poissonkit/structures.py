@@ -91,40 +91,44 @@ def wedge_power(a: Multivector, k: int) -> Multivector:
     return out
 
 
-def _pfaffian_memo(entries: dict, table: VariableTable):
+class _PfaffianMemo(dict):
     """Principal sub-Pfaffians Pf(A_S) of a skew table, memoized.
 
     `entries` maps the mask (1 << i) | (1 << j) of each pair i < j, as
     in a bivector's flat key, to the raw term dict {packed key:
     (a, b, d)} of a_ij on `table`; absent pairs are zero.
-    The returned pf(S) takes a sorted index tuple S of even length and
-    expands along the first row,
+    Called on a sorted index tuple S of even length, the memo gives
+    Pf(A_S) by expanding along the first row,
     Pf(A_S) = sum_p (-1)^p a_(s_0, s_(p+1)) Pf(A_S without s_0, s_(p+1)),
     so every smaller Pfaffian is computed once and shared.  Each value
     is a raw term dict of reduced nonzero triples, {} when the Pfaffian
-    vanishes.
+    vanishes.  The dict fills itself through `__missing__`, not through
+    a recursive closure, so it is no reference cycle and is freed as
+    soon as its last caller drops it.
     """
-    negated = {ix: polynomials._scaled(t, -1) for ix, t in entries.items()}
-    memo = {}
 
-    def pf(indices: tuple) -> dict:
-        got = memo.get(indices)
-        if got is not None:
-            return got
+    __slots__ = ("entries", "negated", "table")
+
+    def __init__(self, entries: dict, table: VariableTable):
+        self.entries, self.table = entries, table
+        self.negated = {ix: polynomials._scaled(t, -1)
+                        for ix, t in entries.items()}
+
+    __call__ = dict.__getitem__
+
+    def __missing__(self, indices: tuple) -> dict:
         first, rest = 1 << indices[0], indices[1:]
         if len(rest) == 1:
-            return entries.get(first | 1 << rest[0], {})
+            return self.entries.get(first | 1 << rest[0], {})
         acc = {}
         for pos, j in enumerate(rest):
-            a = (negated if pos % 2 else entries).get(first | 1 << j)
+            a = (self.negated if pos % 2 else self.entries).get(first | 1 << j)
             if a:
-                sub = pf(rest[:pos] + rest[pos + 1:])
+                sub = self[rest[:pos] + rest[pos + 1:]]
                 if sub:
-                    polynomials._mul_into(acc, a, sub, table)
-        acc = memo[indices] = polynomials._normalized(acc)
+                    polynomials._mul_into(acc, a, sub, self.table)
+        acc = self[indices] = polynomials._normalized(acc)
         return acc
-
-    return pf
 
 
 def _power_coefficients(ps: PoissonStructure):
@@ -134,7 +138,7 @@ def _power_coefficients(ps: PoissonStructure):
     the coefficient table A of Pi, so every k shares one Pfaffian memo.
     """
     table = ps.table
-    pf = _pfaffian_memo(multivectors._split(ps.bivector), table)
+    pf = _PfaffianMemo(multivectors._split(ps.bivector), table)
 
     def coefficients(k: int) -> list:
         scale = factorial(k)

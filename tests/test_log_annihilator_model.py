@@ -117,13 +117,13 @@ def test_numeric_residues_and_genericity_match_the_reference():
 
 def test_one_memo_for_all_residues(monkeypatch):
     calls = []
-    original = diagonal._pfaffian_memo
+    original = diagonal._PfaffianMemo
 
-    def counting(entries, guard):
+    def counting(entries, table):
         calls.append(entries)
-        return original(entries, guard)
+        return original(entries, table)
 
-    monkeypatch.setattr(diagonal, "_pfaffian_memo", counting)
+    monkeypatch.setattr(diagonal, "_PfaffianMemo", counting)
     log_annihilator(DiagonalSpec.symbolic(7))
     assert len(calls) == 1
 
