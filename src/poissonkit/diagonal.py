@@ -157,7 +157,7 @@ def pfaffian(matrix: list):
     zero = Polynomial.zero(VariableTable(()) if table is None else table)
     value = polynomials._from_raw(zero.table, _PfaffianMemo(
         {1 << i | 1 << j: (zero + v)._raw for (i, j), v in upper.items()},
-        zero.table)(tuple(range(size))))
+        zero.table)[tuple(range(size))])
     if table is not None:
         return value
     value = value.constant_value()
@@ -176,7 +176,7 @@ def _spec_pfaffians(spec: DiagonalSpec, table: VariableTable):
                         spec.entry_polynomial(table, i, j)._raw
                         for i, j in spec.entries}, table)
     one = {0: (1, 0, 1)}
-    return lambda indices: pf(indices) if indices else one
+    return lambda indices: pf[indices] if indices else one
 
 
 class CurlEigenvalues:

@@ -38,7 +38,7 @@ from typing import Mapping
 from . import polynomials
 from .polynomials import (MASK_SIGN_CACHE, FloatPolynomials, Polynomial,
                           VariableTable, _mask_sign)
-from .scalars import GaussRational
+from .scalars import GaussRational, _product
 
 
 @lru_cache(maxsize=MASK_SIGN_CACHE)
@@ -164,8 +164,10 @@ class _SuperElement:
 
     def __mul__(self, factor):
         if isinstance(factor, (int, Fraction, GaussRational)):
-            factor = Polynomial.constant(self.table, factor)
-        elif not isinstance(factor, Polynomial):
+            t = polynomials._as_scalar(factor)._t
+            return _built(type(self), self.table, self.degree,
+                          {k: _product(c, t) for k, c in self._flat.items()})
+        if not isinstance(factor, Polynomial):
             return NotImplemented
         if factor.table != self.table:
             raise ValueError("polynomials live on different variable tables")

@@ -368,7 +368,9 @@ class Polynomial:
         return _power(self, n, Polynomial.one(self.table))
 
     def scale(self, value) -> "Polynomial":
-        return self * _as_scalar(value)
+        value = _as_scalar(value)._t
+        return _from_raw(self.table, {e: _product(t, value)
+                                      for e, t in self._raw.items()})
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):

@@ -97,7 +97,7 @@ class _PfaffianMemo(dict):
     `entries` maps the mask (1 << i) | (1 << j) of each pair i < j, as
     in a bivector's flat key, to the raw term dict {packed key:
     (a, b, d)} of a_ij on `table`; absent pairs are zero.
-    Called on a sorted index tuple S of even length, the memo gives
+    Indexed by a sorted index tuple S of even length, the memo gives
     Pf(A_S) by expanding along the first row,
     Pf(A_S) = sum_p (-1)^p a_(s_0, s_(p+1)) Pf(A_S without s_0, s_(p+1)),
     so every smaller Pfaffian is computed once and shared.  Each value
@@ -107,14 +107,10 @@ class _PfaffianMemo(dict):
     soon as its last caller drops it.
     """
 
-    __slots__ = ("entries", "negated", "table")
-
     def __init__(self, entries: dict, table: VariableTable):
         self.entries, self.table = entries, table
         self.negated = {ix: polynomials._scaled(t, -1)
                         for ix, t in entries.items()}
-
-    __call__ = dict.__getitem__
 
     def __missing__(self, indices: tuple) -> dict:
         first, rest = 1 << indices[0], indices[1:]
@@ -138,7 +134,7 @@ def _power_coefficients(ps: PoissonStructure):
     the coefficient table A of Pi, so every k shares one Pfaffian memo.
     """
     table = ps.table
-    pf = _PfaffianMemo(multivectors._split(ps.bivector), table)
+    pf = _PfaffianMemo(multivectors._split(ps.bivector), table).__getitem__
 
     def coefficients(k: int) -> list:
         scale = factorial(k)
