@@ -216,8 +216,7 @@ def cmd_rigidity(args) -> int:
     try:
         dimension, basis = solve_rigidity(system)
     except AssertionError as exc:
-        print("dimension: unresolved")
-        print("diagonal: false")
+        _emit("dimension: unresolved\ndiagonal: false\n", args.out)
         print(f"rigidity: {exc}", file=sys.stderr)
         return 1
     report = f"dimension: {dimension}\ndiagonal: true\n"

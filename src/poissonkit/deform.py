@@ -190,13 +190,12 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
     n = family.n
     system = family._newton_system()
 
-    def newton(gamma, t_value):
-        """(point, iterations) once the residual is within tol, or None."""
-        point = np.append(gamma, t_value)
+    def newton(point):
+        """Iterations to move `point` in place within tol, or None."""
         for iteration in range(NEWTON_ITERATIONS):
             fvec = system.residual(point)
             if float(np.abs(fvec).max()) <= tol:
-                return point[:n], iteration
+                return iteration
             jmat = system.jacobian(point).reshape(n, n)
             try:
                 delta = np.linalg.solve(jmat, fvec)
@@ -216,9 +215,10 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
         while tau < radius and attempts < MAX_STEPS:
             attempts += 1
             tau_next = min(tau + step, radius)
-            solved = newton(gamma, direction * tau_next)
-            if solved:
-                gamma, iters = solved
+            point = np.append(gamma, direction * tau_next)
+            iters = newton(point)
+            if iters is not None:
+                gamma = point[:n]
                 total_iters += iters
                 tau = tau_next
             elif step / 2 < MIN_STEP:
@@ -226,9 +226,11 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
             else:
                 step /= 2
         if tau < radius:
+            residual = float(np.abs(system.residual(point)).max())
             raise CheckFailed(
                 f"left basin; reduce step (reached tau={tau:.6g} "
-                f"of {radius:.6g}, last step {step:.3g})")
+                f"of {radius:.6g}, last step {step:.3g}, last residual "
+                f"{residual:.3g}, tol {tol:g})")
     point = np.append(gamma, t)
     residual = float(np.abs(system.residual(point)).max(initial=0.0))
     jet0 = float(np.abs(system.jet0(point)).max(initial=0.0))

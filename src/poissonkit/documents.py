@@ -119,6 +119,9 @@ def serialize(obj) -> str:
 _MISSING = object()
 # the JSON kinds a field may be asked to have, as its error names them
 _KINDS = {str: "a string", dict: "an object", list: "a list"}
+# every coefficient part stays below the 4,300 digits a literal may hold,
+# so records that repeat a monomial cannot grow a fraction without bound
+_PART_LIMIT = 10 ** 4300
 
 
 def _typed(value, field: str, kind: type):
@@ -150,34 +153,6 @@ def _names(record: dict, field: str, default=_MISSING) -> tuple:
     return names
 
 
-# A bound on the term products of the [Pi, Pi] check that a stated
-# `integrable` flag starts at load, estimated before computing it.  The
-# costliest admitted documents found load in about 1 s on a 2-vCPU Xeon
-# with Python 3.11: 707 records on 13 coordinates whose monomials all
-# hold every coordinate (1.2 s; its bracket collects 529,473 terms in
-# one flat dict), the same with 1,000-digit fractions at 100 records
-# (0.7 to 0.8 s), and 960 records concentrated on x1 (0.6 to 0.8 s).
-MAX_BRACKET_PRODUCTS = 1_000_000
-
-
-def _bracket_products(terms: dict, n: int) -> int:
-    """An upper bound on the term products of [Pi, Pi] for {indices:
-    {exponents: scalar}}, in O(records * n): for each coordinate k, the
-    terms whose indices hold k times the terms whose monomial holds x_k.
-    A term counts once more per 1,024 bits of its coefficient, since
-    long coefficients make each product dearer."""
-    holding, moving = [0] * n, [0] * n
-    for indices, monomials in terms.items():
-        for exps, coeff in monomials.items():
-            weight = 1 + sum(v.bit_length() for v in coeff._t) // 1024
-            for k in indices:
-                holding[k] += weight
-            for k in range(n):
-                if exps[k]:
-                    moving[k] += weight
-    return sum(h * m for h, m in zip(holding, moving))
-
-
 def _element_from_document(doc: dict):
     coordinates = _names(doc, "coordinates")
     if len(coordinates) > MAX_COORDINATES:
@@ -205,26 +180,23 @@ def _element_from_document(doc: dict):
         exps = tuple(exps)
         coeff = parse_scalar(_field(record, "coeff", str))
         acc = terms.setdefault(indices, {})
-        acc[exps] = acc[exps] + coeff if exps in acc else coeff
+        coeff = acc[exps] + coeff if exps in acc else coeff
+        if not all(-_PART_LIMIT < v < _PART_LIMIT for v in coeff._t):
+            raise ValueError("coeff has a numerator or denominator of more "
+                             "than 4300 digits")
+        acc[exps] = coeff
     element = cls(table, degree, {ix: Polynomial(table, t)
                                   for ix, t in terms.items()})
     if "integrable" in doc:
         claim = doc["integrable"]
         if claim not in ("true", "false", "unknown"):
             raise ValueError('integrable must be "true", "false" or "unknown"')
-        flag = {"true": True, "false": False, "unknown": None}[claim]
         ps = PoissonStructure(element)
         # a stated flag must match the Schouten bracket; "unknown" states none
-        if flag is not None:
-            products = _bracket_products(terms, table.n_coordinates)
-            if products > MAX_BRACKET_PRODUCTS:
-                raise ValueError(f"integrable: checking [Pi, Pi] takes up to "
-                                 f"{products} term products, more than "
-                                 f"{MAX_BRACKET_PRODUCTS}")
-            if ps.integrable != flag:
-                actual = "is not" if flag else "is"
-                raise ValueError(f"document claims integrable: {claim}, "
-                                 f"but [Pi, Pi] {actual} zero")
+        if claim != "unknown" and ps.integrable != (claim == "true"):
+            actual = "is not" if claim == "true" else "is"
+            raise ValueError(f"document claims integrable: {claim}, "
+                             f"but [Pi, Pi] {actual} zero")
         return ps
     return element
 

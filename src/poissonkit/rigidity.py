@@ -21,7 +21,6 @@ from itertools import combinations, combinations_with_replacement
 
 from .multivectors import Multivector, contract, exterior_derivative
 from .polynomials import Polynomial, VariableTable, reduce_mod
-from .scalars import GaussRational
 
 # Largest N the command line accepts.  N = 12 has 5,148 unknowns and
 # 8,712 rows, built from 132 unit fields; `poissonkit rigidity --dim 12`
@@ -115,25 +114,19 @@ def solve_rigidity(system: RigiditySystem):
                 f"constraint row is not one nonzero entry: columns "
                 f"{cols} on unknowns {quads}")
         touched.update(row)
-    vectors = [{col: GaussRational.one()} for col in range(system.n_unknowns)
-               if col not in touched]
     basis = []
     table = system.table
-    for vec in vectors:
-        quads = [system.unknowns[idx] for idx in sorted(vec)]
-        diagonal = (
-            len(vec) == 1
-            and next(iter(vec.values())).is_one()
-            and {quads[0][0], quads[0][1]} == {quads[0][2], quads[0][3]}
-        )
-        if not diagonal:
+    for col in range(system.n_unknowns):
+        if col in touched:
+            continue
+        i, j, k, l = quad = system.unknowns[col]
+        if {i, j} != {k, l}:
             raise AssertionError(
-                f"non-diagonal nullspace vector on unknowns {quads}")
-        _, _, k, l = quads[0]
+                f"non-diagonal nullspace vector on unknowns {[quad]}")
         basis.append(Multivector(
             table, 2,
             {(k - 1, l - 1): Polynomial.monomial(table, {f"x{k}": 1, f"x{l}": 1})}))
-    return len(vectors), basis
+    return len(basis), basis
 
 
 class MonomialSurvivors:

@@ -67,7 +67,10 @@ def jacobi_check(ps: PoissonStructure) -> Multivector:
     """Return [Pi, Pi], computed from the structure's own bivector once."""
     bracket = ps._bracket
     if bracket is None:
-        bracket = schouten(ps.bivector, ps.bivector)
+        try:
+            bracket = schouten(ps.bivector, ps.bivector)
+        except ValueError as exc:  # a refused bracket: name the field
+            raise ValueError(f"integrable: {exc}") from None
         object.__setattr__(ps, "_bracket", bracket)
     return bracket
 

@@ -207,6 +207,24 @@ def test_rigidity_certifies_dimension_twelve(capsys):
     assert capsys.readouterr().out == "dimension: 66\ndiagonal: true\n"
 
 
+def test_a_rigidity_failure_report_honours_out(tmp_path, capsys,
+                                              monkeypatch):
+    from poissonkit import cli
+
+    def broken(system):
+        raise AssertionError("non-diagonal nullspace vector on unknowns "
+                             "[(1, 1, 1, 2)]")
+
+    monkeypatch.setattr(cli, "solve_rigidity", broken)
+    report = tmp_path / "report.txt"
+    assert main(["rigidity", "--dim", "3", "--out", str(report)]) == 1
+    assert report.read_text() == "dimension: unresolved\ndiagonal: false\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("rigidity: non-diagonal nullspace vector on "
+                            "unknowns [(1, 1, 1, 2)]\n")
+
+
 # sha256 of `rigidity --dim N --basis-out` documents, taken from the
 # elimination-based solver that preceded the support read-off.
 RIGIDITY_BASIS_SHA256 = {
@@ -462,6 +480,60 @@ def test_a_flag_past_the_bracket_budget_exits_two(tmp_path):
     assert (code, stdout) == (2, "")
     assert "Traceback" not in stderr
     assert stderr.splitlines()[-1].startswith("error: integrable: ")
+
+
+def _dense_document(path):
+    """The document above with `"integrable": "unknown"`."""
+    names = [f"x{k}" for k in range(1, 14)]
+    pairs = [[i, j] for i in range(13) for j in range(i + 1, 13)]
+    terms = [{"coeff": "1", "indices": pairs[r % 78], "exponents": {
+        name: 1 + (k == r % 13) + (k == r // 13 % 13) + r // 169 * (k == 0)
+        for k, name in enumerate(names)}} for r in range(708)]
+    path.write_text(json.dumps({
+        "kind": "multivector", "coordinates": names, "parameters": [],
+        "degree": 2, "integrable": "unknown", "terms": terms}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("parse",), "error: integrable: the Schouten bracket takes 1002528"),
+    (("jacobi",), "error: integrable: the Schouten bracket takes 1002528"),
+    (("chart", "--target", "0"), "error: integrable: the Schouten bracket"),
+    (("schouten", "--with", "DENSE"),
+     "error: the Schouten bracket takes 2005056"),
+], ids=["parse", "jacobi", "chart", "schouten"])
+def test_every_verb_that_brackets_meets_the_budget(tmp_path, argv, message):
+    import time
+
+    # "unknown" is checked at no load, so the bound is met in the verb:
+    # computing [Pi, Pi] or [Pi, Pi'], or writing the integrable field
+    path = _dense_document(tmp_path / "dense.mv")
+    argv = [path if arg == "DENSE" else arg for arg in argv]
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli(argv[0], "--in", path, *argv[1:])
+    # the budget refuses before any product; unbounded, these ran 2 to 33 s
+    assert time.perf_counter() - start < 10
+    assert (code, stdout) == (2, "")
+    assert "Traceback" not in stderr
+    assert stderr.splitlines()[-1].startswith(message)
+
+
+def test_repeated_records_past_a_literal_exit_two_fast(tmp_path, capsys):
+    import time
+
+    record = {"exponents": {"x1": 1}, "indices": [0, 1]}
+    path = tmp_path / "grow.mv"
+    path.write_text(json.dumps({
+        "kind": "multivector", "coordinates": ["x1", "x2"], "degree": 2,
+        "terms": [dict(record, coeff=f"1/{10 ** 3999 + r}")
+                  for r in range(3)]}))
+    start = time.perf_counter()
+    assert main(["parse", "--in", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: coeff has a numerator or denominator "
+                            "of more than 4300 digits\n")
 
 
 def test_deep_nesting_exits_two_without_traceback(tmp_path):

@@ -86,8 +86,26 @@ def test_tracking_error_paths(monkeypatch):
     # last step tried is 1e-2 / 2^13
     monkeypatch.setattr(deform, "NEWTON_ITERATIONS", 0)
     with pytest.raises(ValueError, match=r"left basin; reduce step "
-                       r"\(reached tau=0 of 0\.05, last step 1\.22e-06\)"):
+                       r"\(reached tau=0 of 0\.05, last step 1\.22e-06, "
+                       r"last residual 1\.22e-05, tol 1e-12\)"):
         track_degenerate_point(fam, 0.05)
+
+
+def test_a_basin_failure_names_the_residual_and_tol():
+    from pathlib import Path
+
+    from poissonkit.documents import load_path
+    family = load_path(str(Path(__file__).parent / "golden" / "inputs"
+                           / "fam4.json"))
+    # float Newton stops short of a zero residual, so tol 0 reads as
+    # leaving the basin; the message shows the residual that tol refused
+    with pytest.raises(CheckFailed, match=r"left basin; reduce step "
+                       r"\(reached tau=0 of 0\.05, last step 1\.22e-06, "
+                       r"last residual [0-9.e+-]+, tol 0\)$") as caught:
+        track_degenerate_point(family, 0.05, tol=0.0)
+    residual = float(str(caught.value).split("last residual ")[1]
+                     .split(",")[0])
+    assert 0 < residual <= 1e-12
 
 
 @pytest.mark.parametrize("t, step, message", [
@@ -130,7 +148,8 @@ def test_tracking_stops_after_max_steps(monkeypatch):
     monkeypatch.setattr(deform, "MAX_STEPS", 11)
     monkeypatch.setattr(deform, "NEWTON_ITERATIONS", 0)
     with pytest.raises(CheckFailed, match=r"left basin; reduce step "
-                       r"\(reached tau=0 of 0\.1, last step 4\.88e-06\)"):
+                       r"\(reached tau=0 of 0\.1, last step 4\.88e-06, "
+                       r"last residual 9\.77e-05, tol 1e-12\)"):
         track_degenerate_point(fam, 0.1)
 
 

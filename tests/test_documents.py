@@ -8,8 +8,8 @@ import pytest
 from poissonkit import (DeformationFamily, DiagonalSpec, DifferentialForm,
                         GaussRational, Multivector, PoissonStructure,
                         VariableTable, exterior_derivative, from_document,
-                        loads, make_diagonal, parse_polynomial, serialize,
-                        to_document)
+                        loads, make_diagonal, parse_polynomial, schouten,
+                        serialize, to_document)
 from poissonkit.polynomials import MAX_COORDINATES
 
 
@@ -369,21 +369,43 @@ def _dense_structure_doc(records, flag):
 
 
 def test_a_stated_flag_is_refused_past_the_bracket_budget():
-    from poissonkit.documents import MAX_BRACKET_PRODUCTS
+    from poissonkit.multivectors import MAX_BRACKET_PRODUCTS
 
     text = _dense_structure_doc(708, "false")
     with pytest.raises(ValueError, match=(
-            f"^integrable: checking \\[Pi, Pi\\] takes up to 1002528 term "
+            f"^integrable: the Schouten bracket takes 1002528 term "
             f"products, more than {MAX_BRACKET_PRODUCTS}$")):
         loads(text)
-    # "unknown" states nothing, so no bracket is computed or charged
-    assert len(loads(text.replace('"false"', '"unknown"')).bivector.terms) == 78
+    # "unknown" states nothing, so loading computes no bracket; asking
+    # for the flag does, and meets the same bound
+    ps = loads(text.replace('"false"', '"unknown"'))
+    assert len(ps.bivector.terms) == 78
+    with pytest.raises(ValueError, match="^integrable: the Schouten "
+                                         "bracket takes 1002528 term"):
+        ps.integrable
+
+
+def _reference_bracket_products(terms, n):
+    """The bound the document loader used to estimate for [Pi, Pi] of
+    {indices: {exponents: scalar}}: for each coordinate k, the weighted
+    terms whose indices hold k times those whose monomial holds x_k."""
+    holding, moving = [0] * n, [0] * n
+    for indices, monomials in terms.items():
+        for exps, coeff in monomials.items():
+            weight = 1 + sum(v.bit_length() for v in coeff._t) // 1024
+            for k in indices:
+                holding[k] += weight
+            for k in range(n):
+                if exps[k]:
+                    moving[k] += weight
+    return sum(h * m for h, m in zip(holding, moving))
 
 
 def test_the_bracket_estimate_bounds_the_products(monkeypatch):
     import random
+    import re
 
-    from poissonkit import Polynomial, documents, polynomials
+    from poissonkit import Polynomial, multivectors, polynomials
 
     products = []
     original = polynomials._mul_into
@@ -395,7 +417,17 @@ def test_the_bracket_estimate_bounds_the_products(monkeypatch):
                             for k1 in left for k2 in right))
         return original(acc, left, right, table)
 
-    monkeypatch.setattr(polynomials, "_mul_into", counting)
+    def kernel_count(bivector):
+        """The count `schouten` checks, read from its refusal under a
+        bound of -1, which refuses before any product is made."""
+        monkeypatch.setattr(multivectors, "MAX_BRACKET_PRODUCTS", -1)
+        try:
+            with pytest.raises(ValueError) as caught:
+                schouten(bivector, bivector)
+        finally:
+            monkeypatch.undo()
+        return int(re.search(r"takes (\d+) term", str(caught.value))[1])
+
     rng = random.Random("bracket-budget")
     T = VariableTable(("x1", "x2", "x3", "x4", "x5"), ("a",))
     counted = 0
@@ -406,10 +438,51 @@ def test_the_bracket_estimate_bounds_the_products(monkeypatch):
             exps = tuple(rng.randint(0, 2) for _ in range(T.width))
             terms.setdefault(indices, {})[exps] = GaussRational(
                 rng.randint(1, 9), rng.randint(0, 2))
-        ps = PoissonStructure(Multivector(T, 2, {
-            ix: Polynomial(T, t) for ix, t in terms.items()}))
+        bivector = Multivector(T, 2, {
+            ix: Polynomial(T, t) for ix, t in terms.items()})
+        count = kernel_count(bivector)
+        # every term weighs 1, so the count is the old estimate exactly
+        assert count == _reference_bracket_products(terms, 5)
         products.clear()
-        ps.integrable
-        assert sum(products) <= documents._bracket_products(terms, 5)
+        monkeypatch.setattr(polynomials, "_mul_into", counting)
+        PoissonStructure(bivector).integrable
+        monkeypatch.undo()
+        assert sum(products) <= count
         counted += sum(products)
     assert counted
+
+
+def test_the_bracket_count_weighs_long_coefficients():
+    # 200 dense terms with coprime 1,000-digit denominators each weigh
+    # 1 + 3,322 // 1,024 = 4, so the count is 16 times the plain 80,000
+    doc = json.loads(_dense_structure_doc(200, "false"))
+    for r, record in enumerate(doc["terms"]):
+        record["coeff"] = f"1/{10 ** 999 + r}"
+    terms = {ix: coeff.terms for ix, coeff in from_document(
+        dict(doc, integrable="unknown")).bivector.terms.items()}
+    assert _reference_bracket_products(terms, 13) == 16 * 80_000
+    with pytest.raises(ValueError, match=(
+            "^integrable: the Schouten bracket takes 1280000 term products, "
+            "more than 1000000$")):
+        from_document(doc)
+
+
+def test_repeated_records_cannot_grow_a_coefficient_past_a_literal():
+    import time
+
+    # 4,000-digit denominators, pairwise coprime: every sum of two has
+    # about 8,000 digits, past the 4,300 a literal may hold
+    record = {"exponents": {"x1": 1}, "indices": [0, 1]}
+    records = [dict(record, coeff=f"1/{10 ** 3999 + r}") for r in range(3)]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^coeff has a numerator or "
+                                         "denominator of more than 4300 "
+                                         "digits$"):
+        loads(_bivector_doc(records))
+    assert time.perf_counter() - start < 1
+    # one record of that size loads, and so does a 4,300-digit literal;
+    # a literal raised to a power past 4,300 digits does not
+    assert loads(_bivector_doc(records[:1]))
+    assert loads(_bivector_doc([dict(record, coeff="9" * 4300)]))
+    with pytest.raises(ValueError, match="^coeff has a numerator"):
+        loads(_bivector_doc([dict(record, coeff=f"({'9' * 3000})^2")]))

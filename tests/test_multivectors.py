@@ -243,3 +243,47 @@ def test_schouten_rejects_mismatched_tables():
     other = Multivector.basis(VariableTable(("y1",)), (0,))
     with pytest.raises(Exception):
         schouten(Multivector.basis(T2, (0,)), other)
+
+
+def _dense_bivector(records):
+    """`records` distinct terms on 13 coordinates whose monomials hold
+    every coordinate: [Pi, Pi] costs about 2 * records^2 term products."""
+    table = VariableTable(tuple(f"x{k}" for k in range(1, 14)))
+    pairs = [(i, j) for i in range(13) for j in range(i + 1, 13)]
+    terms = {}
+    for r in range(records):
+        exps = [1] * 13
+        exps[r % 13] += 1 + r // 169
+        exps[r // 13 % 13] += 1
+        terms.setdefault(pairs[r % 78], {})[tuple(exps)] = GaussRational(1)
+    return Multivector(table, 2, {ix: Polynomial(table, t)
+                                  for ix, t in terms.items()})
+
+
+def test_schouten_refuses_past_the_bound_before_any_product(monkeypatch):
+    from poissonkit import multivectors, polynomials
+
+    calls = []
+    original = polynomials._mul_into
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(polynomials, "_mul_into", counting)
+    pi = _dense_bivector(708)
+    limit = multivectors.MAX_BRACKET_PRODUCTS
+    with pytest.raises(ValueError, match=f"^the Schouten bracket takes "
+                                         f"1002528 term products, more "
+                                         f"than {limit}$"):
+        schouten(pi, pi)
+    # an equal copy is another argument: both sums are charged
+    copy_of_pi = _dense_bivector(708)
+    with pytest.raises(ValueError, match="^the Schouten bracket takes "
+                                         "2005056 term products"):
+        schouten(pi, copy_of_pi)
+    assert calls == []
+    # a bracket inside the bound runs its products as before
+    small = _dense_bivector(20)
+    assert schouten(small, small) == schouten(small, _dense_bivector(20))
+    assert calls
