@@ -44,7 +44,7 @@ print("2! * Pf =", GaussRational(factorial(2)) * pf,
 
 # The curl of a diagonal structure is again diagonal: mu_i x_i d/dx_i,
 # and the eigenvalues always sum to zero.
-mu = curl_eigenvalues(primes).mu
+mu = curl_eigenvalues(primes)
 print("\ncurl(Pi) =", curl(concrete.bivector))
 print("mu =", [str(m) for m in mu])
 

@@ -9,9 +9,9 @@ from .automorphisms import (DiagonalScaling, ElementaryAutomorphism,
                             Translation, TriangularShear, pushforward)
 from .deform import (DeformationFamily, TrackResult, jet_vanishing,
                      scan_degenerate_points, track_degenerate_point)
-from .diagonal import (CurlEigenvalues, DiagonalSpec, LogForm,
-                       curl_eigenvalues, is_generic, log_annihilator,
-                       make_diagonal, pfaffian, random_generic_spec)
+from .diagonal import (DiagonalSpec, LogForm, curl_eigenvalues, is_generic,
+                       log_annihilator, make_diagonal, pfaffian,
+                       random_generic_spec)
 from .documents import (from_document, loads, load_path, serialize,
                         to_document)
 from .multivectors import (BV_SIGN, DifferentialForm, Multivector,
@@ -37,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BV_SIGN",
     "CheckFailed",
-    "CurlEigenvalues",
     "DeformationFamily",
     "DegeneracyIdeal",
     "DiagonalScaling",

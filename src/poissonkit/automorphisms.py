@@ -9,6 +9,7 @@ involve parameters (a deformation parameter t, say) but no coordinates.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .polynomials import Polynomial, VariableTable, _substituted
@@ -17,10 +18,15 @@ from .multivectors import Multivector, _built, _pushforward_sums
 
 
 class ElementaryAutomorphism:
-    """Base class; subclasses fill in forward/inverse images."""
+    """Base class of immutable maps; subclasses fill in forward/inverse images."""
+
+    __slots__ = ("table",)
 
     def __init__(self, table: VariableTable):
-        self.table = table
+        object.__setattr__(self, "table", table)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def forward_images(self) -> dict:
         """Coordinate name -> image Polynomial under the map."""
@@ -33,31 +39,49 @@ class ElementaryAutomorphism:
         return f"<{type(self).__name__} on {self.table.coordinates}>"
 
 
-class Translation(ElementaryAutomorphism):
-    """x_c -> x_c + amount, amount free of coordinates."""
+class _Shift(ElementaryAutomorphism):
+    """x_c -> x_c + g; each kind names g and checks what it may involve."""
 
-    def __init__(self, table: VariableTable, coordinate: str, amount: Polynomial):
+    __slots__ = ("coordinate", "_g")
+
+    def __init__(self, table: VariableTable, coordinate: str, g: Polynomial,
+                 name: str):
         super().__init__(table)
         if not table.is_coordinate(coordinate):
             raise KeyError(f"not a coordinate: {coordinate!r}")
-        if amount.table != table:
-            raise ValueError("amount on a different variable table")
-        if amount.coordinate_degree() > 0:
-            raise ValueError("translation amount must not involve coordinates")
-        self.coordinate = coordinate
-        self.amount = amount
+        if g.table != table:
+            raise ValueError(f"{name} on a different variable table")
+        object.__setattr__(self, "coordinate", coordinate)
+        object.__setattr__(self, "_g", g)
+
+    def __reduce__(self):
+        return type(self), (self.table, self.coordinate, self._g)
 
     def forward_images(self):
         x = Polynomial.variable(self.table, self.coordinate)
-        return {self.coordinate: x + self.amount}
+        return {self.coordinate: x + self._g}
 
     def inverse_images(self):
         x = Polynomial.variable(self.table, self.coordinate)
-        return {self.coordinate: x - self.amount}
+        return {self.coordinate: x - self._g}
+
+
+class Translation(_Shift):
+    """x_c -> x_c + amount, amount free of coordinates."""
+
+    __slots__ = ()
+    amount = property(lambda self: self._g)
+
+    def __init__(self, table: VariableTable, coordinate: str, amount: Polynomial):
+        super().__init__(table, coordinate, amount, "amount")
+        if amount.coordinate_degree() > 0:
+            raise ValueError("translation amount must not involve coordinates")
 
 
 class DiagonalScaling(ElementaryAutomorphism):
     """x_k -> s_k * x_k with nonzero exact scales (default 1)."""
+
+    __slots__ = ("scales",)
 
     def __init__(self, table: VariableTable, scales: Mapping[str, object]):
         super().__init__(table)
@@ -70,7 +94,10 @@ class DiagonalScaling(ElementaryAutomorphism):
             if value.is_zero():
                 raise ValueError(f"scale for {name} must be nonzero")
             cleaned[name] = value
-        self.scales = cleaned
+        object.__setattr__(self, "scales", MappingProxyType(cleaned))
+
+    def __reduce__(self):
+        return DiagonalScaling, (self.table, dict(self.scales))
 
     def forward_images(self):
         return {
@@ -86,30 +113,18 @@ class DiagonalScaling(ElementaryAutomorphism):
         }
 
 
-class TriangularShear(ElementaryAutomorphism):
+class TriangularShear(_Shift):
     """x_c -> x_c + g where g involves strictly later coordinates only."""
 
+    __slots__ = ()
+    shear = property(lambda self: self._g)
+
     def __init__(self, table: VariableTable, coordinate: str, shear: Polynomial):
-        super().__init__(table)
-        if not table.is_coordinate(coordinate):
-            raise KeyError(f"not a coordinate: {coordinate!r}")
-        if shear.table != table:
-            raise ValueError("shear on a different variable table")
+        super().__init__(table, coordinate, shear, "shear")
         pos = table.coordinates.index(coordinate)
         allowed = set(table.coordinates[pos + 1:]) | set(table.parameters)
-        used = shear.variables_present()
-        if not used <= allowed:
+        if not shear.variables_present() <= allowed:
             raise ValueError("shear must involve strictly later coordinates only")
-        self.coordinate = coordinate
-        self.shear = shear
-
-    def forward_images(self):
-        x = Polynomial.variable(self.table, self.coordinate)
-        return {self.coordinate: x + self.shear}
-
-    def inverse_images(self):
-        x = Polynomial.variable(self.table, self.coordinate)
-        return {self.coordinate: x - self.shear}
 
 
 def _odd_images(phi: ElementaryAutomorphism) -> dict:

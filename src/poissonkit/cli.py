@@ -100,11 +100,10 @@ def cmd_jacobi(args) -> int:
 
 def cmd_curl(args) -> int:
     a = _element(_load(args.infile))
-    if args.unit is None:
-        result = curl(a)
-    else:
-        result = curl(a, parse_polynomial(args.unit, a.table))
-    _emit(documents.serialize(result), args.out)
+    unit = None if args.unit is None else parse_polynomial(args.unit, a.table)
+    if unit is not None and unit.is_zero():
+        raise ValueError("--unit must be nonzero")
+    _emit(documents.serialize(curl(a, unit)), args.out)
     return 0
 
 

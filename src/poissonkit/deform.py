@@ -15,6 +15,7 @@ from collections import namedtuple
 from itertools import combinations_with_replacement, product
 from cmath import isfinite
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +47,10 @@ MAX_STEPS = 10_000
 
 
 class DeformationFamily:
-    """Diagonal base pushed along parameter-dependent automorphisms."""
+    """Diagonal base pushed along parameter-dependent automorphisms; immutable."""
+
+    __slots__ = ("base", "parameter", "table", "path",
+                 "_bivector", "_curl", "_system")
 
     def __init__(self, base: DiagonalSpec, path=(), parameter: str = "t"):
         if not base.is_numeric():
@@ -55,19 +59,22 @@ class DeformationFamily:
             raise ValueError("family base must have an even number of coordinates")
         if not is_generic(base):
             raise ValueError("family base fails the genericity checks")
-        self.base = base
-        self.parameter = parameter
-        coords = tuple(f"x{k}" for k in range(1, base.n + 1))
-        self.table = VariableTable(coords, (parameter,))
+        table = VariableTable(base.table().coordinates, (parameter,))
+        path = tuple(path)
         for step in path:
             if not isinstance(step, ElementaryAutomorphism):
                 raise TypeError("path entries must be elementary automorphisms")
-            if step.table != self.table:
+            if step.table != table:
                 raise ValueError("path step lives on the wrong table")
-        self.path = tuple(path)
-        self._bivector = None
-        self._curl = None
-        self._system = None
+        values = (base, parameter, table, path, None, None, None)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DeformationFamily is immutable")
+
+    def __reduce__(self):
+        return DeformationFamily, (self.base, self.path, self.parameter)
 
     @classmethod
     def build(cls, base: DiagonalSpec, steps, parameter: str = "t"):
@@ -77,30 +84,27 @@ class DeformationFamily:
         data) or ("scaling", {coord: scalar_text}); data strings are
         parsed over the family table.
         """
-        family = cls(base, (), parameter)
+        table = VariableTable(base.table().coordinates, (parameter,))
         path = []
         for descriptor in steps:
             kind = descriptor[0]
             if kind in ("translation", "shear"):
                 _, coord, data = descriptor
                 if isinstance(data, str):
-                    data = parse_polynomial(data, family.table)
+                    data = parse_polynomial(data, table)
                 step = Translation if kind == "translation" else TriangularShear
-                path.append(step(family.table, coord, data))
+                path.append(step(table, coord, data))
             elif kind == "scaling":
                 _, scales = descriptor
                 parsed = {}
                 for name, value in scales.items():
                     if isinstance(value, str):
-                        value = parse_polynomial(value, family.table).constant_value()
+                        value = parse_polynomial(value, table).constant_value()
                     parsed[name] = value
-                path.append(DiagonalScaling(family.table, parsed))
+                path.append(DiagonalScaling(table, parsed))
             else:
                 raise ValueError(f"unknown step kind {kind!r}")
-        # every step is built on the family's own table, so the path needs
-        # none of __init__'s checks, and the base is checked only once
-        family.path = tuple(path)
-        return family
+        return cls(base, path, parameter)
 
     @property
     def n(self) -> int:
@@ -112,12 +116,13 @@ class DeformationFamily:
     def bivector(self) -> Multivector:
         """The exact symbolic pushforward Pi_t."""
         if self._bivector is None:
-            self._bivector = pushforward(self.path, self.base_bivector())
+            object.__setattr__(self, "_bivector",
+                               pushforward(self.path, self.base_bivector()))
         return self._bivector
 
     def curl_field(self) -> Multivector:
         if self._curl is None:
-            self._curl = curl(self.bivector())
+            object.__setattr__(self, "_curl", curl(self.bivector()))
         return self._curl
 
     def _newton_system(self) -> "_NewtonSystem":
@@ -134,9 +139,9 @@ class DeformationFamily:
                     f.partial_derivative(name)
                     for f in polys for name in table.coordinates))
 
-            self._system = _NewtonSystem(
+            object.__setattr__(self, "_system", _NewtonSystem(
                 FloatPolynomials(table, components), partials(components),
-                FloatPolynomials(table, coefficients), partials(coefficients))
+                FloatPolynomials(table, coefficients), partials(coefficients)))
         return self._system
 
     def at(self, t_value) -> PoissonStructure:
@@ -149,21 +154,15 @@ class DeformationFamily:
         return PoissonStructure(moved)
 
 
-class TrackResult:
+class TrackResult(NamedTuple):
     """Certified degenerate singular point of one family member."""
 
-    def __init__(self, t, gamma, residual, jet0, jet1, newton_iters):
-        self.t = t
-        self.gamma = tuple(gamma)
-        self.residual = residual
-        self.jet0 = jet0
-        self.jet1 = jet1
-        self.newton_iters = newton_iters
-
-    def __repr__(self):
-        return (f"<TrackResult t={self.t} gamma={self.gamma} "
-                f"residual={self.residual:.3e} jet0={self.jet0:.3e} "
-                f"jet1={self.jet1:.3e} iters={self.newton_iters}>")
+    t: complex
+    gamma: tuple
+    residual: float
+    jet0: float
+    jet1: float
+    newton_iters: int
 
 
 def track_degenerate_point(family: DeformationFamily, t: complex,
@@ -235,8 +234,8 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
     residual = float(np.abs(system.residual(point)).max(initial=0.0))
     jet0 = float(np.abs(system.jet0(point)).max(initial=0.0))
     jet1 = float(np.abs(system.jet1(point)).max(initial=0.0))
-    return TrackResult(t, [complex(z) for z in gamma], residual, jet0, jet1,
-                       total_iters)
+    return TrackResult(t, tuple([complex(z) for z in gamma]), residual, jet0,
+                       jet1, total_iters)
 
 
 def jet_vanishing(structure, point, r: int = 3, tol: float = 1e-6) -> int:

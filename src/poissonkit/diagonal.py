@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import polynomials
 from .multivectors import DifferentialForm, Multivector
@@ -36,11 +38,13 @@ class DiagonalSpec:
     """Strictly upper-triangular data lambda_ij, 1 <= i < j <= n.
 
     Entries are GaussRational scalars or parameter-name strings; the two
-    may be mixed.  Missing entries are zero.
+    may be mixed.  Missing entries are zero.  The value is immutable.
     """
 
+    __slots__ = ("n", "entries")
+
     def __init__(self, n: int, entries):
-        self.n = _coordinate_count(n)
+        object.__setattr__(self, "n", _coordinate_count(n))
         cleaned = {}
         for (i, j), value in dict(entries).items():
             if not (1 <= i < j <= n):
@@ -52,7 +56,13 @@ class DiagonalSpec:
                     value = GaussRational(value)
                 if not value.is_zero():
                     cleaned[(i, j)] = value
-        self.entries = cleaned
+        object.__setattr__(self, "entries", MappingProxyType(cleaned))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DiagonalSpec is immutable")
+
+    def __reduce__(self):
+        return DiagonalSpec, (self.n, dict(self.entries))
 
     @classmethod
     def symbolic(cls, n: int) -> "DiagonalSpec":
@@ -179,29 +189,8 @@ def _spec_pfaffians(spec: DiagonalSpec, table: VariableTable):
     return lambda indices: pf[indices] if indices else one
 
 
-class CurlEigenvalues:
-    """The scalars mu_i with curl(Pi) = sum_i mu_i x_i xi_i; they sum to 0."""
-
-    def __init__(self, mu):
-        self.mu = tuple(mu)
-        if not sum(self.mu[1:], self.mu[0]).is_zero():
-            raise ValueError("curl eigenvalues must sum to zero")
-
-    def __iter__(self):
-        return iter(self.mu)
-
-    def __len__(self):
-        return len(self.mu)
-
-    def __getitem__(self, k):
-        return self.mu[k]
-
-    def __repr__(self):
-        return f"<CurlEigenvalues {[str(m) for m in self.mu]}>"
-
-
-def curl_eigenvalues(spec: DiagonalSpec) -> CurlEigenvalues:
-    """mu_i = sum_{j>i} lambda_ij - sum_{j<i} lambda_ji."""
+def curl_eigenvalues(spec: DiagonalSpec) -> tuple:
+    """mu_i = sum_{j>i} lambda_ij - sum_{j<i} lambda_ji; they sum to 0."""
     table = spec.table()
     mu = []
     for i in range(1, spec.n + 1):
@@ -210,15 +199,16 @@ def curl_eigenvalues(spec: DiagonalSpec) -> CurlEigenvalues:
             if j != i:
                 acc = acc + spec.entry_polynomial(table, i, j)
         mu.append(acc)
-    return CurlEigenvalues(mu)
+    if not sum(mu[1:], mu[0]).is_zero():
+        raise ValueError("curl eigenvalues must sum to zero")
+    return tuple(mu)
 
 
-class LogForm:
+class LogForm(NamedTuple):
     """The 1-form sum_i residues_i dx_i/x_i annihilating the image of Pi."""
 
-    def __init__(self, table: VariableTable, residues):
-        self.table = table
-        self.residues = tuple(residues)
+    table: VariableTable
+    residues: tuple
 
     def cleared_form(self) -> DifferentialForm:
         """x1...xn times the form: a polynomial 1-form."""
@@ -227,9 +217,6 @@ class LogForm:
             (i,): res * Polynomial.monomial(
                 self.table, {name: 1 for k, name in enumerate(names) if k != i})
             for i, res in enumerate(self.residues)})
-
-    def __repr__(self):
-        return f"<LogForm residues {[str(r) for r in self.residues]}>"
 
 
 def log_annihilator(spec: DiagonalSpec) -> LogForm:
@@ -253,7 +240,7 @@ def log_annihilator(spec: DiagonalSpec) -> LogForm:
         lead = next(r for r in residues if not r.is_zero()).constant_value()
         inv = GaussRational.one() / lead
         residues = [r.scale(inv) for r in residues]
-    return LogForm(table, residues)
+    return LogForm(table, tuple(residues))
 
 
 def is_generic(spec: DiagonalSpec) -> bool:

@@ -15,7 +15,7 @@ from .diagonal import DiagonalSpec, _coordinate_count
 from .multivectors import DifferentialForm, Multivector, VolumeCurl
 from .polynomials import (MAX_COORDINATES, MAX_DEGREE, MAX_TERMS, Polynomial,
                           VariableTable, format_polynomial)
-from .scalars import format_scalar, parse_scalar
+from .scalars import _PART_LIMIT, format_scalar, parse_scalar
 from .structures import PoissonStructure
 
 
@@ -119,9 +119,6 @@ def serialize(obj) -> str:
 _MISSING = object()
 # the JSON kinds a field may be asked to have, as its error names them
 _KINDS = {str: "a string", dict: "an object", list: "a list"}
-# every coefficient part stays below the 4,300 digits a literal may hold,
-# so records that repeat a monomial cannot grow a fraction without bound
-_PART_LIMIT = 10 ** 4300
 
 
 def _typed(value, field: str, kind: type):
@@ -181,6 +178,7 @@ def _element_from_document(doc: dict):
         coeff = parse_scalar(_field(record, "coeff", str))
         acc = terms.setdefault(indices, {})
         coeff = acc[exps] + coeff if exps in acc else coeff
+        # records that repeat a monomial must not grow a part without bound
         if not all(-_PART_LIMIT < v < _PART_LIMIT for v in coeff._t):
             raise ValueError("coeff has a numerator or denominator of more "
                              "than 4300 digits")

@@ -359,9 +359,9 @@ def schouten(a: Multivector, b: Multivector) -> Multivector:
     table = a.table
     degree = min(max(a.degree + b.degree - 1, 0), table.n_coordinates)
     factors = []
-    if a is b:
-        # The second sign is -1 for every degree and the two sums agree:
-        # they add up for even degree and cancel for odd degree.
+    if a is b or (a.degree == b.degree and a._flat == b._flat):
+        # Equal arguments: the second sign is -1 for every degree and the
+        # two sums agree, adding up for even degree, cancelling for odd.
         products = 0 if a.degree % 2 else _odd_even_factors(factors, a, a, -2)
     else:
         products = _odd_even_factors(factors, a, b, 1 if a.degree % 2 else -1)

@@ -18,6 +18,7 @@ square-free monomial x_0...x_k.
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
+from typing import NamedTuple
 
 from .multivectors import Multivector, contract, exterior_derivative
 from .polynomials import Polynomial, VariableTable, reduce_mod
@@ -26,24 +27,23 @@ from .polynomials import Polynomial, VariableTable, reduce_mod
 # 8,712 rows, built from 132 unit fields; `poissonkit rigidity --dim 12`
 # certifies 66 in 0.35 to 0.5 s, process start included (2-vCPU Xeon).
 MAX_DIM = 12
+# Largest k the simplex filter accepts; it visits C(2k+1, k) monomials.
+# `poissonkit simplex --k 10` runs in 0.6 to 1.0 s, process start included,
+# --k 11 in 2.1 s and --k 13 in 28 s (2-vCPU Xeon, Python 3.11.7).
+MAX_K = 10
 
 
-class RigiditySystem:
+class RigiditySystem(NamedTuple):
     """Homogeneous exact linear constraints on the a_ij^kl unknowns."""
 
-    def __init__(self, N: int, unknowns, rows, table: VariableTable):
-        self.N = N
-        self.unknowns = tuple(unknowns)  # (i, j, k, l) quadruples
-        self.rows = rows                 # sparse column -> scalar maps
-        self.table = table               # the N coordinates, no parameters
+    N: int
+    unknowns: tuple       # (i, j, k, l) quadruples
+    rows: list            # sparse column -> scalar maps
+    table: VariableTable  # the N coordinates, no parameters
 
     @property
     def n_unknowns(self) -> int:
         return len(self.unknowns)
-
-    def __repr__(self):
-        return (f"<RigiditySystem N={self.N} unknowns={self.n_unknowns} "
-                f"constraints={len(self.rows)}>")
 
 
 def diagonality_constraints(N: int) -> RigiditySystem:
@@ -87,7 +87,7 @@ def diagonality_constraints(N: int) -> RigiditySystem:
                     entries.setdefault((m, mp, exps), {})[col] = sign * value
 
     rows = [entries[key] for key in sorted(entries)]
-    return RigiditySystem(N, unknowns, rows, table)
+    return RigiditySystem(N, tuple(unknowns), rows, table)
 
 
 def solve_rigidity(system: RigiditySystem):
@@ -129,26 +129,20 @@ def solve_rigidity(system: RigiditySystem):
     return len(basis), basis
 
 
-class MonomialSurvivors:
+class MonomialSurvivors(NamedTuple):
     """Degree-(k+1) exponent tuples passing the multiplicity filter."""
 
-    def __init__(self, k: int, survivors, total: int):
-        self.k = k
-        self.survivors = tuple(survivors)
-        self.total = total
-        if len(self.survivors) == 1 and any(
-                e > 1 for e in self.survivors[0]):
-            raise AssertionError("unique survivor must be square-free")
-
-    def __repr__(self):
-        return (f"<MonomialSurvivors k={self.k}: {len(self.survivors)} of "
-                f"{self.total}>")
+    k: int
+    survivors: tuple
+    total: int
 
 
 def simplex_multiplicity_filter(k: int) -> MonomialSurvivors:
     """Keep degree-(k+1) monomials in x_0..x_k with all second partials zero."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    if k > MAX_K:
+        raise ValueError(f"k must be at most {MAX_K}")
     nvars = k + 1
     survivors = []
     total = 0
@@ -159,7 +153,9 @@ def simplex_multiplicity_filter(k: int) -> MonomialSurvivors:
             exps[v] += 1
         if all(e <= 1 for e in exps):
             survivors.append(tuple(exps))
-    return MonomialSurvivors(k, survivors, total)
+    if len(survivors) == 1 and any(e > 1 for e in survivors[0]):
+        raise AssertionError("unique survivor must be square-free")
+    return MonomialSurvivors(k, tuple(survivors), total)
 
 
 def check_multiplicity(f: Polynomial, k: int) -> bool:

@@ -193,25 +193,34 @@ def _power(base, n: int, one):
     return result
 
 
+# CPython converts integers of at most 4,300 digits to and from text.
+_PART_LIMIT = 10 ** 4300
+
+
 def format_scalar(z: GaussRational) -> str:
     """Canonical text form: `a/b`, `c/d*i`, or `a/b+c/d*i`.
 
     A unit imaginary part prints as bare `i`.  The output always parses
-    back to the same value.
+    back to the same value.  A part of over 4,300 digits, which str()
+    refuses, raises ValueError instead.
     """
     if z.is_zero():
         return "0"
     parts = []
-    if z.re:
-        parts.append(str(z.re))
-    if z.im:
-        mag = abs(z.im)
-        body = "i" if mag == 1 else f"{mag}*i"
-        if parts:
-            parts.append("+" if z.im > 0 else "-")
-            parts.append(body)
-        else:
-            parts.append(body if z.im > 0 else "-" + body)
+    try:
+        if z.re:
+            parts.append(str(z.re))
+        if z.im:
+            mag = abs(z.im)
+            body = "i" if mag == 1 else f"{mag}*i"
+            if parts:
+                parts.append("+" if z.im > 0 else "-")
+                parts.append(body)
+            else:
+                parts.append(body if z.im > 0 else "-" + body)
+    except ValueError:  # str() refuses a part past the limit
+        raise ValueError("a coefficient has a numerator or denominator of "
+                         "more than 4300 digits") from None
     return "".join(parts)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import factorial
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import multivectors, polynomials
 from .multivectors import Multivector, contract, exterior_derivative, schouten
@@ -148,25 +148,22 @@ def _power_coefficients(ps: PoissonStructure):
     return coefficients
 
 
-class DegeneracyIdeal:
+class DegeneracyIdeal(NamedTuple):
     """Coefficients of Pi^(k/2+1), the locus where rank <= k."""
 
-    def __init__(self, k: int, generators):
-        self.k = k
-        self.generators = tuple(generators)
-
-    def __repr__(self):
-        return f"<DegeneracyIdeal k={self.k} with {len(self.generators)} generators>"
+    k: int
+    generators: tuple
 
 
 def degeneracy_ideal(ps: PoissonStructure, two_k: int) -> DegeneracyIdeal:
     n = ps.table.n_coordinates
     if two_k % 2 != 0 or two_k < 0 or two_k >= 2 * (n // 2):
         raise ValueError(f"degeneracy order must be even in [0, {2 * (n // 2) - 2}]")
-    return DegeneracyIdeal(two_k, _power_coefficients(ps)(two_k // 2 + 1))
+    return DegeneracyIdeal(two_k,
+                           tuple(_power_coefficients(ps)(two_k // 2 + 1)))
 
 
-class DivisorData:
+class DivisorData(NamedTuple):
     """Divisorial summary of the top nonvanishing degeneracy ideal.
 
     `support_product` is the square-free product of every coordinate
@@ -177,12 +174,10 @@ class DivisorData:
     beyond the listed support pattern.
     """
 
-    def __init__(self, power: int, generators, support_product: Polynomial,
-                 monomial_gcd: Polynomial):
-        self.power = power
-        self.generators = tuple(generators)
-        self.support_product = support_product
-        self.monomial_gcd = monomial_gcd
+    power: int
+    generators: tuple
+    support_product: Polynomial
+    monomial_gcd: Polynomial
 
     def support_size(self) -> int:
         return len(self.support_product.variables_present())
@@ -212,7 +207,7 @@ def degeneracy_divisor(ps: PoissonStructure) -> DivisorData:
         table, {name: 1 for name in sorted(support, key=table.slot)})
     monomial_gcd = Polynomial.monomial(
         table, {table.coordinates[i]: e for i, e in enumerate(gcd_exps) if e})
-    return DivisorData(power, generators, support_product, monomial_gcd)
+    return DivisorData(power, tuple(generators), support_product, monomial_gcd)
 
 
 def _dense_rank(rows: list) -> int:

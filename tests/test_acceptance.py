@@ -148,7 +148,7 @@ def test_criterion_03_curl_is_poisson_field():
     for n in range(2, 9):
         spec = DiagonalSpec.symbolic(n)
         T = spec.table()
-        mu = curl_eigenvalues(spec).mu
+        mu = curl_eigenvalues(spec)
         total = Polynomial.zero(T)
         field = curl(make_diagonal(spec).bivector)
         for i in range(n):

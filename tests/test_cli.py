@@ -275,6 +275,16 @@ def test_simplex_verb():
     assert "monomial: x0*x1*x2*x3" in stdout
 
 
+def test_simplex_past_the_bound_exits_two_fast(capsys):
+    import time
+
+    start = time.perf_counter()
+    assert main(["simplex", "--k", "11"]) == 2
+    # unbounded, --k 11 ran 2.1 s and each further k four times longer
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", "error: k must be at most 10\n")
+
+
 def test_track_verb(corpus):
     code, stdout, _ = run_cli("track", "--family", str(corpus / "fam4.json"),
                               "--t", "0.05", "--tol", "1e-12")
@@ -306,11 +316,13 @@ def test_track_verb(corpus):
     ("jet", ["--point", "1,1,1,1", "--tol", "-1"], "tol"),
     ("jet", ["--point", "1,1,1,1", "--r", "-1"], "r"),
     ("jet", ["--point", "1,1,1,1", "--r", "-5"], "r"),
+    ("curl", ["--unit", "0"], "--unit"),
 ], ids=["step-zero", "step-negative", "step-nan", "step-tiny", "t-huge",
         "t-inf", "t-nan", "t-text", "zero-name-digit", "zero-name-i",
         "track-tol-nan", "track-tol-inf", "track-tol-negative",
         "jet-tol-nan", "jet-tol-inf",
-        "jet-tol-negative", "jet-r-negative", "jet-r-very-negative"])
+        "jet-tol-negative", "jet-r-negative", "jet-r-very-negative",
+        "curl-unit-zero"])
 def test_unusable_flags_exit_two_naming_the_flag(verb, flags, field, corpus,
                                                  capsys):
     source = ["--family", str(corpus / "fam4.json")] if verb == "track" \
@@ -500,7 +512,7 @@ def _dense_document(path):
     (("jacobi",), "error: integrable: the Schouten bracket takes 1002528"),
     (("chart", "--target", "0"), "error: integrable: the Schouten bracket"),
     (("schouten", "--with", "DENSE"),
-     "error: the Schouten bracket takes 2005056"),
+     "error: the Schouten bracket takes 1002528"),
 ], ids=["parse", "jacobi", "chart", "schouten"])
 def test_every_verb_that_brackets_meets_the_budget(tmp_path, argv, message):
     import time
@@ -573,6 +585,19 @@ def test_long_integer_literal_exits_two_without_traceback(corpus):
     assert "Traceback" not in stderr
     assert "too long at position 3" in stderr
     assert "set_int_max_str_digits" not in stderr
+
+
+@pytest.mark.parametrize("verb, flag", [("hamiltonian", "--f"),
+                                        ("curl", "--unit")])
+def test_a_result_coefficient_past_a_literal_exits_two(verb, flag, corpus,
+                                                       capsys):
+    # a 4,000-digit literal squared: the output has no text form
+    assert main([verb, "--in", str(corpus / "diag4.mv"),
+                 flag, f"({'9' * 4000})^2*x1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a coefficient has a numerator or "
+                            "denominator of more than 4300 digits\n")
 
 
 def test_spec_entry_errors_surface(tmp_path):

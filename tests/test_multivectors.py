@@ -277,10 +277,10 @@ def test_schouten_refuses_past_the_bound_before_any_product(monkeypatch):
                                          f"1002528 term products, more "
                                          f"than {limit}$"):
         schouten(pi, pi)
-    # an equal copy is another argument: both sums are charged
+    # an equal copy takes the one-sum path too
     copy_of_pi = _dense_bivector(708)
     with pytest.raises(ValueError, match="^the Schouten bracket takes "
-                                         "2005056 term products"):
+                                         "1002528 term products"):
         schouten(pi, copy_of_pi)
     assert calls == []
     # a bracket inside the bound runs its products as before

@@ -189,6 +189,11 @@ def test_simplex_filter_rejects_small_k():
         simplex_multiplicity_filter(0)
 
 
+def test_simplex_filter_rejects_k_past_the_bound():
+    with pytest.raises(ValueError, match="^k must be at most 10$"):
+        simplex_multiplicity_filter(11)
+
+
 def test_check_multiplicity():
     T = VariableTable(tuple(f"x{k}" for k in range(4)))
 
