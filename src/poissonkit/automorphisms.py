@@ -28,6 +28,9 @@ class ElementaryAutomorphism:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.table,)
+
     def forward_images(self) -> dict:
         """Coordinate name -> image Polynomial under the map."""
         return {}
@@ -44,8 +47,7 @@ class _Shift(ElementaryAutomorphism):
 
     __slots__ = ("coordinate", "_g")
 
-    def __init__(self, table: VariableTable, coordinate: str, g: Polynomial,
-                 name: str):
+    def __init__(self, table: VariableTable, coordinate: str, g: Polynomial, name: str):
         super().__init__(table)
         if not table.is_coordinate(coordinate):
             raise KeyError(f"not a coordinate: {coordinate!r}")

@@ -59,7 +59,8 @@ class DeformationFamily:
             raise ValueError("family base must have an even number of coordinates")
         if not is_generic(base):
             raise ValueError("family base fails the genericity checks")
-        table = VariableTable(base.table().coordinates, (parameter,))
+        coords = tuple(f"x{k}" for k in range(1, base.n + 1))
+        table = VariableTable(coords, (parameter,))
         path = tuple(path)
         for step in path:
             if not isinstance(step, ElementaryAutomorphism):
@@ -84,7 +85,8 @@ class DeformationFamily:
         data) or ("scaling", {coord: scalar_text}); data strings are
         parsed over the family table.
         """
-        table = VariableTable(base.table().coordinates, (parameter,))
+        coords = tuple(f"x{k}" for k in range(1, base.n + 1))
+        table = VariableTable(coords, (parameter,))
         path = []
         for descriptor in steps:
             kind = descriptor[0]

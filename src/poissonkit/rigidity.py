@@ -27,9 +27,8 @@ from .polynomials import Polynomial, VariableTable, reduce_mod
 # 8,712 rows, built from 132 unit fields; `poissonkit rigidity --dim 12`
 # certifies 66 in 0.35 to 0.5 s, process start included (2-vCPU Xeon).
 MAX_DIM = 12
-# Largest k the simplex filter accepts; it visits C(2k+1, k) monomials.
-# `poissonkit simplex --k 10` runs in 0.6 to 1.0 s, process start included,
-# --k 11 in 2.1 s and --k 13 in 28 s (2-vCPU Xeon, Python 3.11.7).
+# Largest k the simplex filter accepts.  It visits C(2k+1, k) monomials; a
+# process runs 0.6-1.0 s at k = 10, 2.1 s at 11, 28 s at 13 (2-vCPU Xeon).
 MAX_K = 10
 
 

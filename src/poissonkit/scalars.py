@@ -201,8 +201,7 @@ def format_scalar(z: GaussRational) -> str:
     """Canonical text form: `a/b`, `c/d*i`, or `a/b+c/d*i`.
 
     A unit imaginary part prints as bare `i`.  The output always parses
-    back to the same value.  A part of over 4,300 digits, which str()
-    refuses, raises ValueError instead.
+    back to the same value.  A part of over 4,300 digits raises ValueError.
     """
     if z.is_zero():
         return "0"

@@ -7,11 +7,12 @@ import pickle
 import pytest
 
 from poissonkit import (DeformationFamily, DiagonalScaling, DiagonalSpec,
-                        GaussRational, Translation, TriangularShear,
-                        VariableTable, degeneracy_divisor, degeneracy_ideal,
-                        diagonality_constraints, log_annihilator,
-                        make_diagonal, parse_polynomial, serialize,
-                        simplex_multiplicity_filter, track_degenerate_point)
+                        ElementaryAutomorphism, GaussRational, Translation,
+                        TriangularShear, VariableTable, degeneracy_divisor,
+                        degeneracy_ideal, diagonality_constraints,
+                        log_annihilator, make_diagonal, parse_polynomial,
+                        serialize, simplex_multiplicity_filter,
+                        track_degenerate_point)
 from poissonkit import deform
 
 SPEC4 = DiagonalSpec(4, {
@@ -26,7 +27,8 @@ T = VariableTable(("x1", "x2", "x3"), ("t",))
 def _steps():
     return [Translation(T, "x1", parse_polynomial("t", T)),
             TriangularShear(T, "x1", parse_polynomial("x2*x3 + t", T)),
-            DiagonalScaling(T, {"x2": 2, "x3": GaussRational(1, 3)})]
+            DiagonalScaling(T, {"x2": 2, "x3": GaussRational(1, 3)}),
+            ElementaryAutomorphism(T)]
 
 
 def _records():
