@@ -29,9 +29,13 @@ from .scalars import GaussRational
 from .structures import CheckFailed, PoissonStructure
 
 
-# Each field evaluates at one point laid out as the family table's slots:
-# the coordinates, then the parameter.  The Jacobian is flat, row-major.
-_NewtonSystem = namedtuple("_NewtonSystem", "residual jacobian jet0 jet1")
+# `newton` compiles the n curl components followed by their n^2 partials
+# (flat, row-major), so both share one monomial table; `residual` and
+# `jacobian` are its coefficient rows for each, to multiply by its
+# monomial vector.  The jets are evaluators of their own.  Points are laid
+# out as the family table's slots: the coordinates, then the parameter.
+_NewtonSystem = namedtuple("_NewtonSystem",
+                           "newton residual jacobian jet0 jet1")
 
 # Newton iterations tried at one continuation step before it halves.
 NEWTON_ITERATIONS = 50
@@ -39,10 +43,12 @@ NEWTON_ITERATIONS = 50
 MIN_STEP = 1e-6
 # Continuation steps one track may attempt: a |t| of MAX_STEPS or more
 # initial steps is refused, and a track whose halved steps would need
-# more stops there, as leaving the basin.  An attempt runs at most
-# NEWTON_ITERATIONS iterations of 30 to 46 us (4 and 12 coordinates,
-# 2-vCPU Xeon, Python 3.11), so a track ends within 15 to 23 s; steps
-# that converge take one iteration, and 9,999 of them 0.47 to 0.65 s.
+# more stops there, with a message of its own.  An attempt runs at most
+# NEWTON_ITERATIONS iterations of 15 to 20 us (4 and 12 coordinates,
+# 2-vCPU Xeon, Python 3.11: the least of 15 timed tracks at tol 0, which
+# no iteration meets, over their 700 iterations), so a track ends within
+# 7.5 to 10 s; steps that converge take one iteration, and 9,999 of them
+# 0.29 to 0.35 s (t = 0.9999, step 1e-4, the least of 5).
 MAX_STEPS = 10_000
 
 
@@ -137,13 +143,15 @@ class DeformationFamily:
             coefficients = list(self.bivector().terms.values())
 
             def partials(polys):
-                return FloatPolynomials(table, (
-                    f.partial_derivative(name)
-                    for f in polys for name in table.coordinates))
+                return [f.partial_derivative(name)
+                        for f in polys for name in table.coordinates]
 
+            newton = FloatPolynomials(table, components + partials(components))
+            rows = newton.coefficients
             object.__setattr__(self, "_system", _NewtonSystem(
-                FloatPolynomials(table, components), partials(components),
-                FloatPolynomials(table, coefficients), partials(coefficients)))
+                newton, rows[:self.n], rows[self.n:],
+                FloatPolynomials(table, coefficients),
+                FloatPolynomials(table, partials(coefficients))))
         return self._system
 
     def at(self, t_value) -> PoissonStructure:
@@ -174,8 +182,9 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
 
     t must be finite, tol finite and non-negative, and the initial step
     finite, at least MIN_STEP and more than |t| / MAX_STEPS.
-    The continuation fails with CheckFailed when it leaves the basin or
-    meets a non-simple singularity.
+    The continuation fails with CheckFailed when it leaves the basin
+    (the step would halve below MIN_STEP), spends MAX_STEPS attempts
+    short of t, or meets a non-simple singularity.
     """
     t = complex(t)
     if not isfinite(t):
@@ -190,14 +199,18 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
                          f"{abs(t):g} / {initial_step:g}")
     n = family.n
     system = family._newton_system()
+    monomials = system.newton.monomials
+    residual_rows, jacobian_rows = system.residual, system.jacobian
 
     def newton(point):
         """Iterations to move `point` in place within tol, or None."""
         for iteration in range(NEWTON_ITERATIONS):
-            fvec = system.residual(point)
-            if float(np.abs(fvec).max()) <= tol:
+            values = monomials(point)
+            fvec = residual_rows @ values
+            # abs(nan) <= tol is False, so a NaN residual never converges
+            if all(abs(z) <= tol for z in fvec.tolist()):
                 return iteration
-            jmat = system.jacobian(point).reshape(n, n)
+            jmat = (jacobian_rows @ values).reshape(n, n)
             try:
                 delta = np.linalg.solve(jmat, fvec)
             except np.linalg.LinAlgError:
@@ -205,6 +218,12 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
             point[:n] -= delta
         return None
 
+    def residual(point):
+        return float(np.abs(residual_rows @ monomials(point)).max(initial=0.0))
+
+    # one buffer holds every attempted point; gamma keeps the last
+    # converged coordinates and restores them after a failed attempt
+    point = np.zeros(n + 1, dtype=complex)
     gamma = np.zeros(n, dtype=complex)
     total_iters = 0
     if t != 0:
@@ -213,31 +232,37 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
         tau = 0.0
         step = initial_step
         attempts = 0
-        while tau < radius and attempts < MAX_STEPS:
+        iters = 0
+        stop = None
+        while tau < radius:
+            if attempts == MAX_STEPS:
+                stop = f"spent all MAX_STEPS = {MAX_STEPS} step attempts"
+                break
+            if iters is None:
+                point[:n] = gamma
             attempts += 1
             tau_next = min(tau + step, radius)
-            point = np.append(gamma, direction * tau_next)
+            point[n] = direction * tau_next
             iters = newton(point)
             if iters is not None:
-                gamma = point[:n]
+                gamma[:] = point[:n]
                 total_iters += iters
                 tau = tau_next
             elif step / 2 < MIN_STEP:
+                stop = "left basin; reduce step"
                 break
             else:
                 step /= 2
-        if tau < radius:
-            residual = float(np.abs(system.residual(point)).max())
+        if stop is not None:
             raise CheckFailed(
-                f"left basin; reduce step (reached tau={tau:.6g} "
-                f"of {radius:.6g}, last step {step:.3g}, last residual "
-                f"{residual:.3g}, tol {tol:g})")
-    point = np.append(gamma, t)
-    residual = float(np.abs(system.residual(point)).max(initial=0.0))
+                f"{stop} (reached tau={tau:.6g} of {radius:.6g}, last step "
+                f"{step:.3g}, last residual {residual(point):.3g}, "
+                f"tol {tol:g})")
+    point[n] = t
     jet0 = float(np.abs(system.jet0(point)).max(initial=0.0))
     jet1 = float(np.abs(system.jet1(point)).max(initial=0.0))
-    return TrackResult(t, tuple([complex(z) for z in gamma]), residual, jet0,
-                       jet1, total_iters)
+    return TrackResult(t, tuple(gamma.tolist()), residual(point), jet0, jet1,
+                       total_iters)
 
 
 def jet_vanishing(structure, point, r: int = 3, tol: float = 1e-6) -> int:

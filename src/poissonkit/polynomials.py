@@ -555,9 +555,12 @@ class FloatPolynomials:
 
     The monomials of all the polynomials, in canonical term order, form
     the rows of an exponent matrix E; the coefficients form a complex
-    matrix C with one row per polynomial.  The values at a point x are
-    C @ prod(x ** E, axis=1), so a whole system costs one vectorized
-    evaluation.  Build once and reuse; numpy loads on first use.
+    matrix C with one row per polynomial.  `monomials` returns the
+    monomial vector prod(x ** E, axis=1) at a point x and the values are
+    C @ that vector, so a whole system costs one vectorized evaluation;
+    a caller that needs only some of the polynomials at a point
+    multiplies their rows of C by the one vector.  Build once and reuse;
+    numpy loads on first use.
     """
 
     __slots__ = ("table", "exponents", "coefficients", "_present")
@@ -589,13 +592,16 @@ class FloatPolynomials:
     def __setattr__(self, name, value):
         raise AttributeError("FloatPolynomials is immutable")
 
-    def __call__(self, point):
-        """Values at a point given as one complex number per table slot,
-        coordinates first, then parameters."""
+    def monomials(self, point):
+        """The monomial vector at a point given as one complex number per
+        table slot, coordinates first, then parameters."""
         import numpy as np
 
-        powers = np.asarray(point, dtype=complex) ** self.exponents
-        return self.coefficients @ powers.prod(axis=1)
+        return (np.asarray(point, dtype=complex) ** self.exponents).prod(axis=1)
+
+    def __call__(self, point):
+        """Values at a point laid out as for `monomials`."""
+        return self.coefficients @ self.monomials(point)
 
     def evaluate(self, values: Mapping[str, complex]):
         """Values at named variables; every variable present must be

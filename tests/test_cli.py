@@ -350,6 +350,22 @@ def test_only_a_failed_check_exits_one(corpus, tmp_path, capsys,
     assert capsys.readouterr().err == "logform: non-generic spec\n"
 
 
+def test_a_track_that_spends_its_step_budget_names_max_steps(capsys):
+    from pathlib import Path
+
+    family = Path(__file__).parent / "golden" / "inputs" / "fam4.json"
+    # every attempt that converges leaves a zero residual, so the stop is
+    # the step budget, not the basin
+    assert main(["track", "--family", str(family), "--t", "1e200",
+                 "--step", "1e197"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "track: spent all MAX_STEPS = 10000 step attempts (reached "
+        "tau=7040.87 of 1e+200, last step 0.167, last residual 0, "
+        "tol 1e-12)\n")
+
+
 def test_jet_verb(corpus):
     code, stdout, _ = run_cli("jet", "--in", str(corpus / "diag4.mv"),
                               "--point", "0,0,0,0")

@@ -3,6 +3,7 @@
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from poissonkit import (CheckFailed, DeformationFamily, DiagonalSpec,
@@ -11,6 +12,7 @@ from poissonkit import (CheckFailed, DeformationFamily, DiagonalSpec,
                         Translation, parse_polynomial,
                         scan_degenerate_points, schouten,
                         track_degenerate_point)
+from poissonkit.polynomials import FloatPolynomials
 
 BASE = DiagonalSpec(4, {
     (1, 2): GaussRational(2), (1, 3): GaussRational(3),
@@ -147,10 +149,27 @@ def test_tracking_stops_after_max_steps(monkeypatch):
     # and halves, so the eleventh attempt ends the track before MIN_STEP
     monkeypatch.setattr(deform, "MAX_STEPS", 11)
     monkeypatch.setattr(deform, "NEWTON_ITERATIONS", 0)
-    with pytest.raises(CheckFailed, match=r"left basin; reduce step "
-                       r"\(reached tau=0 of 0\.1, last step 4\.88e-06, "
-                       r"last residual 9\.77e-05, tol 1e-12\)"):
+    with pytest.raises(CheckFailed, match=r"^spent all MAX_STEPS = 11 step "
+                       r"attempts \(reached tau=0 of 0\.1, last step "
+                       r"4\.88e-06, last residual 9\.77e-05, tol 1e-12\)$"):
         track_degenerate_point(fam, 0.1)
+
+
+def test_a_nan_residual_never_counts_as_converged(monkeypatch):
+    fam = build([("translation", "x1", "t")])
+    newton = fam._newton_system().newton
+    monomials = FloatPolynomials.monomials
+
+    def poisoned(self, point):
+        values = monomials(self, point)
+        return values * np.nan if self is newton else values
+
+    monkeypatch.setattr(FloatPolynomials, "monomials", poisoned)
+    # every attempt fails, so the step halves down to MIN_STEP
+    with pytest.raises(CheckFailed, match=r"^left basin; reduce step "
+                       r"\(reached tau=0 of 0\.05, last step 1\.22e-06, "
+                       r"last residual nan, tol 1e-12\)$"):
+        track_degenerate_point(fam, 0.05)
 
 
 # Reference Newton iteration counts and tracked points for the families
@@ -176,6 +195,37 @@ def test_tracking_iterations_and_points_are_unchanged():
             assert result.newton_iters == iters
             for value, expected in zip(result.gamma, gamma):
                 assert abs(value - expected) <= 1e-12
+
+
+def test_one_newton_evaluation_per_iteration_and_per_check(monkeypatch):
+    fam = build(TRACKED[0][0])
+    system = fam._newton_system()
+    evaluations = []
+    monomials = FloatPolynomials.monomials
+
+    def counted(self, point):
+        if self is system.newton:
+            evaluations.append(complex(point[-1]))
+        return monomials(self, point)
+
+    class JacobianRows:
+        multiplies = 0
+
+        def __matmul__(self, values):
+            JacobianRows.multiplies += 1
+            return system.jacobian @ values
+
+    counting = system._replace(jacobian=JacobianRows())
+    monkeypatch.setattr(FloatPolynomials, "monomials", counted)
+    monkeypatch.setattr(DeformationFamily, "_newton_system",
+                        lambda self: counting)
+    result = track_degenerate_point(fam, 0.1)
+    # ten steps of 1e-2 leave tau short of 0.1, so an eleventh attempt
+    # converges with no iteration; every attempt ends on one check
+    assert result.newton_iters == 10
+    assert len(evaluations) == 10 + 11 + 1
+    assert evaluations[-1] == 0.1
+    assert JacobianRows.multiplies == result.newton_iters
 
 
 def test_tracking_compiles_the_newton_system_once(monkeypatch):

@@ -130,6 +130,8 @@ def test_compiled_form_layout():
     assert compiled.coefficients.tolist() == [[1, 2, 0], [0, 1, -1j],
                                               [0, 0, 0]]
     assert compiled([1.0, 2.0, 0.0, 3.0]).tolist() == [5, 2 - 3j, 0]
+    # the monomial vector, one entry per exponent row
+    assert compiled.monomials([1.0, 2.0, 0.0, 3.0]).tolist() == [1, 2, 3]
     with pytest.raises(ValueError):
         FloatPolynomials(T, [p("x1"), p("y", VariableTable(("y",)))])
     assert FloatPolynomials(T, []).evaluate({}).tolist() == []
