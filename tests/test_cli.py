@@ -354,8 +354,8 @@ def test_a_track_that_spends_its_step_budget_names_max_steps(capsys):
     from pathlib import Path
 
     family = Path(__file__).parent / "golden" / "inputs" / "fam4.json"
-    # every attempt that converges leaves a zero residual, so the stop is
-    # the step budget, not the basin
+    # the last attempt converged to a zero residual: the track stops on
+    # the step budget, not in leaving the basin
     assert main(["track", "--family", str(family), "--t", "1e200",
                  "--step", "1e197"]) == 1
     captured = capsys.readouterr()
