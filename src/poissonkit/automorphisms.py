@@ -13,20 +13,17 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .polynomials import Polynomial, VariableTable, _substituted
-from .scalars import GaussRational
+from .scalars import Frozen, GaussRational
 from .multivectors import Multivector, _built, _pushforward_sums
 
 
-class ElementaryAutomorphism:
+class ElementaryAutomorphism(Frozen):
     """Base class of immutable maps; subclasses fill in forward/inverse images."""
 
     __slots__ = ("table",)
 
     def __init__(self, table: VariableTable):
         object.__setattr__(self, "table", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         return type(self), (self.table,)

@@ -34,10 +34,24 @@ from .structures import (CheckFailed, PoissonStructure, chart_extend,
 DEFAULT_SEED = 20250815
 
 
-def _load(path: str):
-    if path == "-":
-        return documents.loads(sys.stdin.read())
-    return documents.load_path(path)
+# The class a verb asks `_load` for, and the name its message gives.
+_KINDS = {Multivector: "multivector", PoissonStructure: "bivector",
+          DiagonalSpec: "diagonal-spec", DeformationFamily: "family"}
+
+
+def _load(path: str, kind=object):
+    """The document at path ("-" for stdin), as a `kind`: a structure
+    reads as its bivector, and a bivector reads as a structure."""
+    obj = documents.loads(sys.stdin.read()) if path == "-" \
+        else documents.load_path(path)
+    if kind is Multivector and isinstance(obj, PoissonStructure):
+        obj = obj.bivector
+    elif kind is PoissonStructure and isinstance(obj, Multivector) \
+            and obj.degree == 2:
+        obj = PoissonStructure(obj)
+    if not isinstance(obj, kind):
+        raise ValueError(f"expected a {_KINDS[kind]} document")
+    return obj
 
 
 def _emit(text: str, path=None) -> None:
@@ -48,165 +62,113 @@ def _emit(text: str, path=None) -> None:
         sys.stdout.write(text)
 
 
-def _element(obj) -> Multivector:
-    if isinstance(obj, PoissonStructure):
-        return obj.bivector
-    if isinstance(obj, Multivector):
-        return obj
-    raise ValueError("expected a multivector document")
+def _lines(polys) -> str:
+    return "".join(format_polynomial(p) + "\n" for p in polys)
 
 
-def _structure(obj) -> PoissonStructure:
-    if isinstance(obj, PoissonStructure):
-        return obj
-    if isinstance(obj, Multivector) and obj.degree == 2:
-        return PoissonStructure(obj)
-    raise ValueError("expected a bivector document")
+# Each verb returns (text, exit code); `main` writes the text once.
+
+def cmd_parse(args):
+    return documents.serialize(_load(args.infile)), 0
 
 
-def _spec(obj) -> DiagonalSpec:
-    if isinstance(obj, DiagonalSpec):
-        return obj
-    raise ValueError("expected a diagonal-spec document")
+def cmd_schouten(args):
+    a = _load(args.infile, Multivector)
+    b = _load(args.with_file, Multivector)
+    return documents.serialize(schouten(a, b)), 0
 
 
-def _family(obj) -> DeformationFamily:
-    if isinstance(obj, DeformationFamily):
-        return obj
-    raise ValueError("expected a family document")
-
-
-def cmd_parse(args) -> int:
-    _emit(documents.serialize(_load(args.infile)), args.out)
-    return 0
-
-
-def cmd_schouten(args) -> int:
-    a = _element(_load(args.infile))
-    b = _element(_load(args.with_file))
-    _emit(documents.serialize(schouten(a, b)), args.out)
-    return 0
-
-
-def cmd_jacobi(args) -> int:
-    ps = _structure(_load(args.infile))
-    obstruction = jacobi_check(ps)
+def cmd_jacobi(args):
+    obstruction = jacobi_check(_load(args.infile, PoissonStructure))
     if obstruction.is_zero():
-        _emit("0\n", args.out)
-        return 0
-    _emit(documents.serialize(obstruction), args.out)
-    return 1
+        return "0\n", 0
+    return documents.serialize(obstruction), 1
 
 
-def cmd_curl(args) -> int:
-    a = _element(_load(args.infile))
+def cmd_curl(args):
+    a = _load(args.infile, Multivector)
     unit = None if args.unit is None else parse_polynomial(args.unit, a.table)
     if unit is not None and unit.is_zero():
         raise ValueError("--unit must be nonzero")
-    _emit(documents.serialize(curl(a, unit)), args.out)
-    return 0
+    return documents.serialize(curl(a, unit)), 0
 
 
-def cmd_bracket(args) -> int:
-    ps = _structure(_load(args.infile))
+def cmd_bracket(args):
+    ps = _load(args.infile, PoissonStructure)
     f = parse_polynomial(args.f, ps.table)
     g = parse_polynomial(args.g, ps.table)
-    _emit(format_polynomial(poisson_bracket(ps, f, g)) + "\n", args.out)
-    return 0
+    return _lines([poisson_bracket(ps, f, g)]), 0
 
 
-def cmd_hamiltonian(args) -> int:
-    ps = _structure(_load(args.infile))
+def cmd_hamiltonian(args):
+    ps = _load(args.infile, PoissonStructure)
     f = parse_polynomial(args.f, ps.table)
-    _emit(documents.serialize(hamiltonian(ps, f)), args.out)
-    return 0
+    return documents.serialize(hamiltonian(ps, f)), 0
 
 
-def cmd_degeneracy(args) -> int:
-    ps = _structure(_load(args.infile))
-    ideal = degeneracy_ideal(ps, args.order)
-    lines = [format_polynomial(g) for g in ideal.generators]
-    _emit("".join(line + "\n" for line in lines), args.out)
-    return 0
+def cmd_degeneracy(args):
+    ps = _load(args.infile, PoissonStructure)
+    return _lines(degeneracy_ideal(ps, args.order).generators), 0
 
 
-def cmd_rank(args) -> int:
-    ps = _structure(_load(args.infile))
+def cmd_rank(args):
+    ps = _load(args.infile, PoissonStructure)
     point = documents.parse_assignments(args.point, ps.table)
     if args.params:
         point.update(documents.parse_assignments(
             args.params, ps.table, names=ps.table.parameters))
-    _emit(f"{rank_at(ps, point)}\n", args.out)
-    return 0
+    return f"{rank_at(ps, point)}\n", 0
 
 
-def cmd_restrict(args) -> int:
-    ps = _structure(_load(args.infile))
+def cmd_restrict(args):
+    ps = _load(args.infile, PoissonStructure)
     if args.coordinate not in ps.table.coordinates:
         raise ValueError(f"unknown coordinate {args.coordinate!r}")
-    _emit(documents.serialize(restrict_hyperplane(ps, args.coordinate)),
-          args.out)
-    return 0
+    return documents.serialize(restrict_hyperplane(ps, args.coordinate)), 0
 
 
-def cmd_invariant(args) -> int:
-    ps = _structure(_load(args.infile))
-    f = parse_polynomial(args.f, ps.table)
-    holds = invariant_hypersurface(ps, f)
-    _emit("true\n" if holds else "false\n", args.out)
-    return 0 if holds else 1
+def cmd_invariant(args):
+    ps = _load(args.infile, PoissonStructure)
+    holds = invariant_hypersurface(ps, parse_polynomial(args.f, ps.table))
+    return ("true\n", 0) if holds else ("false\n", 1)
 
 
-def cmd_chart(args) -> int:
-    ps = _structure(_load(args.infile))
-    moved = chart_extend(ps, args.target, args.zero_name)
-    _emit(documents.serialize(moved), args.out)
-    return 0
+def cmd_chart(args):
+    ps = _load(args.infile, PoissonStructure)
+    return documents.serialize(chart_extend(ps, args.target,
+                                            args.zero_name)), 0
 
 
-def cmd_diagonal(args) -> int:
+def cmd_diagonal(args):
     for flag, n in (("--symbolic", args.symbolic), ("--random", args.random)):
         if n is not None and n > MAX_COORDINATES:
             raise ValueError(f"{flag} must be at most {MAX_COORDINATES}")
     if args.symbolic is not None:
-        _emit(documents.serialize(DiagonalSpec.symbolic(args.symbolic)),
-              args.out)
-        return 0
+        return documents.serialize(DiagonalSpec.symbolic(args.symbolic)), 0
     if args.random is not None:
         rng = random.Random(_resolve_seed(args.seed))
-        _emit(documents.serialize(random_generic_spec(args.random, rng)),
-              args.out)
-        return 0
+        return documents.serialize(random_generic_spec(args.random, rng)), 0
     if args.infile is None:
         raise ValueError("diagonal needs --in, --symbolic or --random")
-    spec = _spec(_load(args.infile))
-    _emit(documents.serialize(make_diagonal(spec)), args.out)
-    return 0
+    spec = _load(args.infile, DiagonalSpec)
+    return documents.serialize(make_diagonal(spec)), 0
 
 
-def cmd_pfaffian(args) -> int:
-    spec = _spec(_load(args.infile))
-    table = spec.table()
-    value = pfaffian(spec.lambda_matrix(table))
-    _emit(format_polynomial(value) + "\n", args.out)
-    return 0
+def cmd_pfaffian(args):
+    spec = _load(args.infile, DiagonalSpec)
+    return _lines([pfaffian(spec.lambda_matrix(spec.table()))]), 0
 
 
-def cmd_mu(args) -> int:
-    spec = _spec(_load(args.infile))
-    lines = [format_polynomial(value) for value in curl_eigenvalues(spec)]
-    _emit("".join(line + "\n" for line in lines), args.out)
-    return 0
+def cmd_mu(args):
+    return _lines(curl_eigenvalues(_load(args.infile, DiagonalSpec))), 0
 
 
-def cmd_logform(args) -> int:
-    form = log_annihilator(_spec(_load(args.infile)))
-    lines = [format_polynomial(res) for res in form.residues]
-    _emit("".join(line + "\n" for line in lines), args.out)
-    return 0
+def cmd_logform(args):
+    form = log_annihilator(_load(args.infile, DiagonalSpec))
+    return _lines(form.residues), 0
 
 
-def cmd_rigidity(args) -> int:
+def cmd_rigidity(args):
     if args.dim < 2:
         raise ValueError("--dim must be at least 2")
     if args.dim > MAX_DIM:
@@ -215,30 +177,27 @@ def cmd_rigidity(args) -> int:
     try:
         dimension, basis = solve_rigidity(system)
     except AssertionError as exc:
-        _emit("dimension: unresolved\ndiagonal: false\n", args.out)
         print(f"rigidity: {exc}", file=sys.stderr)
-        return 1
-    report = f"dimension: {dimension}\ndiagonal: true\n"
-    _emit(report, args.out)
+        return "dimension: unresolved\ndiagonal: false\n", 1
     if args.basis_out:
         docs = [documents.to_document(vector) for vector in basis]
         _emit(json.dumps(docs, indent=2) + "\n", args.basis_out)
-    return 0 if dimension == comb(args.dim, 2) else 1
+    return (f"dimension: {dimension}\ndiagonal: true\n",
+            0 if dimension == comb(args.dim, 2) else 1)
 
 
-def cmd_simplex(args) -> int:
+def cmd_simplex(args):
     result = simplex_multiplicity_filter(args.k)
     count = len(result.survivors)
-    lines = [f"survivors: {count} of {result.total}"]
+    lines = [f"survivors: {count} of {result.total}\n"]
     for exps in result.survivors:
         mono = "*".join(f"x{v}" for v, e in enumerate(exps) if e)
-        lines.append(f"monomial: {mono}")
-    _emit("".join(line + "\n" for line in lines), args.out)
-    return 0 if count == 1 else 1
+        lines.append(f"monomial: {mono}\n")
+    return "".join(lines), 0 if count == 1 else 1
 
 
-def cmd_track(args) -> int:
-    family = _family(_load(args.family))
+def cmd_track(args):
+    family = _load(args.family, DeformationFamily)
     result = track_degenerate_point(family, args.t, tol=args.tol,
                                     initial_step=args.step)
     record = {
@@ -250,20 +209,18 @@ def cmd_track(args) -> int:
         "jet1": result.jet1,
         "newton_iters": result.newton_iters,
     }
-    _emit(json.dumps(record, indent=2) + "\n", args.out)
-    return 0 if result.residual <= args.tol else 1
+    return (json.dumps(record, indent=2) + "\n",
+            0 if result.residual <= args.tol else 1)
 
 
-def cmd_jet(args) -> int:
-    ps = _structure(_load(args.infile))
+def cmd_jet(args):
+    ps = _load(args.infile, PoissonStructure)
     point = documents.parse_assignments(args.point, ps.table, exact=False)
     if args.params:
         point.update(documents.parse_assignments(
             args.params, ps.table, names=ps.table.parameters, exact=False))
     order = jet_vanishing(ps, point, r=args.r, tol=args.tol)
-    _emit((f">= {args.r + 1}" if order > args.r else str(order)) + "\n",
-          args.out)
-    return 0
+    return (f">= {args.r + 1}" if order > args.r else str(order)) + "\n", 0
 
 
 def _variable_name(text: str) -> str:
@@ -284,21 +241,19 @@ def _resolve_seed(flag_value) -> int:
     return DEFAULT_SEED
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args):
+    if args.cases < 1:
+        raise ValueError("--cases must be at least 1")
     seed = _resolve_seed(args.seed)
+    lines = [f"seed: {seed}\n"]
     failed = 0
-    print(f"seed: {seed}")
     for name, cases, failures in run_suites(seed, cases=args.cases):
-        if failures:
-            failed += 1
-            print(f"FAIL {name}: {failures} of {cases}")
-        else:
-            print(f"ok {name} ({cases} cases)")
-    if failed:
-        print(f"{failed} suite(s) failed")
-        return 1
-    print("all suites passed")
-    return 0
+        failed += bool(failures)
+        lines.append(f"FAIL {name}: {failures} of {cases}\n" if failures
+                     else f"ok {name} ({cases} cases)\n")
+    lines.append(f"{failed} suite(s) failed\n" if failed
+                 else "all suites passed\n")
+    return "".join(lines), 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", default=None, metavar="FILE",
                            help="write output here instead of stdout")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, out=None)
         return p
 
     verb("parse", cmd_parse, "read a document and reprint it canonically")
@@ -416,13 +371,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.handler(args)
+        text, code = args.handler(args)
+        _emit(text, args.out)
+        return code
     except CheckFailed as exc:
         # the one way a verb reports a well-posed check that fails
         print(f"{args.verb}: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, TypeError,
-            ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2

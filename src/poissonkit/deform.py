@@ -25,7 +25,7 @@ from .diagonal import DiagonalSpec, _diagonal_bivector, is_generic
 from .multivectors import Multivector, curl
 from .polynomials import (FloatPolynomials, Polynomial, VariableTable,
                           parse_polynomial)
-from .scalars import GaussRational
+from .scalars import Frozen, GaussRational
 from .structures import CheckFailed, PoissonStructure
 
 
@@ -52,7 +52,7 @@ MIN_STEP = 1e-6
 MAX_STEPS = 10_000
 
 
-class DeformationFamily:
+class DeformationFamily(Frozen):
     """Diagonal base pushed along parameter-dependent automorphisms; immutable."""
 
     __slots__ = ("base", "parameter", "table", "path",
@@ -76,9 +76,6 @@ class DeformationFamily:
         values = (base, parameter, table, path, None, None, None)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DeformationFamily is immutable")
 
     def __reduce__(self):
         return DeformationFamily, (self.base, self.path, self.parameter)

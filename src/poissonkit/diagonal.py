@@ -21,7 +21,7 @@ from typing import NamedTuple
 from . import polynomials
 from .multivectors import DifferentialForm, Multivector
 from .polynomials import MAX_COORDINATES, Polynomial, VariableTable
-from .scalars import GaussRational
+from .scalars import Frozen, GaussRational
 from .structures import CheckFailed, PoissonStructure, _PfaffianMemo
 
 
@@ -34,7 +34,7 @@ def _coordinate_count(n: int) -> int:
     return n
 
 
-class DiagonalSpec:
+class DiagonalSpec(Frozen):
     """Strictly upper-triangular data lambda_ij, 1 <= i < j <= n.
 
     Entries are GaussRational scalars or parameter-name strings; the two
@@ -57,9 +57,6 @@ class DiagonalSpec:
                 if not value.is_zero():
                     cleaned[(i, j)] = value
         object.__setattr__(self, "entries", MappingProxyType(cleaned))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiagonalSpec is immutable")
 
     def __reduce__(self):
         return DiagonalSpec, (self.n, dict(self.entries))

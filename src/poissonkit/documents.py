@@ -8,6 +8,7 @@ the identity on canonical files, which lets tests diff bytes.
 from __future__ import annotations
 
 import json
+from cmath import isfinite
 
 from .automorphisms import DiagonalScaling, Translation, TriangularShear
 from .deform import DeformationFamily
@@ -258,7 +259,7 @@ def parse_assignments(text: str, table: VariableTable, names=None,
 
     Positional values fill `names` (default: the coordinates) in order;
     name=value pairs may be mixed in.  Exact mode parses scalars in the
-    coefficient syntax, float mode accepts decimal/complex literals.
+    coefficient syntax, float mode accepts finite decimal/complex literals.
     """
     if names is None:
         names = table.coordinates
@@ -279,4 +280,6 @@ def parse_assignments(text: str, table: VariableTable, names=None,
             name, raw = names[positional], chunk
             positional += 1
         values[name] = parse_scalar(raw) if exact else complex(raw)
+        if not (exact or isfinite(values[name])):
+            raise ValueError(f"{name} must be finite, not {raw!r}")
     return values

@@ -38,7 +38,7 @@ from typing import Mapping
 from . import polynomials
 from .polynomials import (MASK_SIGN_CACHE, FloatPolynomials, Polynomial,
                           VariableTable, _mask_sign)
-from .scalars import GaussRational, _product
+from .scalars import Frozen, GaussRational, _product
 
 
 @lru_cache(maxsize=MASK_SIGN_CACHE)
@@ -46,7 +46,7 @@ def _indices(mask: int) -> tuple:
     return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
-class _SuperElement:
+class _SuperElement(Frozen):
     """Shared machinery for multivectors and forms; `terms` is a read-only
     {indices: Polynomial} mapping of the nonzero coefficients."""
 
@@ -85,9 +85,6 @@ class _SuperElement:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_flat", flat)
         object.__setattr__(self, "_terms", MappingProxyType(cleaned))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         return type(self), (self.table, self.degree, dict(self.terms))
@@ -464,7 +461,7 @@ def volume_isomorphism_inverse(omega: DifferentialForm) -> Multivector:
     return _complemented(omega, Multivector, False)
 
 
-class VolumeCurl:
+class VolumeCurl(Frozen):
     """Curl against a non-constant volume unit u, kept as an exact pair.
 
     The operator value is  main + correction / u  where both parts are
@@ -486,9 +483,6 @@ class VolumeCurl:
         object.__setattr__(self, "main", main)
         object.__setattr__(self, "correction", correction)
         object.__setattr__(self, "denominator", denominator)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VolumeCurl is immutable")
 
     def __reduce__(self):
         return VolumeCurl, (self.main, self.correction, self.denominator)

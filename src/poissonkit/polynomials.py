@@ -31,8 +31,8 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
 
-from .scalars import (GaussRational, _make, _power, _product, _quotient,
-                      _reduced, _sum, format_scalar)
+from .scalars import (Frozen, GaussRational, _make, _power, _product,
+                      _quotient, _reduced, _sum, format_scalar)
 
 # Every field of a packed key is FIELD_BITS wide, and its top bit is a
 # guard: an exponent or degree must stay below FIELD_LIMIT = 32,768, so
@@ -73,7 +73,7 @@ class PolynomialSyntaxError(ValueError):
     """Raised on malformed polynomial text; message names token and position."""
 
 
-class VariableTable:
+class VariableTable(Frozen):
     """Immutable registry of coordinate and parameter names, and the
     layout of their packed monomial keys.
 
@@ -122,9 +122,6 @@ class VariableTable:
         set_(self, "_mask_shift", FIELD_BITS * fields)
         set_(self, "_packer", struct.Struct(f">{fields}H"))
         set_(self, "_unpacker", struct.Struct(f">2x{nc}H2x{npar}H"))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VariableTable is immutable")
 
     def __reduce__(self):
         return VariableTable, (self.coordinates, self.parameters)
@@ -204,7 +201,7 @@ def _as_scalar(value) -> GaussRational:
     raise TypeError(f"cannot use {type(value).__name__} as a scalar")
 
 
-class Polynomial:
+class Polynomial(Frozen):
     """Element of Q(i)[coordinates, parameters] in canonical sparse form.
 
     `_raw` maps packed monomial keys (laid out by the table) to reduced
@@ -236,9 +233,6 @@ class Polynomial:
         writing into it leaves the polynomial unchanged."""
         unpack = self.table._unpack
         return {unpack(e): _make(*t) for e, t in self._raw.items()}
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
         return Polynomial, (self.table, self.terms)
@@ -550,7 +544,7 @@ def _derivative_terms(raw: Mapping, table: VariableTable, slot: int) -> dict:
     return out
 
 
-class FloatPolynomials:
+class FloatPolynomials(Frozen):
     """Polynomials on one table compiled for complex-double evaluation.
 
     The monomials of all the polynomials, in canonical term order, form
@@ -588,9 +582,6 @@ class FloatPolynomials:
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "_present", frozenset(
             name for name, used in zip(table.names, present) if used))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FloatPolynomials is immutable")
 
     def monomials(self, point):
         """The monomial vector at a point given as one complex number per

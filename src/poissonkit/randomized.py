@@ -63,160 +63,113 @@ def _sign(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-def check_wedge_supercommutativity(rng, cases: int) -> int:
-    failures = 0
-    for _ in range(cases):
-        a_deg = rng.randint(0, 3)
-        b_deg = rng.randint(0, 3)
-        a = random_element(rng, DEFAULT_TABLE, a_deg)
-        b = random_element(rng, DEFAULT_TABLE, b_deg)
-        if wedge(a, b) != wedge(b, a) * _sign(a_deg * b_deg):
-            failures += 1
-    return failures
+def _suite(holds):
+    """A suite (rng, cases) -> failures: the draws where holds(rng) is
+    false, counted over `cases` draws."""
+    def suite(rng, cases: int) -> int:
+        return sum(not holds(rng) for _ in range(cases))
+    return suite
 
 
-def check_bracket_antisymmetry(rng, cases: int) -> int:
-    failures = 0
-    for _ in range(cases):
-        a_deg = rng.randint(0, 3)
-        b_deg = rng.randint(0, 3)
-        a = random_element(rng, DEFAULT_TABLE, a_deg)
-        b = random_element(rng, DEFAULT_TABLE, b_deg)
-        lhs = schouten(a, b)
-        rhs = schouten(b, a) * (-_sign((a_deg - 1) * (b_deg - 1)))
-        if lhs != rhs:
-            failures += 1
-    return failures
+def _draw(rng, *tops):
+    """(element, degree) pairs of degrees in 0..top; every degree is
+    drawn before any element."""
+    degrees = [rng.randint(0, top) for top in tops]
+    return [(random_element(rng, DEFAULT_TABLE, d), d) for d in degrees]
 
 
-def check_bracket_leibniz(rng, cases: int) -> int:
-    failures = 0
-    for _ in range(cases):
-        a_deg = rng.randint(0, 3)
-        b_deg = rng.randint(0, 2)
-        c_deg = rng.randint(0, 2)
-        a = random_element(rng, DEFAULT_TABLE, a_deg)
-        b = random_element(rng, DEFAULT_TABLE, b_deg)
-        c = random_element(rng, DEFAULT_TABLE, c_deg)
-        lhs = schouten(a, wedge(b, c))
-        rhs = wedge(schouten(a, b), c) \
-            + wedge(b, schouten(a, c)) * _sign((a_deg - 1) * b_deg)
-        if lhs != rhs:
-            failures += 1
-    return failures
+def _wedge_supercommutes(rng) -> bool:
+    (a, p), (b, q) = _draw(rng, 3, 3)
+    return wedge(a, b) == wedge(b, a) * _sign(p * q)
 
 
-def check_bracket_jacobi(rng, cases: int) -> int:
-    failures = 0
-    for _ in range(cases):
-        degs = [rng.randint(0, 3) for _ in range(3)]
-        a, b, c = (random_element(rng, DEFAULT_TABLE, d) for d in degs)
-        total = None
-        for (u, du), (v, dv), (w, dw) in (
-                ((a, degs[0]), (b, degs[1]), (c, degs[2])),
-                ((b, degs[1]), (c, degs[2]), (a, degs[0])),
-                ((c, degs[2]), (a, degs[0]), (b, degs[1]))):
-            term = schouten(u, schouten(v, w)) * _sign((du - 1) * (dw - 1))
-            total = term if total is None else total + term
-        if not total.is_zero():
-            failures += 1
-    return failures
+def _bracket_antisymmetric(rng) -> bool:
+    (a, p), (b, q) = _draw(rng, 3, 3)
+    return schouten(a, b) == schouten(b, a) * (-_sign((p - 1) * (q - 1)))
 
 
-def check_bv_generates_bracket(rng, cases: int) -> int:
-    failures = 0
-    for _ in range(cases):
-        a_deg = rng.randint(0, 3)
-        b_deg = rng.randint(0, 3)
-        a = random_element(rng, DEFAULT_TABLE, a_deg)
-        b = random_element(rng, DEFAULT_TABLE, b_deg)
-        defect = bv_laplacian(wedge(a, b)) \
-            - wedge(bv_laplacian(a), b) \
-            - wedge(a, bv_laplacian(b)) * _sign(a_deg)
-        if defect != schouten(a, b) * (BV_SIGN * _sign(a_deg)):
-            failures += 1
-    return failures
+def _bracket_leibniz(rng) -> bool:
+    (a, p), (b, q), (c, _) = _draw(rng, 3, 2, 2)
+    return schouten(a, wedge(b, c)) == wedge(schouten(a, b), c) \
+        + wedge(b, schouten(a, c)) * _sign((p - 1) * q)
 
 
-def check_squares_vanish(rng, cases: int) -> int:
-    failures = 0
+def _bracket_jacobi(rng) -> bool:
+    a, b, c = _draw(rng, 3, 3, 3)
+    total = None
+    for (u, du), (v, _), (w, dw) in ((a, b, c), (b, c, a), (c, a, b)):
+        term = schouten(u, schouten(v, w)) * _sign((du - 1) * (dw - 1))
+        total = term if total is None else total + term
+    return total.is_zero()
+
+
+def _bv_generates_bracket(rng) -> bool:
+    (a, p), (b, _) = _draw(rng, 3, 3)
+    defect = bv_laplacian(wedge(a, b)) - wedge(bv_laplacian(a), b) \
+        - wedge(a, bv_laplacian(b)) * _sign(p)
+    return defect == schouten(a, b) * (BV_SIGN * _sign(p))
+
+
+def _squares_vanish(rng) -> bool:
     n = len(DEFAULT_TABLE.coordinates)
-    for _ in range(cases):
-        form = random_element(rng, DEFAULT_TABLE, rng.randint(0, n - 1),
-                              cls=DifferentialForm)
-        if not exterior_derivative(exterior_derivative(form)).is_zero():
-            failures += 1
-        field = random_element(rng, DEFAULT_TABLE, rng.randint(0, n))
-        if not bv_laplacian(bv_laplacian(field)).is_zero():
-            failures += 1
-    return failures
+    form = random_element(rng, DEFAULT_TABLE, rng.randint(0, n - 1),
+                          cls=DifferentialForm)
+    field = random_element(rng, DEFAULT_TABLE, rng.randint(0, n))
+    return exterior_derivative(exterior_derivative(form)).is_zero() \
+        and bv_laplacian(bv_laplacian(field)).is_zero()
 
 
-def check_curl_is_signed_laplacian(rng, cases: int) -> int:
-    failures = 0
-    n = len(DEFAULT_TABLE.coordinates)
-    for _ in range(cases):
-        p = rng.randint(0, n)
-        a = random_element(rng, DEFAULT_TABLE, p)
-        if curl(a) != bv_laplacian(a) * _sign(p + 1):
-            failures += 1
-    return failures
+def _curl_is_signed_laplacian(rng) -> bool:
+    (a, p), = _draw(rng, len(DEFAULT_TABLE.coordinates))
+    return curl(a) == bv_laplacian(a) * _sign(p + 1)
 
 
-def check_volume_curl_pair(rng, cases: int) -> int:
+def _volume_curl_pair(rng) -> bool:
     """u*(curl_u A - curl A) must equal -contract(du, A) exactly."""
-    failures = 0
-    n = len(DEFAULT_TABLE.coordinates)
-    for _ in range(cases):
-        p = rng.randint(1, n)
-        a = random_element(rng, DEFAULT_TABLE, p)
+    p = rng.randint(1, len(DEFAULT_TABLE.coordinates))
+    a = random_element(rng, DEFAULT_TABLE, p)
+    u = random_polynomial(rng, DEFAULT_TABLE, max_terms=2, max_degree=2)
+    while u.is_constant():
         u = random_polynomial(rng, DEFAULT_TABLE, max_terms=2, max_degree=2)
-        while u.is_constant():
-            u = random_polynomial(rng, DEFAULT_TABLE, max_terms=2, max_degree=2)
-        pair = curl(a, u)
-        defect = pair.correction + contract(exterior_derivative(u), a)
-        if pair.main != curl(a) or not defect.is_zero() or pair.denominator != u:
-            failures += 1
-    return failures
+    pair = curl(a, u)
+    defect = pair.correction + contract(exterior_derivative(u), a)
+    return pair.main == curl(a) and defect.is_zero() \
+        and pair.denominator == u
 
 
-def check_pushforward_naturality(rng, cases: int) -> int:
-    failures = 0
+def _pushforward_natural(rng) -> bool:
     coords = DEFAULT_TABLE.coordinates
-    for _ in range(cases):
-        roll = rng.randrange(3)
-        if roll == 0:
-            phi = Translation(DEFAULT_TABLE, rng.choice(coords),
-                              random_polynomial(rng, DEFAULT_TABLE, 1, 0))
-        elif roll == 1:
-            phi = DiagonalScaling(DEFAULT_TABLE, {
-                name: random_scalar(rng) for name in coords})
-        else:
-            pos = rng.randrange(len(coords) - 1)
-            later = VariableTable(coords[pos + 1:])
-            shear = random_polynomial(rng, later, 2, 2)
-            lifted = Polynomial(DEFAULT_TABLE, {
-                (0,) * (pos + 1) + exps: c for exps, c in shear.terms.items()})
-            phi = TriangularShear(DEFAULT_TABLE, coords[pos], lifted)
-        a = random_element(rng, DEFAULT_TABLE, rng.randint(0, 2))
-        b = random_element(rng, DEFAULT_TABLE, rng.randint(0, 2))
-        if pushforward(phi, schouten(a, b)) != schouten(
-                pushforward(phi, a), pushforward(phi, b)):
-            failures += 1
-    return failures
+    roll = rng.randrange(3)
+    if roll == 0:
+        phi = Translation(DEFAULT_TABLE, rng.choice(coords),
+                          random_polynomial(rng, DEFAULT_TABLE, 1, 0))
+    elif roll == 1:
+        phi = DiagonalScaling(DEFAULT_TABLE, {
+            name: random_scalar(rng) for name in coords})
+    else:
+        pos = rng.randrange(len(coords) - 1)
+        later = VariableTable(coords[pos + 1:])
+        shear = random_polynomial(rng, later, 2, 2)
+        lifted = Polynomial(DEFAULT_TABLE, {
+            (0,) * (pos + 1) + exps: c for exps, c in shear.terms.items()})
+        phi = TriangularShear(DEFAULT_TABLE, coords[pos], lifted)
+    a = random_element(rng, DEFAULT_TABLE, rng.randint(0, 2))
+    b = random_element(rng, DEFAULT_TABLE, rng.randint(0, 2))
+    return pushforward(phi, schouten(a, b)) == schouten(
+        pushforward(phi, a), pushforward(phi, b))
 
 
-SUITES = (
-    ("wedge supercommutativity", check_wedge_supercommutativity),
-    ("bracket graded antisymmetry", check_bracket_antisymmetry),
-    ("bracket graded Leibniz", check_bracket_leibniz),
-    ("bracket graded Jacobi", check_bracket_jacobi),
-    ("laplacian generates bracket", check_bv_generates_bracket),
-    ("d and laplacian square to zero", check_squares_vanish),
-    ("curl equals signed laplacian", check_curl_is_signed_laplacian),
-    ("volume curl exact pair", check_volume_curl_pair),
-    ("pushforward naturality", check_pushforward_naturality),
-)
+SUITES = tuple((name, _suite(holds)) for name, holds in (
+    ("wedge supercommutativity", _wedge_supercommutes),
+    ("bracket graded antisymmetry", _bracket_antisymmetric),
+    ("bracket graded Leibniz", _bracket_leibniz),
+    ("bracket graded Jacobi", _bracket_jacobi),
+    ("laplacian generates bracket", _bv_generates_bracket),
+    ("d and laplacian square to zero", _squares_vanish),
+    ("curl equals signed laplacian", _curl_is_signed_laplacian),
+    ("volume curl exact pair", _volume_curl_pair),
+    ("pushforward naturality", _pushforward_natural),
+))
 
 
 def run_suites(seed: int, cases: int = 200):

@@ -78,7 +78,21 @@ def _binary(op, build=_norm):
     return method
 
 
-class GaussRational:
+class Frozen:
+    """The base of every immutable value: no attribute can be set or
+    deleted once built.  Constructors fill the slots through
+    `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class GaussRational(Frozen):
     """An element of Q(i), immutable and hashable."""
 
     __slots__ = ("_t",)
@@ -89,9 +103,6 @@ class GaussRational:
         d = p * q // gcd(p, q)
         object.__setattr__(
             self, "_t", (re.numerator * (d // p), im.numerator * (d // q), d))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRational is immutable")
 
     def __reduce__(self):
         return GaussRational, (self.re, self.im)

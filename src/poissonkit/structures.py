@@ -17,6 +17,7 @@ from . import multivectors, polynomials
 from .multivectors import Multivector, contract, exterior_derivative, schouten
 from .polynomials import (_FIELD_MASK, FIELD_BITS, Polynomial, VariableTable,
                           reduce_mod)
+from .scalars import Frozen
 
 
 class CheckFailed(ValueError):
@@ -26,7 +27,7 @@ class CheckFailed(ValueError):
     it and 2 on any other ValueError, which is unusable input."""
 
 
-class PoissonStructure:
+class PoissonStructure(Frozen):
     """A bivector whose integrability is computed once, on demand."""
 
     __slots__ = ("bivector", "_bracket")
@@ -36,9 +37,6 @@ class PoissonStructure:
             raise ValueError("a Poisson structure needs a degree-2 multivector")
         object.__setattr__(self, "bivector", bivector)
         object.__setattr__(self, "_bracket", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PoissonStructure is immutable")
 
     def __reduce__(self):
         return PoissonStructure, (self.bivector,)

@@ -25,10 +25,7 @@ from poissonkit import (DeformationFamily, DiagonalScaling, DiagonalSpec,
                         solve_rigidity, track_degenerate_point, VolumeCurl,
                         wedge_power)
 from poissonkit.polynomials import FloatPolynomials
-from poissonkit.randomized import (check_bracket_antisymmetry,
-                                   check_bracket_jacobi,
-                                   check_bracket_leibniz,
-                                   check_wedge_supercommutativity)
+from poissonkit.randomized import SUITES
 
 
 def report(num, ok, text):
@@ -84,11 +81,12 @@ def numeric_spec(n, values):
 
 def test_criterion_01_algebra_laws():
     start = time.monotonic()
+    suites = dict(SUITES)
     checks = (
-        ("wedge supercommutativity", check_wedge_supercommutativity),
-        ("graded antisymmetry", check_bracket_antisymmetry),
-        ("graded Leibniz", check_bracket_leibniz),
-        ("graded Jacobi", check_bracket_jacobi),
+        ("wedge supercommutativity", suites["wedge supercommutativity"]),
+        ("graded antisymmetry", suites["bracket graded antisymmetry"]),
+        ("graded Leibniz", suites["bracket graded Leibniz"]),
+        ("graded Jacobi", suites["bracket graded Jacobi"]),
     )
     failures = {name: fn(random.Random(f"acceptance1:{name}"), 200)
                 for name, fn in checks}

@@ -317,12 +317,16 @@ def test_track_verb(corpus):
     ("jet", ["--point", "1,1,1,1", "--r", "-1"], "r"),
     ("jet", ["--point", "1,1,1,1", "--r", "-5"], "r"),
     ("curl", ["--unit", "0"], "--unit"),
+    ("jet", ["--point", "nan,0,0,0"], "x1"),
+    ("jet", ["--point", "1,-inf,0,0"], "x2"),
+    ("jet", ["--point", "1,1,1,1", "--params", "x3=nan+1j"], "x3"),
 ], ids=["step-zero", "step-negative", "step-nan", "step-tiny", "t-huge",
         "t-inf", "t-nan", "t-text", "zero-name-digit", "zero-name-i",
         "track-tol-nan", "track-tol-inf", "track-tol-negative",
         "jet-tol-nan", "jet-tol-inf",
         "jet-tol-negative", "jet-r-negative", "jet-r-very-negative",
-        "curl-unit-zero"])
+        "curl-unit-zero", "jet-point-nan", "jet-point-inf",
+        "jet-params-nan"])
 def test_unusable_flags_exit_two_naming_the_flag(verb, flags, field, corpus,
                                                  capsys):
     source = ["--family", str(corpus / "fam4.json")] if verb == "track" \
@@ -436,6 +440,14 @@ def test_selftest_seed_sources():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "seed: 11" in proc.stdout
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_selftest_refuses_fewer_than_one_case(cases, capsys):
+    assert main(["selftest", "--cases", cases]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --cases must be at least 1\n"
 
 
 def test_exit_code_two_on_bad_input(corpus, tmp_path):

@@ -13,7 +13,8 @@ from poissonkit import (DeformationFamily, DiagonalScaling, DiagonalSpec,
                         log_annihilator, make_diagonal, parse_polynomial,
                         serialize, simplex_multiplicity_filter,
                         track_degenerate_point)
-from poissonkit import deform
+from poissonkit import curl, deform, exterior_derivative
+from poissonkit.polynomials import FloatPolynomials
 
 SPEC4 = DiagonalSpec(4, {
     (1, 2): GaussRational(2), (1, 3): GaussRational(3, 1),
@@ -42,12 +43,23 @@ def _records():
 
 def test_no_attribute_can_be_set_after_construction():
     family = DeformationFamily.build(SPEC4, STEPS)
-    values = [SPEC4, family, *family.path, *_steps(), *_records()]
+    ps = make_diagonal(SPEC4)
+    f = parse_polynomial("x1*x2 - t", T)
+    values = [SPEC4, family, *family.path, *_steps(), *_records(),
+              GaussRational(1, 2), T, f, FloatPolynomials(T, [f]), ps,
+              ps.bivector, exterior_derivative(f),
+              curl(ps.bivector, parse_polynomial("x1 + 1", ps.table))]
     for value in values:
         names = [name for name in dir(value) if not name.startswith("__")]
         for name in names + ["extra"]:
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+    with pytest.raises(AttributeError, match="^GaussRational is immutable$"):
+        del GaussRational(1, 2)._t
+    with pytest.raises(AttributeError, match="^DiagonalSpec is immutable$"):
+        del DiagonalSpec(2, {(1, 2): 3}).entries
     with pytest.raises(TypeError):
         SPEC4.entries[(1, 2)] = GaussRational(0)
     with pytest.raises(TypeError):

@@ -37,6 +37,27 @@ def test_golden_case_replays_unchanged(record):
     assert corpus.run(record["argv"]) == expected
 
 
+def _takes_out(verb: str) -> bool:
+    subparsers = next(action for action in build_parser()._actions
+                      if action.dest == "verb")
+    return any("--out" in action.option_strings
+               for action in subparsers.choices[verb]._actions)
+
+
+OUT_RECORDS = [r for r in RECORDS if _takes_out(r["argv"][0])]
+
+
+@pytest.mark.parametrize("record", OUT_RECORDS,
+                         ids=[" ".join(r["argv"]) for r in OUT_RECORDS])
+def test_golden_case_writes_the_same_bytes_to_out(record, tmp_path):
+    path = tmp_path / "out.txt"
+    result = corpus.run(record["argv"] + ["--out", str(path)])
+    assert result == {"exit": record["exit"], "stdout": "",
+                      "stderr": record["stderr"]}
+    written = path.read_bytes().decode("utf-8") if path.exists() else ""
+    assert written == record["stdout"]
+
+
 def test_regeneration_refuses_to_overwrite_without_force(capsys):
     before = (GOLDEN / "expected.json").read_bytes()
     assert corpus.main([]) == 1

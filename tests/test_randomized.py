@@ -44,3 +44,16 @@ def test_seeded_draws_are_pinned():
     digest.update(repr(rng.random()).encode())
     assert digest.hexdigest() == (
         "415f0db3ed1d85f2e50a84aacd644b66736039501097f6bc96046f780974ba0f")
+
+
+def test_a_suite_counts_the_draws_whose_identity_misses(monkeypatch):
+    from poissonkit import randomized
+
+    odd = randomized._suite(lambda rng: rng.randrange(2) == 0)
+    reference = random.Random("count")
+    assert odd(random.Random("count"), 50) == sum(
+        reference.randrange(2) for _ in range(50))
+    # a wedge that ignores its right factor breaks supercommutativity
+    monkeypatch.setattr(randomized, "wedge", lambda a, b: a)
+    suite = dict(SUITES)["wedge supercommutativity"]
+    assert 0 < suite(random.Random("count"), 50) <= 50
