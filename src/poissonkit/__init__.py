@@ -20,11 +20,12 @@ from .multivectors import (BV_SIGN, DifferentialForm, Multivector,
                            volume_isomorphism, volume_isomorphism_inverse,
                            wedge)
 from .polynomials import (Polynomial, PolynomialSyntaxError, VariableTable,
-                          format_polynomial, parse_polynomial, reduce_mod)
+                          format_polynomial, parse_polynomial, parse_scalar,
+                          reduce_mod)
 from .rigidity import (MonomialSurvivors, RigiditySystem, check_multiplicity,
                        diagonality_constraints, simplex_multiplicity_filter,
                        solve_rigidity)
-from .scalars import GaussRational, format_scalar, parse_scalar
+from .scalars import GaussRational, format_scalar
 from .structures import (CheckFailed, DegeneracyIdeal, DivisorData,
                          PoissonStructure, chart_extend, chart_transition,
                          degeneracy_divisor, degeneracy_ideal, hamiltonian,

@@ -23,7 +23,7 @@ from .diagonal import (DiagonalSpec, curl_eigenvalues, log_annihilator,
 from .multivectors import Multivector, curl, schouten
 from .polynomials import (MAX_COORDINATES, VariableTable, format_polynomial,
                           parse_polynomial)
-from .randomized import run_suites
+from .randomized import MAX_CASES, run_suites
 from .rigidity import (MAX_DIM, diagonality_constraints,
                        simplex_multiplicity_filter, solve_rigidity)
 from .structures import (CheckFailed, PoissonStructure, chart_extend,
@@ -111,13 +111,17 @@ def cmd_degeneracy(args):
     return _lines(degeneracy_ideal(ps, args.order).generators), 0
 
 
-def cmd_rank(args):
-    ps = _load(args.infile, PoissonStructure)
-    point = documents.parse_assignments(args.point, ps.table)
+def _point(args, table: VariableTable, exact: bool = True) -> dict:
+    point = documents.parse_assignments(args.point, table, exact=exact)
     if args.params:
         point.update(documents.parse_assignments(
-            args.params, ps.table, names=ps.table.parameters))
-    return f"{rank_at(ps, point)}\n", 0
+            args.params, table, names=table.parameters, exact=exact))
+    return point
+
+
+def cmd_rank(args):
+    ps = _load(args.infile, PoissonStructure)
+    return f"{rank_at(ps, _point(args, ps.table))}\n", 0
 
 
 def cmd_restrict(args):
@@ -215,10 +219,7 @@ def cmd_track(args):
 
 def cmd_jet(args):
     ps = _load(args.infile, PoissonStructure)
-    point = documents.parse_assignments(args.point, ps.table, exact=False)
-    if args.params:
-        point.update(documents.parse_assignments(
-            args.params, ps.table, names=ps.table.parameters, exact=False))
+    point = _point(args, ps.table, exact=False)
     order = jet_vanishing(ps, point, r=args.r, tol=args.tol)
     return (f">= {args.r + 1}" if order > args.r else str(order)) + "\n", 0
 
@@ -244,6 +245,8 @@ def _resolve_seed(flag_value) -> int:
 def cmd_selftest(args):
     if args.cases < 1:
         raise ValueError("--cases must be at least 1")
+    if args.cases > MAX_CASES:
+        raise ValueError(f"--cases must be at most {MAX_CASES}")
     seed = _resolve_seed(args.seed)
     lines = [f"seed: {seed}\n"]
     failed = 0

@@ -22,9 +22,9 @@ import numpy as np
 from .automorphisms import (DiagonalScaling, ElementaryAutomorphism,
                             Translation, TriangularShear, pushforward)
 from .diagonal import DiagonalSpec, _diagonal_bivector, is_generic
-from .multivectors import Multivector, curl
+from .multivectors import Multivector, _built, curl
 from .polynomials import (FloatPolynomials, Polynomial, VariableTable,
-                          parse_polynomial)
+                          _substituted, parse_polynomial)
 from .scalars import Frozen, GaussRational
 from .structures import CheckFailed, PoissonStructure
 
@@ -52,6 +52,11 @@ MIN_STEP = 1e-6
 MAX_STEPS = 10_000
 
 
+def _family_table(base: DiagonalSpec, parameter: str) -> VariableTable:
+    """x1..xn, then the parameter: the table of every family on `base`."""
+    return VariableTable([f"x{k}" for k in range(1, base.n + 1)], (parameter,))
+
+
 class DeformationFamily(Frozen):
     """Diagonal base pushed along parameter-dependent automorphisms; immutable."""
 
@@ -65,8 +70,7 @@ class DeformationFamily(Frozen):
             raise ValueError("family base must have an even number of coordinates")
         if not is_generic(base):
             raise ValueError("family base fails the genericity checks")
-        coords = tuple(f"x{k}" for k in range(1, base.n + 1))
-        table = VariableTable(coords, (parameter,))
+        table = _family_table(base, parameter)
         path = tuple(path)
         for step in path:
             if not isinstance(step, ElementaryAutomorphism):
@@ -84,29 +88,23 @@ class DeformationFamily(Frozen):
     def build(cls, base: DiagonalSpec, steps, parameter: str = "t"):
         """Construct from step descriptors.
 
-        Each descriptor is ("translation", coord, data), ("shear", coord,
-        data) or ("scaling", {coord: scalar_text}); data strings are
-        parsed over the family table.
+        Each descriptor is ("translation", coord, text), ("shear", coord,
+        text) or ("scaling", {coord: scalar_text}); every text is parsed
+        over the family table.
         """
-        coords = tuple(f"x{k}" for k in range(1, base.n + 1))
-        table = VariableTable(coords, (parameter,))
+        table = _family_table(base, parameter)
         path = []
         for descriptor in steps:
             kind = descriptor[0]
             if kind in ("translation", "shear"):
-                _, coord, data = descriptor
-                if isinstance(data, str):
-                    data = parse_polynomial(data, table)
+                _, coord, text = descriptor
                 step = Translation if kind == "translation" else TriangularShear
-                path.append(step(table, coord, data))
+                path.append(step(table, coord, parse_polynomial(text, table)))
             elif kind == "scaling":
                 _, scales = descriptor
-                parsed = {}
-                for name, value in scales.items():
-                    if isinstance(value, str):
-                        value = parse_polynomial(value, table).constant_value()
-                    parsed[name] = value
-                path.append(DiagonalScaling(table, parsed))
+                path.append(DiagonalScaling(table, {
+                    name: parse_polynomial(text, table).constant_value()
+                    for name, text in scales.items()}))
             else:
                 raise ValueError(f"unknown step kind {kind!r}")
         return cls(base, path, parameter)
@@ -156,9 +154,8 @@ class DeformationFamily(Frozen):
         if not isinstance(t_value, GaussRational):
             t_value = GaussRational(t_value)
         images = {self.parameter: Polynomial.constant(self.table, t_value)}
-        moved = Multivector(self.table, 2, {
-            ix: c.substitute(images) for ix, c in self.bivector().terms.items()})
-        return PoissonStructure(moved)
+        return PoissonStructure(_built(Multivector, self.table, 2, _substituted(
+            self.bivector()._flat, self.table, images)))
 
 
 class TrackResult(NamedTuple):
@@ -216,7 +213,11 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
         return None
 
     def residual(point):
-        return float(np.abs(residual_rows @ monomials(point)).max(initial=0.0))
+        return residual_rows @ monomials(point)
+
+    def peak(evaluate) -> float:
+        with np.errstate(all="ignore"):  # an overflow reads as inf or nan
+            return float(np.abs(evaluate(point)).max(initial=0.0))
 
     # one buffer holds every attempted point; gamma keeps the last
     # converged coordinates and restores them after a failed attempt
@@ -253,13 +254,14 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
         if stop is not None:
             raise CheckFailed(
                 f"{stop} (reached tau={tau:.6g} of {radius:.6g}, last step "
-                f"{step:.3g}, last residual {residual(point):.3g}, "
+                f"{step:.3g}, last residual {peak(residual):.3g}, "
                 f"tol {tol:g})")
     point[n] = t
-    jet0 = float(np.abs(system.jet0(point)).max(initial=0.0))
-    jet1 = float(np.abs(system.jet1(point)).max(initial=0.0))
-    return TrackResult(t, tuple(gamma.tolist()), residual(point), jet0, jet1,
-                       total_iters)
+    reported = [peak(f) for f in (residual, system.jet0, system.jet1)]
+    for name, value in zip(("residual", "jet0", "jet1"), reported):
+        if not isfinite(value):
+            raise ValueError(f"{name} overflows double precision at t = {t}")
+    return TrackResult(t, tuple(gamma.tolist()), *reported, total_iters)
 
 
 def jet_vanishing(structure, point, r: int = 3, tol: float = 1e-6) -> int:

@@ -84,28 +84,20 @@ class DiagonalSpec(Frozen):
 
     def entry_scalar(self, i: int, j: int):
         """lambda_ij for i != j as a scalar; None if symbolic."""
-        sign = 1
-        if i > j:
-            i, j = j, i
-            sign = -1
-        value = self.entries.get((i, j), GaussRational.zero())
+        value = self.entries.get((min(i, j), max(i, j)), GaussRational.zero())
         if isinstance(value, str):
             return None
-        return value if sign > 0 else -value
+        return value if i < j else -value
 
     def entry_polynomial(self, table: VariableTable, i: int, j: int) -> Polynomial:
-        sign = 1
-        if i > j:
-            i, j = j, i
-            sign = -1
-        value = self.entries.get((i, j))
+        value = self.entries.get((min(i, j), max(i, j)))
         if value is None:
             return Polynomial.zero(table)
         if isinstance(value, str):
             poly = Polynomial.variable(table, value)
         else:
             poly = Polynomial.constant(table, value)
-        return poly if sign > 0 else -poly
+        return poly if i < j else -poly
 
     def lambda_matrix(self, table: VariableTable) -> list:
         return [
@@ -260,7 +252,8 @@ def is_generic(spec: DiagonalSpec) -> bool:
 
 def random_generic_spec(n: int, rng: random.Random,
                         bound: int = 10 ** 6) -> DiagonalSpec:
-    _coordinate_count(n)
+    if _coordinate_count(n) < 2:  # no spec on one coordinate is generic
+        raise ValueError("n must be at least 2: mu_1 = 0 on one coordinate")
     for _ in range(200):  # a random draw is generic but for a thin set
         entries = {}
         for i in range(1, n + 1):

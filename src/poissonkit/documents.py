@@ -15,8 +15,8 @@ from .deform import DeformationFamily
 from .diagonal import DiagonalSpec, _coordinate_count
 from .multivectors import DifferentialForm, Multivector, VolumeCurl
 from .polynomials import (MAX_COORDINATES, MAX_DEGREE, MAX_TERMS, Polynomial,
-                          VariableTable, format_polynomial)
-from .scalars import _PART_LIMIT, format_scalar, parse_scalar
+                          VariableTable, format_polynomial, parse_scalar)
+from .scalars import _PART_LIMIT, format_scalar
 from .structures import PoissonStructure
 
 

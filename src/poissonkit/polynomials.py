@@ -25,6 +25,7 @@ of the packed keys.
 
 from __future__ import annotations
 
+import re
 import struct
 from fractions import Fraction
 from functools import lru_cache
@@ -277,16 +278,6 @@ class Polynomial(Frozen):
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return _make(*next(iter(self._raw.values())))
-
-    def coefficient(self, powers: Mapping[str, int]) -> GaussRational:
-        exps = [0] * self.table.width
-        for name, e in powers.items():
-            exps[self.table.slot(name)] = e
-        try:
-            key = self.table._pack(exps)
-        except ValueError:  # no stored monomial has such an exponent
-            return GaussRational.zero()
-        return _make(*self._raw.get(key, (0, 0, 1)))
 
     def variables_present(self) -> set:
         present = 0
@@ -656,33 +647,24 @@ def reduce_mod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
 # -- text syntax -----------------------------------------------------------
 
 
+# One token a match, after any whitespace: an integer literal of ASCII
+# digits, a name, an operator, or any other character, which is refused.
+_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<name>[^\W\d]\w*)"
+                    r"|(?P<op>[-+*/^()])|(?P<other>\S))")
+
+
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch.isdigit():
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            tokens.append(("int", text[start:pos], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            tokens.append(("name", text[start:pos], start))
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch, pos))
-            pos += 1
-            continue
-        raise PolynomialSyntaxError(f"unexpected character {ch!r} at position {pos}")
-    tokens.append(("end", "", n))
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        value, at = match[kind], match.start(kind)
+        # a name starts with a letter or "_"; \w also holds numerals
+        if kind == "other" or kind == "name" and not (
+                value[0].isalpha() or value[0] == "_"):
+            raise PolynomialSyntaxError(
+                f"unexpected character {value[0]!r} at position {at}")
+        tokens.append((value if kind == "op" else kind, value, at))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -874,6 +856,14 @@ class _Parser:
 def parse_polynomial(text: str, table: VariableTable) -> Polynomial:
     """Parse the textual syntax, e.g. `(3/2+1/2*i)*x1^2*x2 - l12*x3`."""
     return _Parser(text, table).parse()
+
+
+_NO_VARIABLES = VariableTable(())
+
+
+def parse_scalar(text: str) -> GaussRational:
+    """Parse scalar literals such as `3/2`, `-1/2*i`, `3/2+1/2*i`, `i`."""
+    return _Parser(text, _NO_VARIABLES).parse().constant_value()
 
 
 def _format_monomial(table: VariableTable, exps: tuple) -> str:

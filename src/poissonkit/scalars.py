@@ -232,12 +232,3 @@ def format_scalar(z: GaussRational) -> str:
         raise ValueError("a coefficient has a numerator or denominator of "
                          "more than 4300 digits") from None
     return "".join(parts)
-
-
-def parse_scalar(text: str) -> GaussRational:
-    """Parse scalar literals such as `3/2`, `-1/2*i`, `3/2+1/2*i`, `i`."""
-    from .polynomials import parse_polynomial, VariableTable
-
-    table = VariableTable((), ())
-    poly = parse_polynomial(text, table)
-    return poly.constant_value()

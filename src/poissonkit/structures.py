@@ -242,15 +242,12 @@ def rank_at(ps: PoissonStructure, point: Mapping[str, object]) -> int:
 
 
 def invariant_hypersurface(ps: PoissonStructure, f: Polynomial) -> bool:
-    """True iff {x_m, f} lies in (f) for every coordinate x_m."""
+    """True iff {x_m, f} lies in (f) for every coordinate x_m: the xi_m
+    coefficient of the Hamiltonian field of f is -{x_m, f}."""
     if f.is_zero():
         raise ValueError("zero polynomial does not define a hypersurface")
-    for name in ps.table.coordinates:
-        x = Polynomial.variable(ps.table, name)
-        _, remainder = reduce_mod(poisson_bracket(ps, x, f), f)
-        if not remainder.is_zero():
-            return False
-    return True
+    return all(reduce_mod(c, f)[1].is_zero()
+               for c in hamiltonian(ps, f).terms.values())
 
 
 def restrict_hyperplane(ps: PoissonStructure, coordinate) -> PoissonStructure:

@@ -12,6 +12,7 @@ from poissonkit import (DeformationFamily, DiagonalSpec, GaussRational,
                         loads, make_diagonal, serialize)
 from poissonkit.cli import main
 from poissonkit.polynomials import MAX_TERMS, MAX_TEXT_TERMS
+from poissonkit.randomized import MAX_CASES
 
 
 def run_cli(*argv, data=None):
@@ -448,6 +449,27 @@ def test_selftest_refuses_fewer_than_one_case(cases, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --cases must be at least 1\n"
+
+
+GOLDEN_INPUTS = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["diagonal", "--random", "1"],
+     "n must be at least 2: mu_1 = 0 on one coordinate"),
+    (["selftest", "--cases", str(MAX_CASES + 1)],
+     f"--cases must be at most {MAX_CASES}"),
+    (["bracket", "--in", os.path.join(GOLDEN_INPUTS, "diag4.mv"),
+      "--f", "x1^\u00b2", "--g", "x2"],
+     "unexpected character '\u00b2' at position 3"),
+    (["track", "--family", os.path.join(GOLDEN_INPUTS, "fam4.json"),
+      "--t", "1e300", "--step", "1e299"],
+     "jet0 overflows double precision at t = (1e+300+0j)"),
+], ids=["diagonal-random-1", "selftest-cases", "superscript-exponent",
+        "track-overflow"])
+def test_a_refusal_is_one_error_line(argv, message):
+    # no traceback, no numpy warning and nothing on stdout
+    assert run_cli(*argv) == (2, "", f"error: {message}\n")
 
 
 def test_exit_code_two_on_bad_input(corpus, tmp_path):

@@ -277,6 +277,37 @@ def test_jet_overflow_is_an_error_not_a_vanishing_jet():
             jet_vanishing(g, {"x1": 1e20, "x2": 0.0})
 
 
+@pytest.mark.parametrize("t_value", [GaussRational(Fraction(1, 3)),
+                                     GaussRational.i()], ids=["1/3", "i"])
+def test_a_member_is_the_bivector_substituted_coefficient_by_coefficient(
+        t_value):
+    from pathlib import Path
+
+    from poissonkit.documents import load_path
+    family = load_path(str(Path(__file__).parent / "golden" / "inputs"
+                           / "fam4-mixed.json"))
+    images = {family.parameter: Polynomial.constant(family.table, t_value)}
+    expected = Multivector(family.table, 2, {
+        ix: c.substitute(images) for ix, c in family.bivector().terms.items()})
+    member = family.at(t_value)
+    assert member.bivector == expected
+    assert dict(member.bivector.terms) == dict(expected.terms)
+    assert jacobi_check(member).is_zero()
+
+
+def test_an_overflowing_track_is_refused_without_warnings():
+    from pathlib import Path
+
+    from poissonkit.documents import load_path
+    family = load_path(str(Path(__file__).parent / "golden" / "inputs"
+                           / "fam4.json"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        with pytest.raises(ValueError, match=r"^jet0 overflows double "
+                           r"precision at t = \(1e\+300\+0j\)$"):
+            track_degenerate_point(family, 1e300, initial_step=1e299)
+
+
 def test_scan_degenerate_points():
     member = build([]).at(GaussRational(0))
     samples = [GaussRational(-1), GaussRational(0), GaussRational(1)]

@@ -262,6 +262,14 @@ def test_random_generic_spec():
         assert is_generic(spec)
 
 
+def test_random_generic_spec_needs_two_coordinates():
+    # the one curl eigenvalue on one coordinate is 0, so no draw is generic
+    assert curl_eigenvalues(DiagonalSpec(1, {}))[0].is_zero()
+    with pytest.raises(ValueError, match="^n must be at least 2: mu_1 = 0 "
+                                         "on one coordinate$"):
+        random_generic_spec(1, random.Random(1))
+
+
 @pytest.mark.parametrize("build", [
     lambda: DiagonalSpec(MAX_COORDINATES + 1, {}),
     lambda: DiagonalSpec(10 ** 30, {(1, 2): GaussRational(1)}),

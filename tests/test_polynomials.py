@@ -1,6 +1,7 @@
 """Sparse polynomial ring: arithmetic, order, reduction, text syntax."""
 
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 
 from poissonkit import (GaussRational, Polynomial, PolynomialSyntaxError,
                         VariableTable, format_polynomial, parse_polynomial,
-                        reduce_mod)
+                        parse_scalar, reduce_mod)
 from poissonkit.polynomials import (MAX_DEGREE, MAX_EXPONENT, MAX_NESTING,
                                     MAX_TERMS, MAX_TEXT_TERMS,
                                     FloatPolynomials, _term_bound)
@@ -190,6 +191,19 @@ def test_parser_rejects_bad_input():
     for bad in ("x9", "x1 +* x2", "x1^", "(x1", "x1^-2"):
         with pytest.raises(PolynomialSyntaxError):
             p(bad)
+
+
+# A superscript two and an Arabic-Indic three pass str.isdigit, and the
+# three even int(), but an integer literal is ASCII digits only.
+@pytest.mark.parametrize("text, at", [("x1^\u00b2", 3), ("\u00b2*x1", 0),
+                                      ("x1^\u0663", 3), ("\u0663*x1", 0)])
+def test_integer_literals_are_ascii_digits(text, at):
+    char = text[at]
+    with pytest.raises(PolynomialSyntaxError, match=re.escape(
+            f"unexpected character {char!r} at position {at}") + "$"):
+        p(text)
+    with pytest.raises(PolynomialSyntaxError):
+        parse_scalar(char)
 
 
 def test_parser_bounds_nesting_depth():

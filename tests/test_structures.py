@@ -10,8 +10,9 @@ from poissonkit import (DiagonalSpec, GaussRational, Multivector,
                         chart_extend, chart_transition, degeneracy_divisor,
                         degeneracy_ideal, hamiltonian, invariant_hypersurface,
                         jacobi_check, make_diagonal, parse_polynomial,
-                        poisson_bracket, rank_at, restrict_hyperplane,
-                        schouten, wedge_power)
+                        poisson_bracket, rank_at, reduce_mod,
+                        restrict_hyperplane, schouten, wedge_power)
+from poissonkit.randomized import random_element, random_polynomial
 
 
 def sym(n):
@@ -199,6 +200,37 @@ def test_restrict_hyperplane_gives_sub_block():
     expected = num(3, [2, 3, 7])
     assert restricted.bivector == expected.bivector
     assert restricted.integrable is True
+
+
+def _invariant_by_brackets(ps, f):
+    """The reference: {x_m, f} lies in (f) for every coordinate x_m."""
+    return all(reduce_mod(poisson_bracket(
+        ps, Polynomial.variable(ps.table, name), f), f)[1].is_zero()
+        for name in ps.table.coordinates)
+
+
+def test_invariance_agrees_with_a_bracket_per_coordinate():
+    rng = random.Random("invariance")
+    T = VariableTable(("x1", "x2", "x3", "x4"), ("a",))
+    seen = set()
+    for _ in range(30):
+        f = random_polynomial(rng, T, 3, 2)
+        if f.is_zero():
+            continue
+        base = random_element(rng, T, 2, max_components=3)
+        tail = Multivector(T, 2, {(2, 3): random_polynomial(rng, T, 2, 2)})
+        # on f*B every bracket {x_m, f} is a multiple of f; a tail on
+        # xi_3^xi_4 can break only the brackets of x3 and x4
+        for bivector in (base, base * f, base * f + tail):
+            ps = PoissonStructure(bivector)
+            field = hamiltonian(ps, f)
+            for m, name in enumerate(T.coordinates):
+                x = Polynomial.variable(T, name)
+                assert field.coefficient((m,)) == -poisson_bracket(ps, x, f)
+            expected = _invariant_by_brackets(ps, f)
+            assert invariant_hypersurface(ps, f) is expected
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_restrict_rejects_non_invariant():
