@@ -237,9 +237,11 @@ def _resolve_seed(flag_value) -> int:
     if flag_value is not None:
         return flag_value
     env = os.environ.get("POISSON_SEED")
-    if env is not None:
-        return int(env)
-    return DEFAULT_SEED
+    try:
+        return DEFAULT_SEED if env is None else int(env)
+    except ValueError:
+        raise ValueError(
+            f"POISSON_SEED must be an integer, got {env!r}") from None
 
 
 def cmd_selftest(args):

@@ -13,29 +13,25 @@ from cmath import isfinite
 from .automorphisms import DiagonalScaling, Translation, TriangularShear
 from .deform import DeformationFamily
 from .diagonal import DiagonalSpec, _coordinate_count
-from .multivectors import DifferentialForm, Multivector, VolumeCurl
+from .multivectors import DifferentialForm, Multivector, VolumeCurl, _indices
 from .polynomials import (MAX_COORDINATES, MAX_DEGREE, MAX_TERMS, Polynomial,
                           VariableTable, format_polynomial, parse_scalar)
-from .scalars import _PART_LIMIT, format_scalar
+from .scalars import _PART_LIMIT, _triple_text, format_scalar
 from .structures import PoissonStructure
 
 
 def _term_records(element) -> list:
-    records = []
-    for indices in sorted(element.terms):
-        terms = element.terms[indices].terms
-        for exps in sorted(terms):
-            exponents = {
-                name: exps[slot]
-                for slot, name in enumerate(element.table.names)
-                if exps[slot]
-            }
-            records.append({
-                "coeff": format_scalar(terms[exps]),
-                "exponents": exponents,
-                "indices": list(indices),
-            })
-    return records
+    """One record per stored term, read from its packed key and triple,
+    ordered by index tuple, then ascending exponent tuple."""
+    table = element.table
+    names, unpack, shift = table.names, table._unpack, table._mask_shift
+    low = (1 << shift) - 1
+    # keys are distinct, so no two rows tie before their triples
+    rows = sorted((_indices(key >> shift), unpack(key & low), t)
+                  for key, t in element._flat.items())
+    return [{"coeff": _triple_text(t),
+             "exponents": {name: e for name, e in zip(names, exps) if e},
+             "indices": list(indices)} for indices, exps, t in rows]
 
 
 def multivector_document(element) -> dict:

@@ -10,8 +10,8 @@ one packed integer whose fixed-width fields are laid out by the
 
 and maps to the reduced nonzero triple (a, b, d) of its coefficient
 (a + b i)/d, on which all arithmetic runs.  A product of monomials is
-the sum of their keys; `Polynomial.terms`, the constructor and the text
-and document forms speak exponent tuples over coordinates-then-parameters.
+the sum of their keys; `Polynomial.terms` and the constructor speak
+exponent tuples over coordinates-then-parameters, and text prints from keys.
 A multivector keeps a generator mask above the fields, so this module
 owns the whole packed key: fields, guard, mask sign and `_mul_into`,
 the one product loop of the package.
@@ -33,7 +33,7 @@ from math import comb
 from typing import Iterable, Mapping
 
 from .scalars import (Frozen, GaussRational, _make, _power, _product,
-                      _quotient, _reduced, _sum, format_scalar)
+                      _quotient, _reduced, _sum, _triple_text)
 
 # Every field of a packed key is FIELD_BITS wide, and its top bit is a
 # guard: an exponent or degree must stay below FIELD_LIMIT = 32,768, so
@@ -548,12 +548,13 @@ class FloatPolynomials(Frozen):
     numpy loads on first use.
     """
 
-    __slots__ = ("table", "exponents", "coefficients", "_present")
+    __slots__ = ("table", "exponents", "coefficients", "_present",
+                 "_polynomials")
 
     def __init__(self, table: VariableTable, polynomials: Iterable[Polynomial]):
         import numpy as np
 
-        polynomials = list(polynomials)
+        polynomials = tuple(polynomials)
         rows = {}
         entries = []
         for k, f in enumerate(polynomials):
@@ -573,6 +574,10 @@ class FloatPolynomials(Frozen):
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "_present", frozenset(
             name for name, used in zip(table.names, present) if used))
+        object.__setattr__(self, "_polynomials", polynomials)
+
+    def __reduce__(self):
+        return FloatPolynomials, (self.table, self._polynomials)
 
     def monomials(self, point):
         """The monomial vector at a point given as one complex number per
@@ -866,45 +871,23 @@ def parse_scalar(text: str) -> GaussRational:
     return _Parser(text, _NO_VARIABLES).parse().constant_value()
 
 
-def _format_monomial(table: VariableTable, exps: tuple) -> str:
-    names = table.names
-    pieces = []
-    for pos, e in enumerate(exps):
-        if e == 1:
-            pieces.append(names[pos])
-        elif e > 1:
-            pieces.append(f"{names[pos]}^{e}")
-    return "*".join(pieces)
-
-
 def format_polynomial(f: Polynomial) -> str:
-    """Canonical text form; parsing it back reproduces f exactly."""
+    """Canonical text form; parsing it back reproduces f exactly.  Terms
+    run in descending packed order, each printed from its key and triple."""
     if f.is_zero():
         return "0"
+    names, unpack, raw = f.table.names, f.table._unpack, f._raw
     out = []
-    for exps, coeff in f.sorted_terms():
-        mono = _format_monomial(f.table, exps)
-        if coeff.is_rational():
-            negative = coeff.re < 0
-            mag = -coeff if negative else coeff
-            if not mono:
-                body = format_scalar(mag)
-            elif mag.is_one():
-                body = mono
-            else:
-                body = f"{format_scalar(mag)}*{mono}"
-        elif not coeff.re:
-            negative = coeff.im < 0
-            mag = -coeff if negative else coeff
-            body = format_scalar(mag) if not mono else f"{format_scalar(mag)}*{mono}"
-        else:
-            negative = False
-            body = f"({format_scalar(coeff)})"
-            if mono:
-                body = f"{body}*{mono}"
-        if not out:
-            out.append("-" + body if negative else body)
-        else:
-            out.append(" - " if negative else " + ")
-            out.append(body)
+    for key in sorted(raw, reverse=True):
+        a, b, d = raw[key]
+        if a and b:  # a complex coefficient, in parentheses, never negative
+            negative, body = False, f"({_triple_text((a, b, d))})"
+        else:  # a real or imaginary one, whose sign is the term's
+            negative, body = a < 0 or b < 0, _triple_text((abs(a), abs(b), d))
+        if key:
+            mono = "*".join(name if e == 1 else f"{name}^{e}"
+                            for name, e in zip(names, unpack(key)) if e)
+            body = mono if body == "1" else f"{body}*{mono}"
+        out += (" - " if negative else " + "), body
+    out[0] = out[0].strip(" +")  # the leading term keeps only a minus
     return "".join(out)

@@ -208,27 +208,31 @@ def _power(base, n: int, one):
 _PART_LIMIT = 10 ** 4300
 
 
+def _part_text(n: int, d: int) -> str:
+    """The text of the rational n/d in lowest terms: `n` or `n/d`."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _triple_text(t: tuple) -> str:
+    """The canonical text of a triple (a, b, d) with d > 0; each part is
+    reduced by its own gcd.  A unit imaginary part prints as bare `i`."""
+    a, b, d = t
+    try:
+        real = _part_text(a, d) if a or not b else ""
+        if not b:
+            return real
+        im = "i" if abs(b) == d else _part_text(abs(b), d) + "*i"
+        return real + ("-" if b < 0 else "+" if a else "") + im
+    except ValueError:  # str() refuses a part past the limit
+        raise ValueError("a coefficient has a numerator or denominator of "
+                         "more than 4300 digits") from None
+
+
 def format_scalar(z: GaussRational) -> str:
     """Canonical text form: `a/b`, `c/d*i`, or `a/b+c/d*i`.
 
     A unit imaginary part prints as bare `i`.  The output always parses
     back to the same value.  A part of over 4,300 digits raises ValueError.
     """
-    if z.is_zero():
-        return "0"
-    parts = []
-    try:
-        if z.re:
-            parts.append(str(z.re))
-        if z.im:
-            mag = abs(z.im)
-            body = "i" if mag == 1 else f"{mag}*i"
-            if parts:
-                parts.append("+" if z.im > 0 else "-")
-                parts.append(body)
-            else:
-                parts.append(body if z.im > 0 else "-" + body)
-    except ValueError:  # str() refuses a part past the limit
-        raise ValueError("a coefficient has a numerator or denominator of "
-                         "more than 4300 digits") from None
-    return "".join(parts)
+    return _triple_text(z._t)

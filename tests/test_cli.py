@@ -15,6 +15,9 @@ from poissonkit.polynomials import MAX_TERMS, MAX_TEXT_TERMS
 from poissonkit.randomized import MAX_CASES
 
 
+GOLDEN_INPUTS = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+
+
 def run_cli(*argv, data=None):
     proc = subprocess.run(
         [sys.executable, "-m", "poissonkit.cli", *argv],
@@ -443,15 +446,38 @@ def test_selftest_seed_sources():
     assert "seed: 11" in proc.stdout
 
 
+@pytest.mark.parametrize("argv", [["selftest", "--cases", "1"],
+                                  ["diagonal", "--random", "2"]])
+def test_a_bad_poisson_seed_is_named(argv, monkeypatch, capsys):
+    monkeypatch.setenv("POISSON_SEED", "abc")
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: POISSON_SEED must be an integer, got 'abc'\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["rank", "--in", os.path.join(GOLDEN_INPUTS, "diag4.mv"),
+      "--point=-1,2,3,4"], "4\n"),
+    (["bracket", "--in", os.path.join(GOLDEN_INPUTS, "diag4.mv"),
+      "--f=-x1", "--g", "x2"], "-2*x1*x2\n"),
+    (["track", "--family", os.path.join(GOLDEN_INPUTS, "fam4.json"),
+      "--t=-0.05+0.05j"], '"t": [\n    -0.05,\n    0.05\n  ]'),
+], ids=["rank-point", "bracket-f", "track-t"])
+def test_a_flag_value_that_begins_with_a_minus_takes_the_equals_form(
+        argv, expected, capsys):
+    # argparse reads `--point -1,2,3,4` as two flags; `--point=-1,2,3,4`
+    # is one flag with its value
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert expected in captured.out and captured.err == ""
+
+
 @pytest.mark.parametrize("cases", ["0", "-3"])
 def test_selftest_refuses_fewer_than_one_case(cases, capsys):
     assert main(["selftest", "--cases", cases]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --cases must be at least 1\n"
-
-
-GOLDEN_INPUTS = os.path.join(os.path.dirname(__file__), "golden", "inputs")
 
 
 @pytest.mark.parametrize("argv, message", [
