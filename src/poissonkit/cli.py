@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from math import comb
 
@@ -233,13 +234,21 @@ def _variable_name(text: str) -> str:
     return text
 
 
+def _integer(text: str) -> int:
+    """An integer flag or POISSON_SEED: ASCII digits after an optional
+    minus, the rule of the parser's integer literals."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _resolve_seed(flag_value) -> int:
     if flag_value is not None:
         return flag_value
     env = os.environ.get("POISSON_SEED")
     try:
-        return DEFAULT_SEED if env is None else int(env)
-    except ValueError:
+        return DEFAULT_SEED if env is None else _integer(env)
+    except (argparse.ArgumentTypeError, ValueError):
         raise ValueError(
             f"POISSON_SEED must be an integer, got {env!r}") from None
 
@@ -297,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, metavar="POLY")
 
     p = verb("degeneracy", cmd_degeneracy, "degeneracy ideal generators")
-    p.add_argument("--order", type=int, required=True,
+    p.add_argument("--order", type=_integer, required=True,
                    help="even rank bound 2k")
 
     p = verb("rank", cmd_rank, "rank of the structure matrix at a point")
@@ -313,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, metavar="POLY")
 
     p = verb("chart", cmd_chart, "move a projective structure to another chart")
-    p.add_argument("--target", type=int, required=True,
+    p.add_argument("--target", type=_integer, required=True,
                    help="chart index in 0..n")
     p.add_argument("--zero-name", type=_variable_name, default="x0",
                    metavar="NAME",
@@ -323,11 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
              infile=False)
     p.add_argument("--in", dest="infile", default=None, metavar="FILE",
                    help="diagonal-spec document to build")
-    p.add_argument("--symbolic", type=int, default=None, metavar="N",
+    p.add_argument("--symbolic", type=_integer, default=None, metavar="N",
                    help="emit the symbolic spec on N coordinates")
-    p.add_argument("--random", type=int, default=None, metavar="N",
+    p.add_argument("--random", type=_integer, default=None, metavar="N",
                    help="emit a random generic numeric spec")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_integer, default=None)
 
     verb("pfaffian", cmd_pfaffian, "Pfaffian of the coefficient matrix")
     verb("mu", cmd_mu, "curl eigenvalues of a diagonal spec")
@@ -336,13 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("rigidity", cmd_rigidity,
              "dimension and diagonality of the constrained bivector space",
              infile=False)
-    p.add_argument("--dim", type=int, required=True, metavar="N")
+    p.add_argument("--dim", type=_integer, required=True, metavar="N")
     p.add_argument("--basis-out", default=None, metavar="FILE",
                    help="also write the certified basis as JSON")
 
     p = verb("simplex", cmd_simplex, "multiplicity filter on the k simplex",
              infile=False)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
 
     p = verb("track", cmd_track, "track a degenerate point along a family",
              infile=False)
@@ -357,14 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True, metavar="CSV",
                    help="float coordinate values, comma separated")
     p.add_argument("--params", default=None, metavar="CSV")
-    p.add_argument("--r", type=int, default=3)
+    p.add_argument("--r", type=_integer, default=3)
     p.add_argument("--tol", type=float, default=1e-6)
 
     p = verb("selftest", cmd_selftest, "run the randomized identity suites",
              infile=False, out=False)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_integer, default=None,
                    help="defaults to POISSON_SEED, then a fixed seed")
-    p.add_argument("--cases", type=int, default=200)
+    p.add_argument("--cases", type=_integer, default=200)
 
     return parser
 

@@ -146,8 +146,6 @@ def pfaffian(matrix: list):
             raise ValueError("matrix must be square")
     if size % 2 != 0:
         raise ValueError("pfaffian needs even size")
-    if not size:
-        return 1
     upper = {(i, j): matrix[i][j]
              for i in range(size) for j in range(i + 1, size)}
     table = next((v.table for v in upper.values()
@@ -168,14 +166,11 @@ def pfaffian(matrix: list):
 
 
 def _spec_pfaffians(spec: DiagonalSpec, table: VariableTable):
-    """Pf(Lambda_S) as a raw term dict for every sorted 0-based index
-    tuple S, from one memo over the spec's entries; Pf of the empty set
-    is 1."""
-    pf = _PfaffianMemo({1 << (i - 1) | 1 << (j - 1):
-                        spec.entry_polynomial(table, i, j)._raw
-                        for i, j in spec.entries}, table)
-    one = {0: (1, 0, 1)}
-    return lambda indices: pf[indices] if indices else one
+    """The memo of Pf(Lambda_S), a raw term dict for every sorted 0-based
+    index tuple S, over the spec's entries."""
+    return _PfaffianMemo({1 << (i - 1) | 1 << (j - 1):
+                          spec.entry_polynomial(table, i, j)._raw
+                          for i, j in spec.entries}, table)
 
 
 def curl_eigenvalues(spec: DiagonalSpec) -> tuple:
@@ -221,7 +216,7 @@ def log_annihilator(spec: DiagonalSpec) -> LogForm:
     indices = tuple(range(spec.n))
     residues = []
     for i in indices:
-        value = polynomials._from_raw(table, pf(indices[:i] + indices[i + 1:]))
+        value = polynomials._from_raw(table, pf[indices[:i] + indices[i + 1:]])
         residues.append(value if i % 2 == 0 else -value)
     if all(r.is_zero() for r in residues):
         raise CheckFailed("non-generic spec")
@@ -237,7 +232,7 @@ def is_generic(spec: DiagonalSpec) -> bool:
     if not spec.is_numeric():
         raise ValueError("genericity check needs numeric entries")
     if spec.n % 2 == 0:
-        if not _spec_pfaffians(spec, spec.table())(tuple(range(spec.n))):
+        if not _spec_pfaffians(spec, spec.table())[tuple(range(spec.n))]:
             return False
     else:
         try:

@@ -24,7 +24,8 @@ Conventions frozen here (and regression-tested):
   break at mixed degrees;
 * curl is conjugation of the exterior derivative by the volume
   isomorphism xi_S -> sign(S, S^c) dx_{S^c}; on p-vectors it equals
-  (-1)^(p+1) times the flat odd Laplacian sum_k d/dx_k d/dxi_k.
+  (-1)^(p+1) times the flat odd Laplacian sum_k d/dx_k d/dxi_k, which
+  is how it is computed.
 """
 
 from __future__ import annotations
@@ -359,12 +360,14 @@ def schouten(a: Multivector, b: Multivector) -> Multivector:
     if a is b or (a.degree == b.degree and a._flat == b._flat):
         # Equal arguments: the second sign is -1 for every degree and the
         # two sums agree, adding up for even degree, cancelling for odd.
-        products = 0 if a.degree % 2 else _odd_even_factors(factors, a, a, -2)
+        if not a.degree % 2:
+            _odd_even_factors(factors, a, a, -2)
     else:
-        products = _odd_even_factors(factors, a, b, 1 if a.degree % 2 else -1)
+        _odd_even_factors(factors, a, b, 1 if a.degree % 2 else -1)
         # dA/dx_k ^ d_L B/dxi_k, rewritten with the odd factor in front
-        products += _odd_even_factors(
+        _odd_even_factors(
             factors, b, a, 1 if (a.degree * (b.degree + 1)) % 2 else -1)
+    products = sum(len(left) * len(right) for left, right in factors)
     if products * _HEAVIEST_TERM ** 2 > MAX_BRACKET_PRODUCTS:
         products = sum(_weight(left) * _weight(right)
                        for left, right in factors)
@@ -397,21 +400,18 @@ def _weight(raw: Mapping) -> int:
 
 
 def _odd_even_factors(factors: list, odd: Multivector, even: Multivector,
-                      factor: int) -> int:
+                      factor: int) -> None:
     """Append the nonempty (left, right) raw dicts of factor * sum_k
-    (d_L odd / dxi_k) ^ (d even / dx_k) to `factors` and return their term
-    pairs; the factor and the sign of d_L go into the left terms."""
+    (d_L odd / dxi_k) ^ (d even / dx_k) to `factors`; the factor and the
+    sign of d_L go into the left terms."""
     table = odd.table
     shift, odd_flat, even_flat = table._mask_shift, odd._flat, even._flat
-    count = 0
     for k in range(table.n_coordinates):
         left = _xi_derivative(odd_flat, 1 << k, shift, factor)
         if left:
             right = polynomials._derivative_terms(even_flat, table, k)
             if right:
                 factors.append((left, right))
-                count += len(left) * len(right)
-    return count
 
 
 def bv_laplacian(a: Multivector) -> Multivector:
@@ -508,14 +508,15 @@ class VolumeCurl(Frozen):
 def curl(a: Multivector, u: Polynomial | None = None):
     """Curl operator of the volume form u * dx_1^...^dx_n.
 
-    With u omitted (or constant nonzero) this is the exact conjugation
-    inverse(volume) o d o volume and returns a Multivector.  For
-    non-constant u the result is the exact pair
-    curl(a) - (1/u) contract(du, a), returned as a VolumeCurl.
+    With u omitted (or constant nonzero) this is the conjugation
+    inverse(volume) o d o volume, a Multivector, computed as the signed
+    Laplacian (-1)^(p+1) Delta(a) on a degree-p field.  For non-constant
+    u the result is the exact pair curl(a) - (1/u) contract(du, a),
+    returned as a VolumeCurl.
     """
     if not isinstance(a, Multivector):
         raise TypeError("curl acts on multivectors")
-    base = volume_isomorphism_inverse(exterior_derivative(volume_isomorphism(a)))
+    base = bv_laplacian(a) if a.degree % 2 else -bv_laplacian(a)
     if u is None:
         return base
     if not isinstance(u, Polynomial) or u.table != a.table:

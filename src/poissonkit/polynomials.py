@@ -620,7 +620,7 @@ def reduce_mod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
     lead_g = max(g._raw)
     lc_g = g._raw[lead_g]
     # the other terms of g, negated: each step adds factor * shift * tail
-    tail = [(e, (-a, -b, d)) for e, (a, b, d) in g._raw.items() if e != lead_g]
+    tail = {e: (-a, -b, d) for e, (a, b, d) in g._raw.items() if e != lead_g}
 
     work = dict(f._raw)
     quotient = {}
@@ -628,22 +628,15 @@ def reduce_mod(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
     while work:
         m = max(work)
         c = work.pop(m)
+        if not (c[0] or c[1]):  # a term that cancelled in an earlier step
+            continue
         # lead_g divides m when no field of m - lead_g borrows: a borrow
         # sets that field's guard bit, or the sign if it is the top field
         shift = m - lead_g
         if shift >= 0 and not (shift & guard):
             # every target is below m in the order, so no shift repeats
             factor = quotient[shift] = _reduced(_quotient(c, lc_g))
-            for key, t in tail:
-                target = key + shift
-                if target & guard:
-                    raise ValueError(f"an exponent or degree of a quotient "
-                                     f"term reaches {FIELD_LIMIT}")
-                acc = _sum(work.get(target, (0, 0, 1)), _product(factor, t))
-                if acc[0] or acc[1]:
-                    work[target] = _reduced(acc)
-                else:
-                    del work[target]
+            _mul_into(work, {shift: factor}, tail, table)
         else:
             remainder[m] = c
     return _from_raw(table, quotient), _from_raw(table, remainder)

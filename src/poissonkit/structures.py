@@ -17,7 +17,7 @@ from . import multivectors, polynomials
 from .multivectors import Multivector, contract, exterior_derivative, schouten
 from .polynomials import (_FIELD_MASK, FIELD_BITS, Polynomial, VariableTable,
                           reduce_mod)
-from .scalars import Frozen
+from .scalars import Frozen, GaussRational
 
 
 class CheckFailed(ValueError):
@@ -48,14 +48,6 @@ class PoissonStructure(Frozen):
     @property
     def integrable(self) -> bool:
         return jacobi_check(self).is_zero()
-
-    def matrix_entry(self, i: int, j: int) -> Polynomial:
-        """Coefficient pi_ij with skew symmetry filled in."""
-        if i == j:
-            return Polynomial.zero(self.table)
-        if i < j:
-            return self.bivector.coefficient((i, j))
-        return -self.bivector.coefficient((j, i))
 
     def __repr__(self):
         return f"<PoissonStructure {self.bivector!r}>"
@@ -101,22 +93,21 @@ class _PfaffianMemo(dict):
     Indexed by a sorted index tuple S of even length, the memo gives
     Pf(A_S) by expanding along the first row,
     Pf(A_S) = sum_p (-1)^p a_(s_0, s_(p+1)) Pf(A_S without s_0, s_(p+1)),
-    so every smaller Pfaffian is computed once and shared.  Each value
-    is a raw term dict of reduced nonzero triples, {} when the Pfaffian
-    vanishes.  The dict fills itself through `__missing__`, not through
-    a recursive closure, so it is no reference cycle and is freed as
-    soon as its last caller drops it.
+    down to Pf of the empty set, 1, so every smaller Pfaffian is computed
+    once and shared.  Each value is a raw term dict of reduced nonzero
+    triples, {} when the Pfaffian vanishes.  The dict fills itself
+    through `__missing__`, not through a recursive closure, so it is no
+    reference cycle and is freed as soon as its last caller drops it.
     """
 
     def __init__(self, entries: dict, table: VariableTable):
         self.entries, self.table = entries, table
         self.negated = {ix: polynomials._scaled(t, -1)
                         for ix, t in entries.items()}
+        self[()] = {0: (1, 0, 1)}
 
     def __missing__(self, indices: tuple) -> dict:
         first, rest = 1 << indices[0], indices[1:]
-        if len(rest) == 1:
-            return self.entries.get(first | 1 << rest[0], {})
         acc = {}
         for pos, j in enumerate(rest):
             a = (self.negated if pos % 2 else self.entries).get(first | 1 << j)
@@ -232,12 +223,13 @@ def _dense_rank(rows: list) -> int:
 
 
 def rank_at(ps: PoissonStructure, point: Mapping[str, object]) -> int:
-    """Rank of the skew coefficient matrix at an exact point."""
+    """Rank of the skew coefficient matrix at an exact point; each pi_ij
+    is evaluated once, in sorted index order, and fills both entries."""
     n = ps.table.n_coordinates
-    matrix = [
-        [ps.matrix_entry(i, j).evaluate(point) for j in range(n)]
-        for i in range(n)
-    ]
+    matrix = [[GaussRational.zero()] * n for _ in range(n)]
+    for (i, j), coefficient in ps.bivector.sorted_terms():
+        value = matrix[i][j] = coefficient.evaluate(point)
+        matrix[j][i] = -value
     return _dense_rank(matrix)
 
 

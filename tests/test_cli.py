@@ -1,5 +1,6 @@
 """Command line behavior: verbs, exit codes, canonical output."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 from poissonkit import (DeformationFamily, DiagonalSpec, GaussRational,
                         loads, make_diagonal, serialize)
-from poissonkit.cli import main
+from poissonkit.cli import _integer, build_parser, main
 from poissonkit.polynomials import MAX_TERMS, MAX_TEXT_TERMS
 from poissonkit.randomized import MAX_CASES
 
@@ -496,6 +497,55 @@ def test_selftest_refuses_fewer_than_one_case(cases, capsys):
 def test_a_refusal_is_one_error_line(argv, message):
     # no traceback, no numpy warning and nothing on stdout
     assert run_cli(*argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["selftest", "--seed", "\u0663"], "--seed", "\u0663"),
+    (["selftest", "--seed", "1_0"], "--seed", "1_0"),
+    (["degeneracy", "--in", os.path.join(GOLDEN_INPUTS, "diag4.mv"),
+      "--order", "\u0662"], "--order", "\u0662"),
+    (["rigidity", "--dim", "1_2"], "--dim", "1_2"),
+    (["diagonal", "--random", " 4"], "--random", " 4"),
+    (["simplex", "--k", "+3"], "--k", "+3"),
+], ids=["seed-arabic-indic", "seed-underscore", "order-arabic-indic",
+        "dim-underscore", "random-space", "k-plus"])
+def test_an_integer_flag_is_ascii_digits(argv, flag, value):
+    # argparse refuses the value before any verb runs
+    code, stdout, stderr = run_cli(*argv)
+    assert (code, stdout) == (2, "")
+    assert "Traceback" not in stderr
+    assert stderr.splitlines()[-1] == (f"poissonkit {argv[0]}: error: argument"
+                                       f" {flag}: not an integer: {value!r}")
+
+
+@pytest.mark.parametrize("value", ["\u0663", "1_0", "+7", "7 "])
+def test_poisson_seed_is_ascii_digits(value):
+    proc = subprocess.run(
+        [sys.executable, "-m", "poissonkit.cli", "selftest", "--cases", "1"],
+        capture_output=True, text=True, env=dict(os.environ, POISSON_SEED=value))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: POISSON_SEED must be an integer, got {value!r}\n")
+
+
+def test_every_integer_flag_reads_one_rule(capsys):
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = {option: action.type for verb in subparsers.choices.values()
+             for action in verb._actions for option in action.option_strings}
+    assert int not in flags.values()
+    assert sorted(option for option, kind in flags.items()
+                  if kind is _integer) == [
+        "--cases", "--dim", "--k", "--order", "--r", "--random", "--seed",
+        "--symbolic", "--target"]
+    # a minus sign is admitted, so range checks keep their own messages
+    assert main(["selftest", "--seed=-3", "--cases", "1"]) == 0
+    assert capsys.readouterr().out.startswith("seed: -3\n")
+
+
+def test_diagonal_needs_a_source(capsys):
+    assert main(["diagonal"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: diagonal needs --in, --symbolic or --random\n")
 
 
 def test_exit_code_two_on_bad_input(corpus, tmp_path):

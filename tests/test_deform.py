@@ -1,5 +1,6 @@
 """Families, degenerate-point tracking, jet certificates."""
 
+import json
 import warnings
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 
 from poissonkit import (CheckFailed, DeformationFamily, DiagonalSpec,
                         GaussRational, Multivector, PoissonStructure, Polynomial,
-                        VariableTable, jacobi_check, jet_vanishing,
+                        VariableTable, jacobi_check, jet_vanishing, loads,
                         Translation, parse_polynomial,
                         scan_degenerate_points, schouten,
                         track_degenerate_point)
@@ -32,6 +33,18 @@ def test_family_validates_base():
         DeformationFamily(degenerate)
     with pytest.raises(ValueError):
         DeformationFamily(DiagonalSpec.symbolic(4))
+
+
+def test_a_family_document_with_an_odd_base_is_refused():
+    document = {"kind": "family", "parameter": "t", "path": [],
+                "base": {"kind": "diagonal-spec", "n": 3, "entries": [
+                    {"i": 1, "j": 2, "value": "2"},
+                    {"i": 1, "j": 3, "value": "3"},
+                    {"i": 2, "j": 3, "value": "5"}]}}
+    with pytest.raises(ValueError) as refused:
+        loads(json.dumps(document))
+    assert str(refused.value) == \
+        "family base must have an even number of coordinates"
 
 
 def test_member_at_zero_is_the_base():

@@ -68,14 +68,6 @@ def test_bracket_and_hamiltonian():
     assert schouten(xf, ps.bivector).is_zero()
 
 
-def test_matrix_entry_skew():
-    ps = sym(3)
-    T = ps.table
-    assert ps.matrix_entry(0, 1) == p("l12*x1*x2", T)
-    assert ps.matrix_entry(1, 0) == p("-l12*x1*x2", T)
-    assert ps.matrix_entry(2, 2).is_zero()
-
-
 def test_wedge_power():
     ps = sym(4)
     sq = wedge_power(ps.bivector, 2)
@@ -202,6 +194,16 @@ def test_restrict_hyperplane_gives_sub_block():
     assert restricted.integrable is True
 
 
+def test_restrict_hyperplane_reads_an_index_or_a_coordinate_name():
+    by_index = restrict_hyperplane(NUM4, 3)
+    assert by_index.table.coordinates == ("x1", "x2", "x3")
+    assert by_index.bivector == restrict_hyperplane(NUM4, "x4").bivector
+    for name in ("x9", "l12"):
+        with pytest.raises(KeyError) as refused:
+            restrict_hyperplane(sym(4), name)
+        assert refused.value.args == (f"not a coordinate: {name!r}",)
+
+
 def _invariant_by_brackets(ps, f):
     """The reference: {x_m, f} lies in (f) for every coordinate x_m."""
     return all(reduce_mod(poisson_bracket(
@@ -283,6 +285,20 @@ def test_chart_degree_three_extends_but_four_does_not():
         Multivector(T, 2, {(0, 1): p("x1^4", T)}))
     with pytest.raises(ValueError):
         chart_extend(quartic, 1)
+
+
+def test_a_taken_chart_zero_name_falls_back_to_u0():
+    T = VariableTable(("x1", "x2"), ("x0",))
+    ps = PoissonStructure(Multivector(T, 2, {(0, 1): p("x0*x1*x2", T)}))
+    moved = chart_extend(ps, 1)
+    assert moved.table.coordinates == ("u0", "x2")
+    assert moved.bivector == chart_extend(ps, 1, "u0").bivector
+    taken = VariableTable(("x1", "x2"), ("x0", "u0"))
+    both = PoissonStructure(
+        Multivector(taken, 2, {(0, 1): p("x0*u0*x1", taken)}))
+    with pytest.raises(ValueError) as refused:
+        chart_extend(both, 1)
+    assert str(refused.value) == "no free name for the chart-zero coordinate"
 
 
 def test_degeneracy_divisor_ambient_six():
