@@ -114,10 +114,12 @@ def cmd_degeneracy(args):
 
 def _point(args, table: VariableTable, exact: bool = True) -> dict:
     point = documents.parse_assignments(args.point, table, exact=exact)
-    if args.params:
-        point.update(documents.parse_assignments(
-            args.params, table, names=table.parameters, exact=exact))
-    return point
+    params = documents.parse_assignments(args.params or "", table,
+                                         names=table.parameters, exact=exact)
+    twice = [name for name in params if name in point]
+    if twice:
+        raise ValueError(f"{twice[0]} is given twice")
+    return {**point, **params}
 
 
 def cmd_rank(args):
@@ -236,10 +238,14 @@ def _variable_name(text: str) -> str:
 
 def _integer(text: str) -> int:
     """An integer flag or POISSON_SEED: ASCII digits after an optional
-    minus, the rule of the parser's integer literals."""
+    minus, the rule and the digit bound of the parser's integer literals."""
     if not re.fullmatch(r"-?[0-9]+", text):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"integer of {len(text.lstrip('-'))} digits is too long") from None
 
 
 def _resolve_seed(flag_value) -> int:

@@ -7,14 +7,15 @@ eigenvalues, and for odd n the kernel of Lambda gives the residues of
 the annihilating logarithmic 1-form.
 
 "Generic" sampling draws integers from [-10^6, 10^6] and resamples until
-Pf(Lambda) != 0 (even n) and the mu_i are nonzero and pairwise distinct.
+Lambda has full rank (Pf(Lambda) != 0 for even n, some Pf(Lambda_i) != 0
+for odd n) and the mu_i are nonzero and pairwise distinct.
 Z-linear independence of the mu_i is assumed, not certified.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from itertools import combinations
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -136,9 +137,7 @@ def pfaffian(matrix: list):
 
     Only entries above the diagonal are read, so skewness is implicit.
     Entries may be scalars or Polynomials on one table, mixed freely.
-    The value lies in the entries' ring: a Polynomial if any entry is
-    one, else a GaussRational if any entry is one, else a Fraction if
-    any entry is one, else an int.
+    The value is a Polynomial if any entry is one, else a GaussRational.
     """
     size = len(matrix)
     for row in matrix:
@@ -155,14 +154,7 @@ def pfaffian(matrix: list):
     value = polynomials._from_raw(zero.table, _PfaffianMemo(
         {1 << i | 1 << j: (zero + v)._raw for (i, j), v in upper.items()},
         zero.table)[tuple(range(size))])
-    if table is not None:
-        return value
-    value = value.constant_value()
-    if any(isinstance(v, GaussRational) for v in upper.values()):
-        return value
-    if any(isinstance(v, Fraction) for v in upper.values()):
-        return value.re
-    return int(value.re)
+    return value if table is not None else value.constant_value()
 
 
 def _spec_pfaffians(spec: DiagonalSpec, table: VariableTable):
@@ -228,17 +220,15 @@ def log_annihilator(spec: DiagonalSpec) -> LogForm:
 
 
 def is_generic(spec: DiagonalSpec) -> bool:
-    """Pf != 0 for even n (rank n-1 for odd n), mu_i nonzero and distinct."""
+    """Lambda of full rank, mu_i nonzero and distinct; full rank is some
+    Pf(Lambda_S) != 0 with |S| = n - n % 2: the whole set for even n, the
+    n minors (log_annihilator's residues up to sign) for odd n."""
     if not spec.is_numeric():
         raise ValueError("genericity check needs numeric entries")
-    if spec.n % 2 == 0:
-        if not _spec_pfaffians(spec, spec.table())[tuple(range(spec.n))]:
-            return False
-    else:
-        try:
-            log_annihilator(spec)
-        except ValueError:
-            return False
+    n = spec.n
+    pf = _spec_pfaffians(spec, spec.table())
+    if not any(pf[s] for s in combinations(range(n), n - n % 2)):
+        return False
     mu = [m.constant_value() for m in curl_eigenvalues(spec)]
     if any(m.is_zero() for m in mu):
         return False

@@ -254,7 +254,8 @@ def parse_assignments(text: str, table: VariableTable, names=None,
     """Parse `--point`/`--params` data: positional values or name=value.
 
     Positional values fill `names` (default: the coordinates) in order;
-    name=value pairs may be mixed in.  Exact mode parses scalars in the
+    name=value pairs may be mixed in, and a name filled twice, by name or
+    by position, is refused.  Exact mode parses scalars in the
     coefficient syntax, float mode accepts finite decimal/complex literals.
     """
     if names is None:
@@ -275,7 +276,10 @@ def parse_assignments(text: str, table: VariableTable, names=None,
                 raise ValueError("too many positional values")
             name, raw = names[positional], chunk
             positional += 1
-        values[name] = parse_scalar(raw) if exact else complex(raw)
-        if not (exact or isfinite(values[name])):
+        value = parse_scalar(raw) if exact else complex(raw)
+        if not (exact or isfinite(value)):
             raise ValueError(f"{name} must be finite, not {raw!r}")
+        if name in values:
+            raise ValueError(f"{name} is given twice")
+        values[name] = value
     return values

@@ -401,12 +401,6 @@ class Polynomial(Frozen):
             total = total + acc
         return total
 
-    def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
-        """Ring homomorphism sending each named variable to a polynomial on
-        the same table; unnamed variables map to themselves."""
-        return _wrapped(self.table, _substituted(self._raw, self.table,
-                                                 images))
-
     def __str__(self):
         return format_polynomial(self)
 

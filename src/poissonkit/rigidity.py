@@ -70,7 +70,7 @@ def diagonality_constraints(N: int) -> RigiditySystem:
     differentials = [exterior_derivative(x) for x in variables]
     fields = {}  # (m, k, l) -> {m': scalar}: the field of x_m under xi_k^xi_l
     for k, l in combinations(range(N), 2):
-        pair = Multivector(table, 2, {(k, l): Polynomial.one(table)})
+        pair = Multivector.basis(table, (k, l))
         for m in (k, l):
             fields[m, k, l] = {mp: c.constant_value() for (mp,), c in
                                contract(differentials[m], pair).terms.items()}
@@ -122,9 +122,8 @@ def solve_rigidity(system: RigiditySystem):
         if {i, j} != {k, l}:
             raise AssertionError(
                 f"non-diagonal nullspace vector on unknowns {[quad]}")
-        basis.append(Multivector(
-            table, 2,
-            {(k - 1, l - 1): Polynomial.monomial(table, {f"x{k}": 1, f"x{l}": 1})}))
+        monomial = Polynomial.monomial(table, {f"x{k}": 1, f"x{l}": 1})
+        basis.append(Multivector.basis(table, (k - 1, l - 1), monomial))
     return len(basis), basis
 
 

@@ -134,12 +134,6 @@ class GaussRational(Frozen):
     def is_zero(self) -> bool:
         return self._t == (0, 0, 1)
 
-    def is_one(self) -> bool:
-        return self._t == (1, 0, 1)
-
-    def is_rational(self) -> bool:
-        return not self._t[1]
-
     # -- ring/field operations ------------------------------------------
 
     __add__ = __radd__ = _binary(_sum)

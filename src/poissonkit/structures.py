@@ -243,10 +243,8 @@ def invariant_hypersurface(ps: PoissonStructure, f: Polynomial) -> bool:
 
 
 def restrict_hyperplane(ps: PoissonStructure, coordinate) -> PoissonStructure:
-    """Induced structure on {x_i = 0} for an invariant coordinate hyperplane."""
+    """Induced structure on the invariant {coordinate = 0}, given by name."""
     table = ps.table
-    if isinstance(coordinate, int):
-        coordinate = table.coordinates[coordinate]
     if not table.is_coordinate(coordinate):
         raise KeyError(f"not a coordinate: {coordinate!r}")
     if not invariant_hypersurface(ps, Polynomial.variable(table, coordinate)):
@@ -337,9 +335,9 @@ def chart_extend(ps: PoissonStructure, target: int,
     """Extend a chart-0 structure on projective space to chart `target`.
 
     The structure's coordinates are read as X_1/X_0 .. X_n/X_0; the new
-    chart gets the same labels plus `chart_zero_name` for X_0/X_target.
-    Nothing about integrability is carried over: the chart's [Pi, Pi]
-    comes from its own bivector.
+    chart gets the same labels plus `chart_zero_name`, a name the table
+    must not hold, for X_0/X_target.  Nothing about integrability is
+    carried over: the chart's [Pi, Pi] comes from its own bivector.
     """
     table = ps.table
     n = table.n_coordinates
@@ -347,10 +345,8 @@ def chart_extend(ps: PoissonStructure, target: int,
         raise ValueError(f"chart index must lie in 0..{n}")
     if target == 0:
         return ps
-    name = chart_zero_name
-    if name in table.names:
-        name = "u0"
-    if name in table.names:
-        raise ValueError("no free name for the chart-zero coordinate")
-    names = (name,) + table.coordinates
+    if chart_zero_name in table.names:
+        raise ValueError(
+            f"chart zero name {chart_zero_name!r} is already a variable")
+    names = (chart_zero_name,) + table.coordinates
     return PoissonStructure(chart_transition(ps.bivector, names, 0, target))

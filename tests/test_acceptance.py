@@ -394,7 +394,7 @@ def _complex_generic_spec(n, rng):
             for i in range(1, n + 1) for j in range(i + 1, n + 1)})
         values = spec.entries.values()
         if (is_generic(spec) and any(v.re.denominator > 1 for v in values)
-                and any(not v.is_rational() for v in values)):
+                and any(v.im != 0 for v in values)):
             return spec
 
 

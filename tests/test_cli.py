@@ -518,6 +518,35 @@ def test_an_integer_flag_is_ascii_digits(argv, flag, value):
                                        f" {flag}: not an integer: {value!r}")
 
 
+def test_an_integer_flag_past_the_digit_bound_is_too_long():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python reads integer literals of any length")
+    for sign in ("", "-"):
+        code, stdout, stderr = run_cli(
+            "selftest", "--seed=" + sign + "1" * (limit + 1))
+        assert (code, stdout) == (2, "")
+        assert "Traceback" not in stderr and "_integer" not in stderr
+        assert stderr.splitlines()[-1] == (
+            f"poissonkit selftest: error: argument --seed: integer of "
+            f"{limit + 1} digits is too long")
+
+
+@pytest.mark.parametrize("verb, point, params, message", [
+    ("rank", "0,1,1,1", "x1=1", "x1 is given twice"),
+    ("rank", "x1=0,1,1,1,1", None, "x1 is given twice"),
+    ("jet", "0,0,0,0,x1=1", None, "x1 is given twice"),
+    ("jet", "1,1,1,1", "x1=0", "x1 is given twice"),
+    # the value is checked before the name is found repeated
+    ("jet", "1,1,1,1", "x3=nan+1j", "x3 must be finite, not 'nan+1j'"),
+], ids=["rank-params", "rank-position", "jet-point", "jet-params",
+        "jet-params-nan"])
+def test_a_variable_given_twice_exits_two(verb, point, params, message):
+    argv = [verb, "--in", os.path.join(GOLDEN_INPUTS, "diag4.mv"),
+            "--point", point] + (["--params", params] if params else [])
+    assert run_cli(*argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("value", ["\u0663", "1_0", "+7", "7 "])
 def test_poisson_seed_is_ascii_digits(value):
     proc = subprocess.run(

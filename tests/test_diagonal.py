@@ -66,18 +66,20 @@ def test_pfaffian_of_scalars_and_mixed_entries():
     assert pfaffian(gauss) == GaussRational(28)
     assert isinstance(pfaffian(gauss), GaussRational)
     ints = [[0, 2, 3, 5], [-2, 0, 7, 11], [-3, -7, 0, 13], [-5, -11, -13, 0]]
-    assert pfaffian(ints) == 28 and type(pfaffian(ints)) is int
+    # integer entries give the GaussRational of the integer Pfaffian
+    assert pfaffian(ints) == GaussRational(28)
+    assert type(pfaffian(ints)) is GaussRational
     # mixed scalar and polynomial entries give a polynomial
     mixed = [row[:] for row in ints]
     mixed[0][1] = parse_polynomial("2", T)
     assert pfaffian(mixed) == symbolic
-    # a vanishing Pfaffian is the zero of the entries' ring
+    # a vanishing Pfaffian is the zero of its ring
     rank_two = [[0, 1, 2, 3], [-1, 0, 1, 2], [-2, -1, 0, 1], [-3, -2, -1, 0]]
-    assert pfaffian(rank_two) == 0
+    assert pfaffian(rank_two) == GaussRational(0)
     for zero in (GaussRational(0), Polynomial.zero(T)):
         value = pfaffian([[zero] * 2] * 2)
         assert type(value) is type(zero) and value == zero
-    assert pfaffian([]) == 1
+    assert pfaffian([]) == GaussRational(1)
 
 
 def _reference_pfaffian(m):
@@ -101,29 +103,31 @@ def _skew(upper, size=4):
 
 
 def test_pfaffian_kinds_and_zeros_follow_the_entries_ring():
+    # scalar entries of any kind (int, Fraction, GaussRational) give a
+    # GaussRational equal to the Pfaffian in the entries' own arithmetic
     half, i = Fraction(1, 2), GaussRational.i()
     ints = {(0, 1): 2, (0, 2): 3, (0, 3): 5, (1, 2): 7, (1, 3): 11,
             (2, 3): 13}
     cases = [
-        (ints, int, 28),
-        ({**ints, (0, 1): half}, Fraction, Fraction(17, 2)),
-        ({**ints, (0, 1): Fraction(4, 2)}, Fraction, 28),
-        ({k: GaussRational(v) for k, v in ints.items()}, GaussRational, 28),
-        ({**ints, (0, 1): i}, GaussRational, GaussRational(2, 13)),
-        ({**ints, (0, 1): half, (1, 3): i}, GaussRational,
+        (ints, 28),
+        ({**ints, (0, 1): half}, Fraction(17, 2)),
+        ({**ints, (0, 1): Fraction(4, 2)}, 28),
+        ({k: GaussRational(v) for k, v in ints.items()}, 28),
+        ({**ints, (0, 1): i}, GaussRational(2, 13)),
+        ({**ints, (0, 1): half, (1, 3): i},
          GaussRational(Fraction(83, 2), -3)),
-        # a01 a23 - a02 a13 + a03 a12 = 0 in each ring
-        ({(0, 1): 1, (2, 3): 2, (0, 2): 1, (1, 3): 2}, int, 0),
-        ({(0, 1): half, (2, 3): 2, (0, 2): 1, (1, 3): 1}, Fraction, 0),
-        ({(0, 1): i, (2, 3): i, (0, 2): -1, (1, 3): 1}, GaussRational, 0),
-        ({(0, 1): GaussRational(0)}, GaussRational, 0),
-        ({(0, 1): Fraction(0)}, Fraction, 0),
-        ({}, int, 0),
+        # a01 a23 - a02 a13 + a03 a12 = 0 whatever the entries' kind
+        ({(0, 1): 1, (2, 3): 2, (0, 2): 1, (1, 3): 2}, 0),
+        ({(0, 1): half, (2, 3): 2, (0, 2): 1, (1, 3): 1}, 0),
+        ({(0, 1): i, (2, 3): i, (0, 2): -1, (1, 3): 1}, 0),
+        ({(0, 1): GaussRational(0)}, 0),
+        ({(0, 1): Fraction(0)}, 0),
+        ({}, 0),
     ]
-    for upper, kind, value in cases:
+    for upper, value in cases:
         matrix = _skew(upper)
         got = pfaffian(matrix)
-        assert type(got) is kind and got == value, upper
+        assert type(got) is GaussRational and got == value, upper
         assert got == _reference_pfaffian(matrix), upper
     rng = random.Random("pfaffian-kinds")
     for _ in range(40):
@@ -134,9 +138,8 @@ def test_pfaffian_kinds_and_zeros_follow_the_entries_ring():
         upper = {(r, c): pool[rng.choice(draw)]()
                  for r in range(6) for c in range(r + 1, 6)}
         got = pfaffian(_skew(upper, 6))
+        assert type(got) is GaussRational
         assert got == _reference_pfaffian(_skew(upper, 6))
-        assert type(got) is (GaussRational if 2 in draw else
-                             Fraction if 1 in draw else int)
 
 
 def test_pfaffian_odd_size_rejected():
@@ -250,6 +253,27 @@ def test_is_generic():
     # l12 = l34 = 1 gives mu = (1, -1, 1, -1): repeated eigenvalues
     assert not is_generic(numeric_spec(4, [1, 0, 0, 0, 0, 1]))
     assert is_generic(numeric_spec(4, [1, 1, 1, 1, 1, 1]))
+    assert is_generic(numeric_spec(4, [2, 3, 5, 7, 11, 13]))
+
+
+def test_is_generic_is_one_pfaffian_test_for_either_parity(monkeypatch):
+    import poissonkit.diagonal as diagonal
+
+    def refuse(spec):
+        raise AssertionError("is_generic called log_annihilator")
+
+    monkeypatch.setattr(diagonal, "log_annihilator", refuse)
+    # one coordinate: Pf of the empty minor is 1, but mu_1 = 0
+    assert not is_generic(DiagonalSpec(1, {}))
+    # l12, l13, l23 = 1, 2, 5: mu = (3, 4, -7)
+    assert is_generic(numeric_spec(3, [1, 2, 5]))
+    # Lambda = e1 v^T - v e1^T with v = (0, 1, 2, 3, 4) has rank 2, so
+    # every 4 x 4 minor's Pfaffian vanishes, while mu = (10, -1, -2, -3,
+    # -4) is nonzero and distinct: the Pfaffian test alone refuses it
+    rank_two = numeric_spec(5, [1, 2, 3, 4])
+    assert [m.constant_value() for m in curl_eigenvalues(rank_two)] == [
+        10, -1, -2, -3, -4]
+    assert not is_generic(rank_two)
     assert is_generic(numeric_spec(4, [2, 3, 5, 7, 11, 13]))
 
 

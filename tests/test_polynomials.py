@@ -10,6 +10,7 @@ import pytest
 from poissonkit import (GaussRational, Polynomial, PolynomialSyntaxError,
                         VariableTable, format_polynomial, parse_polynomial,
                         parse_scalar, reduce_mod)
+from poissonkit import polynomials
 from poissonkit.polynomials import (MAX_DEGREE, MAX_EXPONENT, MAX_NESTING,
                                     MAX_TERMS, MAX_TEXT_TERMS,
                                     FloatPolynomials, _term_bound)
@@ -139,8 +140,12 @@ def test_compiled_form_layout():
 
 
 def test_substitute_is_a_ring_map():
+    def substitute(f, images):
+        return polynomials._wrapped(T, polynomials._substituted(
+            f._raw, T, images))
+
     f = p("x1*x2 + x3")
-    image = f.substitute({"x1": p("x1 + 1")})
+    image = substitute(f, {"x1": p("x1 + 1")})
     assert image == p("x1*x2 + x2 + x3")
 
 

@@ -126,5 +126,5 @@ def test_text_float_and_repr_forms(x):
     assert complex(z) == complex(float(x[0]), float(x[1]))
     assert repr(z) == f"GaussRational({x[0]!r}, {x[1]!r})"
     assert bool(z) == any(x) == (not z.is_zero())
-    assert z.is_rational() == (not x[1])
-    assert z.is_one() == (x == (1, 0))
+    assert (z.im == 0) == (not x[1])
+    assert (z == 1) == (x == (1, 0))

@@ -16,7 +16,7 @@ def test_construction_and_equality():
     assert GaussRational(Fraction(1, 2)) == g(Fraction(1, 2))
     assert g(1, 2) != g(1)
     assert GaussRational(0).is_zero()
-    assert GaussRational(1).is_one()
+    assert GaussRational(1) == GaussRational.one() == 1
 
 
 def test_ring_operations():

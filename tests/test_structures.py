@@ -1,7 +1,10 @@
 """Poisson structures: Jacobi, Hamiltonian calculus, degeneracy, charts."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -194,11 +197,11 @@ def test_restrict_hyperplane_gives_sub_block():
     assert restricted.integrable is True
 
 
-def test_restrict_hyperplane_reads_an_index_or_a_coordinate_name():
-    by_index = restrict_hyperplane(NUM4, 3)
-    assert by_index.table.coordinates == ("x1", "x2", "x3")
-    assert by_index.bivector == restrict_hyperplane(NUM4, "x4").bivector
-    for name in ("x9", "l12"):
+def test_restrict_hyperplane_reads_a_coordinate_name_only():
+    restricted = restrict_hyperplane(NUM4, "x4")
+    assert restricted.table.coordinates == ("x1", "x2", "x3")
+    # an index is no coordinate name: "not a coordinate: 3"
+    for name in ("x9", "l12", 3):
         with pytest.raises(KeyError) as refused:
             restrict_hyperplane(sym(4), name)
         assert refused.value.args == (f"not a coordinate: {name!r}",)
@@ -287,18 +290,24 @@ def test_chart_degree_three_extends_but_four_does_not():
         chart_extend(quartic, 1)
 
 
-def test_a_taken_chart_zero_name_falls_back_to_u0():
+def test_a_taken_chart_zero_name_is_refused():
+    # the default x0 names a parameter here, so the input already has X_0
     T = VariableTable(("x1", "x2"), ("x0",))
     ps = PoissonStructure(Multivector(T, 2, {(0, 1): p("x0*x1*x2", T)}))
-    moved = chart_extend(ps, 1)
-    assert moved.table.coordinates == ("u0", "x2")
-    assert moved.bivector == chart_extend(ps, 1, "u0").bivector
-    taken = VariableTable(("x1", "x2"), ("x0", "u0"))
-    both = PoissonStructure(
-        Multivector(taken, 2, {(0, 1): p("x0*u0*x1", taken)}))
-    with pytest.raises(ValueError) as refused:
-        chart_extend(both, 1)
-    assert str(refused.value) == "no free name for the chart-zero coordinate"
+    for args, name in (((), "x0"), (("x2",), "x2"), (("x0",), "x0")):
+        with pytest.raises(ValueError) as refused:
+            chart_extend(ps, 1, *args)
+        assert str(refused.value) == (
+            f"chart zero name {name!r} is already a variable")
+    assert chart_extend(ps, 1, "u0").table.coordinates == ("u0", "x2")
+    # the command line refuses an explicit taken name the same way
+    proc = subprocess.run(
+        [sys.executable, "-m", "poissonkit.cli", "chart", "--in",
+         str(Path(__file__).parent / "golden" / "inputs" / "diag4.mv"),
+         "--target", "1", "--zero-name", "x2"],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: chart zero name 'x2' is already a variable\n"
 
 
 def test_degeneracy_divisor_ambient_six():

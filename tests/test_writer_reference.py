@@ -57,12 +57,12 @@ def reference_polynomial(f):
     out = []
     for exps, coeff in f.sorted_terms():
         mono = reference_monomial(f.table, exps)
-        if coeff.is_rational():
+        if coeff.im == 0:
             negative = coeff.re < 0
             mag = -coeff if negative else coeff
             if not mono:
                 body = reference_scalar(mag)
-            elif mag.is_one():
+            elif mag == 1:
                 body = mono
             else:
                 body = f"{reference_scalar(mag)}*{mono}"
