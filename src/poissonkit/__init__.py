@@ -2,7 +2,8 @@
 
 Scalars are Gaussian rationals, so every algebraic operation here is
 exact; floating point enters only in the numerical tracking and jet
-routines, which certify their own tolerances.
+routines, which compare float values with a tolerance and bound no
+error exactly.
 """
 
 from .automorphisms import (DiagonalScaling, ElementaryAutomorphism,

@@ -129,8 +129,6 @@ def cmd_rank(args):
 
 def cmd_restrict(args):
     ps = _load(args.infile, PoissonStructure)
-    if args.coordinate not in ps.table.coordinates:
-        raise ValueError(f"unknown coordinate {args.coordinate!r}")
     return documents.serialize(restrict_hyperplane(ps, args.coordinate)), 0
 
 
@@ -254,9 +252,12 @@ def _resolve_seed(flag_value) -> int:
     env = os.environ.get("POISSON_SEED")
     try:
         return DEFAULT_SEED if env is None else _integer(env)
-    except (argparse.ArgumentTypeError, ValueError):
-        raise ValueError(
-            f"POISSON_SEED must be an integer, got {env!r}") from None
+    except argparse.ArgumentTypeError as exc:
+        if str(exc).startswith("not an integer"):
+            raise ValueError(
+                f"POISSON_SEED must be an integer, got {env!r}") from None
+        # digits past the bound: named by their count, not echoed
+        raise ValueError(f"POISSON_SEED: {exc}") from None
 
 
 def cmd_selftest(args):

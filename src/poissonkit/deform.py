@@ -5,8 +5,9 @@ path of elementary automorphisms whose data is polynomial in a single
 parameter t.  The pushforward is computed once, symbolically, so the
 family is an exactly integrable bivector Pi_t; tracking then follows
 the common zero of Pi_t and curl(Pi_t) by Newton continuation in t, and
-jet orders are certified from exact Taylor coefficients evaluated in
-double precision.
+jet orders are read from exact Taylor coefficients evaluated in double
+precision against a tolerance.  These are float checks: no distance to
+an exact zero is bounded.
 """
 
 from __future__ import annotations
@@ -159,7 +160,12 @@ class DeformationFamily(Frozen):
 
 
 class TrackResult(NamedTuple):
-    """Certified degenerate singular point of one family member."""
+    """Degenerate singular point of one family member, as float Newton
+    continuation found it: `residual` is the largest |curl(Pi_t)|
+    component at gamma, which each Newton solve brought to at most tol,
+    and `jet0` and `jet1` the largest |coefficient| of Pi_t and of its
+    first partials there.  No exact bound on the distance to a zero of
+    curl(Pi_t) is computed."""
 
     t: complex
     gamma: tuple

@@ -6,10 +6,10 @@ Pfaffian controls the degeneracy divisor, the row sums mu_i are the curl
 eigenvalues, and for odd n the kernel of Lambda gives the residues of
 the annihilating logarithmic 1-form.
 
-"Generic" sampling draws integers from [-10^6, 10^6] and resamples until
-Lambda has full rank (Pf(Lambda) != 0 for even n, some Pf(Lambda_i) != 0
-for odd n) and the mu_i are nonzero and pairwise distinct.
-Z-linear independence of the mu_i is assumed, not certified.
+"Generic" means what `is_generic` checks, and nothing more: Lambda has
+full rank (Pf(Lambda) != 0 for even n, some Pf(Lambda_i) != 0 for odd n)
+and the mu_i are nonzero and pairwise distinct.  Generic sampling draws
+integers from [-10^6, 10^6] and resamples until `is_generic` holds.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from . import multivectors, polynomials
 from .multivectors import Multivector, contract, exterior_derivative, schouten
 from .polynomials import (_FIELD_MASK, FIELD_BITS, Polynomial, VariableTable,
                           reduce_mod)
-from .scalars import Frozen, GaussRational
+from .scalars import Frozen
 
 
 class CheckFailed(ValueError):
@@ -199,38 +199,26 @@ def degeneracy_divisor(ps: PoissonStructure) -> DivisorData:
     return DivisorData(power, tuple(generators), support_product, monomial_gcd)
 
 
-def _dense_rank(rows: list) -> int:
-    """Rank of a square list of GaussRational rows, by forward elimination.
-
-    Works on a copy; the pivot of each column is the first remaining row
-    with a nonzero entry there.
-    """
-    rows = [list(row) for row in rows]
-    rank = 0
-    for col in range(len(rows)):
-        pivot = next((r for r in range(rank, len(rows))
-                      if not rows[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if not rows[r][col].is_zero():
-                factor = rows[r][col] / top[col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], top)]
-        rank += 1
-    return rank
-
-
 def rank_at(ps: PoissonStructure, point: Mapping[str, object]) -> int:
-    """Rank of the skew coefficient matrix at an exact point; each pi_ij
-    is evaluated once, in sorted index order, and fills both entries."""
+    """Rank of the skew coefficient matrix at an exact point: 2k for the
+    largest k with a nonzero principal Pfaffian of size 2k.
+
+    Each pi_ij is evaluated once, in sorted index order, into a Pfaffian
+    memo of constants.  The search climbs k and stops at the first size
+    whose Pfaffians all vanish: a nonzero Pf(A_S) expands along its
+    first row into a nonzero Pfaffian of size |S| - 2.
+    """
     n = ps.table.n_coordinates
-    matrix = [[GaussRational.zero()] * n for _ in range(n)]
+    entries = {}
     for (i, j), coefficient in ps.bivector.sorted_terms():
-        value = matrix[i][j] = coefficient.evaluate(point)
-        matrix[j][i] = -value
-    return _dense_rank(matrix)
+        value = coefficient.evaluate(point)
+        if not value.is_zero():
+            entries[1 << i | 1 << j] = {0: value._t}
+    pf = _PfaffianMemo(entries, ps.table)
+    rank = 0
+    while rank + 2 <= n and any(pf[s] for s in combinations(range(n), rank + 2)):
+        rank += 2
+    return rank
 
 
 def invariant_hypersurface(ps: PoissonStructure, f: Polynomial) -> bool:

@@ -404,8 +404,11 @@ def test_criterion_12_projective_normal_crossing_divisor():
     ok = True
     charts = 0
     for n in (1, 2, 3, 4, 5, 6):
-        ps = make_diagonal(_complex_generic_spec(2 * n, rng))
+        spec = _complex_generic_spec(2 * n, rng)
+        ps = make_diagonal(spec)
         ok = ok and ps.integrable is True
+        pf = pfaffian([[spec.entry_scalar(i, j) for j in range(1, 2 * n + 1)]
+                       for i in range(1, 2 * n + 1)])
         for c in range(2 * n + 1):
             chart = chart_extend(ps, c)
             T = chart.table
@@ -416,10 +419,16 @@ def test_criterion_12_projective_normal_crossing_divisor():
             ok = ok and divisor.power == n
             ok = ok and divisor.support_product == hyperplanes
             ok = ok and divisor.monomial_gcd == hyperplanes
+            # F = Pf(Lambda) X_0 ... X_2n with X_c = 1, as the coefficient
+            # n! (-1)^c Pf(Lambda) of Pi^n on chart c
+            ok = ok and divisor.generators == (Polynomial.monomial(
+                T, {x: 1 for x in T.coordinates},
+                (-1) ** c * factorial(n) * pf),)
             charts += 1
     elapsed = time.monotonic() - start
     ok = ok and charts == 3 + 5 + 7 + 9 + 11 + 13 and elapsed < 30.0
     report(12, ok, f"generic Q(i) diagonal structures on P^2 to P^12: on "
                    f"all {charts} charts [Pi, Pi] = 0 and the degeneracy "
                    f"divisor is the reduced product of the visible "
-                   f"hyperplanes; {elapsed:.1f}s (< 30s)")
+                   f"hyperplanes, its one generator n! (-1)^c Pf(Lambda) "
+                   f"times that product; {elapsed:.1f}s (< 30s)")

@@ -532,6 +532,18 @@ def test_an_integer_flag_past_the_digit_bound_is_too_long():
             f"{limit + 1} digits is too long")
 
 
+def test_a_poisson_seed_past_the_digit_bound_is_too_long(monkeypatch, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python reads integer literals of any length")
+    for sign in ("", "-"):
+        monkeypatch.setenv("POISSON_SEED", sign + "1" * (limit + 1))
+        assert main(["selftest", "--cases", "1"]) == 2
+        # one line naming the variable and the digit count, no digits echoed
+        assert capsys.readouterr() == ("", f"error: POISSON_SEED: integer "
+                                           f"of {limit + 1} digits is too long\n")
+
+
 @pytest.mark.parametrize("verb, point, params, message", [
     ("rank", "0,1,1,1", "x1=1", "x1 is given twice"),
     ("rank", "x1=0,1,1,1,1", None, "x1 is given twice"),

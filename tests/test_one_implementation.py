@@ -6,7 +6,10 @@ second ones as references and require the same results.
 * curl: the conjugation of d by the volume isomorphism, which `curl`
   equals and no longer computes;
 * the skew matrix of `rank_at`: every entry read through the skew fill
-  pi_ji = -pi_ij, one evaluation per entry.
+  pi_ji = -pi_ij, one evaluation per entry;
+* rank at a point: Gauss-Jordan elimination of that matrix, the scan
+  reference `test_structures._reference_rref`, where `rank_at` now reads
+  the largest nonzero principal Pfaffian from `_PfaffianMemo`.
 """
 
 import random
@@ -17,10 +20,12 @@ from poissonkit import (GaussRational, Multivector, PoissonStructure,
                         Polynomial, VariableTable, contract, curl,
                         exterior_derivative, rank_at, reduce_mod,
                         volume_isomorphism, volume_isomorphism_inverse)
-from poissonkit import multivectors, polynomials, structures
+from poissonkit import multivectors, polynomials
 from poissonkit.randomized import random_element, random_polynomial
 from poissonkit.scalars import _product, _quotient, _reduced, _sum
 from poissonkit.structures import _PfaffianMemo
+
+from test_structures import _reference_rref
 
 COORDINATES = VariableTable(("x1", "x2", "x3", "x4"))
 WITH_PARAMETERS = VariableTable(("x1", "x2", "x3"), ("p1", "p2"))
@@ -162,8 +167,9 @@ def test_the_pfaffian_of_the_empty_set_is_the_unit():
 
 
 def _reference_rank_at(ps: PoissonStructure, point) -> int:
-    """Rank with each entry read through the skew fill, evaluated where
-    it stands: pi_ij above the diagonal, -pi_ji below, 0 on it."""
+    """Rank by elimination, with each entry read through the skew fill
+    and evaluated where it stands: pi_ij above the diagonal, -pi_ji
+    below, 0 on it."""
     table = ps.table
     n = table.n_coordinates
 
@@ -174,8 +180,9 @@ def _reference_rank_at(ps: PoissonStructure, point) -> int:
             return ps.bivector.coefficient((i, j))
         return -ps.bivector.coefficient((j, i))
 
-    return structures._dense_rank([[entry(i, j).evaluate(point)
-                                    for j in range(n)] for i in range(n)])
+    rows = [{j: entry(i, j).evaluate(point) for j in range(n)}
+            for i in range(n)]
+    return len(_reference_rref(rows, n)[1])
 
 
 def _outcome(function, *args):

@@ -152,21 +152,41 @@ def _scalar(rng):
                                   rng.randint(1, 3)))
 
 
+def _huge(rng):
+    return GaussRational(rng.randrange(-10 ** 150, 10 ** 150),
+                         rng.randrange(-10 ** 150, 10 ** 150))
+
+
+def _skew_sum(rng, n, pairs, scalar):
+    """The skew matrix sum_p u_p v_p^T - v_p u_p^T of random u_p, v_p."""
+    matrix = [[GaussRational.zero()] * n for _ in range(n)]
+    for _ in range(pairs):
+        u = [scalar(rng) for _ in range(n)]
+        v = [scalar(rng) for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                matrix[i][j] = matrix[i][j] + u[i] * v[j] - v[i] * u[j]
+    return matrix
+
+
 def test_rank_at_matches_the_scan_reference():
     """rank_at on constant bivectors sum_p u_p ^ v_p, of rank at most
-    2 * (number of pairs), against the scan-based reference rref."""
+    2 * (number of pairs), against the scan-based reference rref: random
+    ones on 2 to 7 coordinates, rank 0, 2 and full on 8 to 13, and a full
+    rank one on 13 whose entries have 300-digit parts."""
     rng = random.Random("rank-at-skew")
-    deficient = 0
+    matrices = []
     for _ in range(150):
         n = rng.randint(2, 7)
+        matrices.append(_skew_sum(rng, n, rng.randint(0, n // 2), _scalar))
+    for n in range(8, 14):
+        matrices += [_skew_sum(rng, n, pairs, _scalar)
+                     for pairs in (0, 1, n // 2)]
+    matrices.append(_skew_sum(rng, 13, 6, _huge))
+    deficient = 0
+    for matrix in matrices:
+        n = len(matrix)
         table = VariableTable(tuple(f"x{k}" for k in range(1, n + 1)))
-        matrix = [[GaussRational.zero()] * n for _ in range(n)]
-        for _ in range(rng.randint(0, n // 2)):
-            u = [_scalar(rng) for _ in range(n)]
-            v = [_scalar(rng) for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    matrix[i][j] = matrix[i][j] + u[i] * v[j] - v[i] * u[j]
         terms = {(i, j): Polynomial.constant(table, matrix[i][j])
                  for i in range(n) for j in range(i + 1, n)
                  if not matrix[i][j].is_zero()}
