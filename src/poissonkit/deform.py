@@ -40,16 +40,20 @@ _NewtonSystem = namedtuple("_NewtonSystem",
 
 # Newton iterations tried at one continuation step before it halves.
 NEWTON_ITERATIONS = 50
-# The continuation step halves on every failed Newton solve, down to this.
+# The continuation step doubles after every converged Newton solve and
+# halves after every failed one, down to this.
 MIN_STEP = 1e-6
 # Continuation steps one track may attempt: a |t| of MAX_STEPS or more
-# initial steps is refused, and a track whose halved steps would need
-# more stops there, with a message of its own.  An attempt runs at most
+# initial steps is refused, and a track that needs more attempts stops
+# there, with a message of its own.  An attempt runs at most
 # NEWTON_ITERATIONS iterations of 15 to 20 us (4 and 12 coordinates,
 # 2-vCPU Xeon, Python 3.11: the least of 15 timed tracks at tol 0, which
 # no iteration meets, over their 700 iterations), so a track ends within
-# 7.5 to 10 s; steps that converge take one iteration, and 9,999 of them
-# 0.29 to 0.35 s (t = 0.9999, step 1e-4, the least of 5).
+# 7.5 to 10 s.  Converged attempts double the step, so t = 0.9999 from
+# step 1e-4 takes 14 attempts and 0.3 ms; the budget runs out only when
+# attempts keep failing, as at t = 1e200 from step 1e197 on 4
+# coordinates, where about half of them fail and the track stops after
+# 3.9 s (the least of 5).
 MAX_STEPS = 10_000
 
 
@@ -181,7 +185,9 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
     """Newton continuation for the zero of curl(Pi_t) near the origin.
 
     t must be finite, tol finite and non-negative, and the initial step
-    finite, at least MIN_STEP and more than |t| / MAX_STEPS.
+    finite, at least MIN_STEP and more than |t| / MAX_STEPS.  The step
+    doubles after every converged attempt and halves after every failed
+    one, which restarts from the last converged point.
     The continuation fails with CheckFailed when it leaves the basin
     (the step would halve below MIN_STEP), spends MAX_STEPS attempts
     short of t, or meets a non-simple singularity.
@@ -252,6 +258,7 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
                 gamma[:] = point[:n]
                 total_iters += iters
                 tau = tau_next
+                step *= 2
             elif step / 2 < MIN_STEP:
                 stop = "left basin; reduce step"
                 break

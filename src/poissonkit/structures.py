@@ -204,9 +204,10 @@ def rank_at(ps: PoissonStructure, point: Mapping[str, object]) -> int:
     largest k with a nonzero principal Pfaffian of size 2k.
 
     Each pi_ij is evaluated once, in sorted index order, into a Pfaffian
-    memo of constants.  The search climbs k and stops at the first size
-    whose Pfaffians all vanish: a nonzero Pf(A_S) expands along its
-    first row into a nonzero Pfaffian of size |S| - 2.
+    memo of constants.  The search keeps one S with Pf(A_S) nonzero and
+    borders it by a pair {a, b} outside S until every Pf(A_S+{a,b})
+    vanishes; then the rank is |S|, since those Pfaffians are
+    +-Pf(A_S) times the entries of the Schur complement of A_S.
     """
     n = ps.table.n_coordinates
     entries = {}
@@ -215,10 +216,15 @@ def rank_at(ps: PoissonStructure, point: Mapping[str, object]) -> int:
         if not value.is_zero():
             entries[1 << i | 1 << j] = {0: value._t}
     pf = _PfaffianMemo(entries, ps.table)
-    rank = 0
-    while rank + 2 <= n and any(pf[s] for s in combinations(range(n), rank + 2)):
-        rank += 2
-    return rank
+    chosen = ()
+    while True:
+        outside = [k for k in range(n) if k not in chosen]
+        bordered = (tuple(sorted(chosen + pair))
+                    for pair in combinations(outside, 2))
+        grown = next((s for s in bordered if pf[s]), None)
+        if grown is None:
+            return len(chosen)
+        chosen = grown
 
 
 def invariant_hypersurface(ps: PoissonStructure, f: Polynomial) -> bool:

@@ -1,16 +1,18 @@
 """Families, degenerate-point tracking, jet certificates."""
 
 import json
+import random
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from poissonkit import (CheckFailed, DeformationFamily, DiagonalSpec,
-                        GaussRational, Multivector, PoissonStructure, Polynomial,
-                        VariableTable, jacobi_check, jet_vanishing, loads,
-                        Translation, parse_polynomial,
+from poissonkit import (CheckFailed, DeformationFamily, DiagonalScaling,
+                        DiagonalSpec, GaussRational, Multivector,
+                        PoissonStructure, Polynomial, VariableTable,
+                        jacobi_check, jet_vanishing, loads, Translation,
+                        parse_polynomial, random_generic_spec,
                         scan_degenerate_points, schouten,
                         track_degenerate_point)
 from poissonkit import polynomials
@@ -156,7 +158,9 @@ def test_tracking_refuses_an_unusable_tol(tol):
 def test_tracking_stops_after_max_steps(monkeypatch):
     from poissonkit import deform
     fam = build([("translation", "x1", "t")])
-    # 9,999 steps, and one more if tau rounds short, stay inside the bound
+    # |t| / step = 9,999 initial steps is the most the check up front
+    # passes; the step doubles from 1e-4, so the track reaches t in 14
+    # attempts
     result = track_degenerate_point(fam, 0.9999, initial_step=1e-4)
     assert result.residual <= 1e-12
     # 0.1 / 1e-2 = 10 steps pass the check up front, but every step fails
@@ -187,17 +191,18 @@ def test_a_nan_residual_never_counts_as_converged(monkeypatch):
 
 
 # Reference Newton iteration counts and tracked points for the families
-# above, recorded with a term-by-term evaluator; compiling the Newton system
-# reorders float sums but must not move either.
+# above.  The points were recorded with a term-by-term evaluator; compiling
+# the Newton system reorders float sums but must not move them.  The counts
+# are those of the step that doubles after every converged attempt.
 TRACKED = [
     ([("translation", "x1", "1/2*t"), ("translation", "x3", "-2*t")],
-     [(0.1, 10, (0.05, 0, -0.2, 0)), (-0.1, 10, (-0.05, 0, 0.2, 0)),
-      (0.05, 5, (0.025, 0, -0.1, 0)),
-      (0.03 + 0.04j, 5, (0.015 + 0.02j, 0, -0.06 - 0.08j, 0))]),
+     [(0.1, 4, (0.05, 0, -0.2, 0)), (-0.1, 4, (-0.05, 0, 0.2, 0)),
+      (0.05, 3, (0.025, 0, -0.1, 0)),
+      (0.03 + 0.04j, 3, (0.015 + 0.02j, 0, -0.06 - 0.08j, 0))]),
     ([("shear", "x1", "t*x2^2 - t"), ("translation", "x2", "t")],
-     [(0.08, 16, (-0.08, 0.08, 0, 0))]),
+     [(0.08, 8, (-0.08, 0.08, 0, 0))]),
     ([("translation", "x1", "1/2*t"), ("shear", "x3", "-2*t + t*x4^2")],
-     [(0.05, 5, (0.025, 0, -0.1, 0)), (0.1j, 10, (0.05j, 0, -0.2j, 0))]),
+     [(0.05, 3, (0.025, 0, -0.1, 0)), (0.1j, 4, (0.05j, 0, -0.2j, 0))]),
 ]
 
 
@@ -234,12 +239,114 @@ def test_one_newton_evaluation_per_iteration_and_per_check(monkeypatch):
     monkeypatch.setattr(DeformationFamily, "_newton_system",
                         lambda self: counting)
     result = track_degenerate_point(fam, 0.1)
-    # ten steps of 1e-2 leave tau short of 0.1, so an eleventh attempt
-    # converges with no iteration; every attempt ends on one check
-    assert result.newton_iters == 10
-    assert len(evaluations) == 10 + 11 + 1
+    # steps of 1e-2, 2e-2 and 4e-2 reach tau = 0.07 and the fourth
+    # attempt stops at t; each takes one iteration and ends on one check
+    assert result.newton_iters == 4
+    assert evaluations[:-1] == [0.01, 0.01, 0.03, 0.03, 0.07, 0.07,
+                                0.1, 0.1]
+    assert len(evaluations) == 4 + 4 + 1
     assert evaluations[-1] == 0.1
     assert JacobianRows.multiplies == result.newton_iters
+
+
+def test_a_linear_track_doubles_its_step(monkeypatch):
+    # every attempt converges, so from 1e-2 the step doubles and tau
+    # runs 0.01, 0.03, ..., 0.63, then 1: seven attempts, not a hundred
+    fam = build([("translation", "x1", "1/2*t"),
+                 ("translation", "x3", "-2*t")])
+    newton = fam._newton_system().newton
+    evaluations = []
+    monomials = FloatPolynomials.monomials
+
+    def counted(self, point):
+        if self is newton:
+            evaluations.append(complex(point[-1]))
+        return monomials(self, point)
+
+    monkeypatch.setattr(FloatPolynomials, "monomials", counted)
+    result = track_degenerate_point(fam, 1.0, initial_step=1e-2)
+    # each attempt is its iterations and one check; the last evaluation
+    # reads the reported residual
+    attempts = len(evaluations) - result.newton_iters - 1
+    assert attempts <= 8
+    for value, expected in zip(result.gamma, (0.5, 0, -2.0, 0)):
+        assert abs(value - expected) <= 1e-12
+
+
+def _oracle_family(rng, n):
+    """A generic base on C^n pushed along a translation, a shear and a
+    scaling in shuffled order; every translation and shear vanishes at
+    t = 0, so the tracked point starts at the origin."""
+
+    def scalar():
+        return f"({rng.choice((-1, 1)) * rng.randint(1, 3)}/{rng.choice((1, 2, 4))})"
+
+    sheared = rng.randint(1, n - 1)
+    later = f"x{rng.randint(sheared + 1, n)}^{rng.choice((2, 3, 8))}"
+    steps = [("translation", f"x{rng.randint(1, n)}",
+              f"{scalar()}*t + {scalar()}*t^2"),
+             ("shear", f"x{sheared}", f"{scalar()}*t*{later} + {scalar()}*t"),
+             ("scaling", {f"x{k}": scalar()
+                          for k in rng.sample(range(1, n + 1), 2)})]
+    rng.shuffle(steps)
+    return DeformationFamily.build(random_generic_spec(n, rng, bound=20),
+                                   steps)
+
+
+def _origin_image(family, t) -> np.ndarray:
+    """phi_t(0): the origin pushed along the path in order, each step
+    moving the point the steps before it left, as in
+    test_tracking_with_shear."""
+    point = np.zeros(family.n + 1, dtype=complex)
+    point[-1] = t
+    names = family.table.coordinates
+    for step in family.path:
+        if isinstance(step, DiagonalScaling):
+            for name, scale in step.scales.items():
+                point[names.index(name)] *= complex(scale)
+        else:
+            shift = step.amount if isinstance(step, Translation) else step.shear
+            point[names.index(step.coordinate)] += \
+                FloatPolynomials(family.table, [shift])(point)[0]
+    return point[:-1]
+
+
+@pytest.mark.parametrize("fail_at_t", [False, True],
+                         ids=["as-is", "first-attempt-at-t-fails"])
+def test_tracks_land_on_the_origin_pushed_along_the_path(monkeypatch,
+                                                         fail_at_t):
+    """curl(Pi_t) is the base's curl mu_i x_i carried along the path, so
+    its one zero is phi_t(0); every track must find it, from first steps
+    1e-2 and 1e-3, on seeded families on C^4 and C^6.  With `fail_at_t`
+    the first attempt to reach t reads a NaN residual and fails, leaving
+    NaN in the point: the track must restore gamma, halve the step and
+    reach t again."""
+    rng = random.Random("track-oracle")
+    families = [_oracle_family(rng, n) for n in (4, 4, 4, 6, 6, 6)]
+    monomials = FloatPolynomials.monomials
+    armed = {}
+
+    def failing(self, point):
+        values = monomials(self, point)
+        if armed and self is armed["newton"] \
+                and abs(point[-1] - armed["t"]) <= 1e-12 * abs(armed["t"]):
+            armed.clear()
+            return values * np.nan
+        return values
+
+    monkeypatch.setattr(FloatPolynomials, "monomials", failing)
+    for family in families:
+        for t in (0.3, 1, 0.7 + 0.7j, -1.5):
+            expected = _origin_image(family, t)
+            scale = max(1.0, np.abs(expected).max())
+            for step in (1e-2, 1e-3):
+                if fail_at_t:
+                    armed.update(newton=family._newton_system().newton, t=t)
+                result = track_degenerate_point(family, t, initial_step=step)
+                assert not armed
+                assert result.residual <= 1e-12
+                drift = np.abs(np.array(result.gamma) - expected).max()
+                assert drift <= 1e-9 * scale, (family.path, t, step)
 
 
 def test_tracking_compiles_the_newton_system_once(monkeypatch):

@@ -15,6 +15,7 @@ from poissonkit import (DiagonalSpec, GaussRational, Multivector,
                         jacobi_check, make_diagonal, parse_polynomial,
                         poisson_bracket, rank_at, reduce_mod,
                         restrict_hyperplane, schouten, wedge_power)
+from poissonkit import structures
 from poissonkit.randomized import random_element, random_polynomial
 
 
@@ -197,6 +198,28 @@ def test_rank_at_matches_the_scan_reference():
         assert rank_at(ps, point) == len(pivots)
         deficient += len(pivots) < n
     assert deficient > 100
+
+
+def test_rank_at_borders_one_nonzero_pfaffian(monkeypatch):
+    """n = 13 at rank 6: growing one nonzero Pf(A_S) a pair at a time
+    fills 346 memo entries, where checking every Pfaffian of size 8
+    filled 2,599."""
+    memos = []
+
+    class Recorded(structures._PfaffianMemo):
+        def __init__(self, *args):
+            super().__init__(*args)
+            memos.append(self)
+
+    monkeypatch.setattr(structures, "_PfaffianMemo", Recorded)
+    matrix = _skew_sum(random.Random("rank-at-bordered"), 13, 3, _scalar)
+    table = VariableTable(tuple(f"x{k}" for k in range(1, 14)))
+    ps = PoissonStructure(Multivector(table, 2, {
+        (i, j): Polynomial.constant(table, matrix[i][j])
+        for i in range(13) for j in range(i + 1, 13)
+        if not matrix[i][j].is_zero()}))
+    assert rank_at(ps, {}) == 6
+    assert len(memos) == 1 and len(memos[0]) <= 400
 
 
 def test_invariant_hypersurface():
