@@ -203,8 +203,7 @@ def cmd_simplex(args):
 
 def cmd_track(args):
     family = _load(args.family, DeformationFamily)
-    result = track_degenerate_point(family, args.t, tol=args.tol,
-                                    initial_step=args.step)
+    result = track_degenerate_point(family, args.t, tol=args.tol)
     record = {
         "kind": "track",
         "t": [result.t.real, result.t.imag],
@@ -366,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=complex, required=True, metavar="VALUE",
                    help="parameter value, real or complex")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--step", type=float, default=1e-2,
-                   help="initial continuation step")
 
     p = verb("jet", cmd_jet, "least nonvanishing jet order at a point")
     p.add_argument("--point", required=True, metavar="CSV",

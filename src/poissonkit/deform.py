@@ -40,20 +40,18 @@ _NewtonSystem = namedtuple("_NewtonSystem",
 
 # Newton iterations tried at one continuation step before it halves.
 NEWTON_ITERATIONS = 50
-# The continuation step doubles after every converged Newton solve and
-# halves after every failed one, down to this.
+# The first continuation step goes to t; the step doubles after every
+# converged Newton solve and halves after every failed one, down to this.
 MIN_STEP = 1e-6
-# Continuation steps one track may attempt: a |t| of MAX_STEPS or more
-# initial steps is refused, and a track that needs more attempts stops
-# there, with a message of its own.  An attempt runs at most
-# NEWTON_ITERATIONS iterations of 15 to 20 us (4 and 12 coordinates,
+# Continuation steps one track may attempt; a track that needs more
+# stops there, with a message of its own.  An attempt runs at most
+# NEWTON_ITERATIONS iterations of 13 to 19 us (4 and 12 coordinates,
 # 2-vCPU Xeon, Python 3.11: the least of 15 timed tracks at tol 0, which
-# no iteration meets, over their 700 iterations), so a track ends within
-# 7.5 to 10 s.  Converged attempts double the step, so t = 0.9999 from
-# step 1e-4 takes 14 attempts and 0.3 ms; the budget runs out only when
-# attempts keep failing, as at t = 1e200 from step 1e197 on 4
-# coordinates, where about half of them fail and the track stops after
-# 3.9 s (the least of 5).
+# no iteration meets, over their 800 iterations), so a track ends within
+# 6.5 to 9.5 s.  The budget runs out only when attempts keep failing, as
+# at t = 1e100 on 4 coordinates, where the absolute tol sits below the
+# float residual, about half of the attempts fail and the track stops
+# after 4.2 s (the least of 5).
 MAX_STEPS = 10_000
 
 
@@ -180,14 +178,13 @@ class TrackResult(NamedTuple):
 
 
 def track_degenerate_point(family: DeformationFamily, t: complex,
-                           tol: float = 1e-12,
-                           initial_step: float = 1e-2) -> TrackResult:
+                           tol: float = 1e-12) -> TrackResult:
     """Newton continuation for the zero of curl(Pi_t) near the origin.
 
-    t must be finite, tol finite and non-negative, and the initial step
-    finite, at least MIN_STEP and more than |t| / MAX_STEPS.  The step
-    doubles after every converged attempt and halves after every failed
-    one, which restarts from the last converged point.
+    t must be finite and tol finite and non-negative.  The first attempt
+    goes straight to t; the step doubles after every converged attempt
+    and halves after every failed one, which restarts from the last
+    converged point.
     The continuation fails with CheckFailed when it leaves the basin
     (the step would halve below MIN_STEP), spends MAX_STEPS attempts
     short of t, or meets a non-simple singularity.
@@ -197,12 +194,6 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
         raise ValueError(f"t must be finite, got {t}")
     if not (isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
-    if not (isfinite(initial_step) and initial_step >= MIN_STEP):
-        raise ValueError(f"step must be finite and at least {MIN_STEP:g}, "
-                         f"got {initial_step}")
-    if abs(t) / initial_step >= MAX_STEPS:
-        raise ValueError(f"|t| / step must be below {MAX_STEPS}, got "
-                         f"{abs(t):g} / {initial_step:g}")
     n = family.n
     system = family._newton_system()
     monomials = system.newton.monomials
@@ -240,7 +231,7 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
         radius = abs(t)
         direction = t / radius
         tau = 0.0
-        step = initial_step
+        step = radius
         attempts = 0
         iters = 0
         stop = None
@@ -260,7 +251,7 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
                 tau = tau_next
                 step *= 2
             elif step / 2 < MIN_STEP:
-                stop = "left basin; reduce step"
+                stop = "left basin"
                 break
             else:
                 step /= 2

@@ -303,11 +303,12 @@ def test_track_verb(corpus):
 
 
 @pytest.mark.parametrize("verb, flags, field", [
-    ("track", ["--t", "0.05", "--step", "0"], "step"),
-    ("track", ["--t", "0.05", "--step", "-1"], "step"),
-    ("track", ["--t", "0.05", "--step", "nan"], "step"),
-    ("track", ["--t", "0.05", "--step", "1e-300"], "step"),
-    ("track", ["--t", "1e300"], "|t| / step"),
+    # the first attempt goes to t, so `track` takes no step flag
+    ("track", ["--t", "0.05", "--step", "0"], "unrecognized arguments"),
+    ("track", ["--t", "0.05", "--step", "-1"], "unrecognized arguments"),
+    ("track", ["--t", "0.05", "--step", "nan"], "unrecognized arguments"),
+    ("track", ["--t", "0.05", "--step", "1e-300"], "unrecognized arguments"),
+    ("track", ["--t", "1e300"], "jet0"),
     ("track", ["--t", "inf"], "t"),
     ("track", ["--t", "nan"], "t"),
     ("track", ["--t", "abc"], "argument --t"),
@@ -363,17 +364,42 @@ def test_a_track_that_spends_its_step_budget_names_max_steps(capsys):
     from pathlib import Path
 
     family = Path(__file__).parent / "golden" / "inputs" / "fam4.json"
-    # this far out the residual sits near tol, so attempts converge and
-    # fail in turn: the step doubles and halves, never nears MIN_STEP,
-    # and the track stops on the step budget, not in leaving the basin
-    assert main(["track", "--family", str(family), "--t", "1e200",
-                 "--step", "1e197"]) == 1
+    # this far out the residual floor of doubles sits above the absolute
+    # tol, so attempts converge and fail in turn: the step doubles and
+    # halves, never nears MIN_STEP, and the track stops on the step
+    # budget, not in leaving the basin
+    assert main(["track", "--family", str(family), "--t", "1e100"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "track: spent all MAX_STEPS = 10000 step attempts (reached "
-        "tau=12519.6 of 1e+200, last step 0.334, last residual 3.64e-12, "
+        "tau=1e+100 of 1e+100, last step 5.55e+83, last residual 3.89e+84, "
         "tol 1e-12)\n")
+
+
+def test_a_far_track_goes_straight_to_t(corpus):
+    # the first attempt goes to t; fam4's curl is linear in x, so one
+    # iteration lands on phi_100(0) = (50, 0, -200, 0)
+    code, stdout, _ = run_cli("track", "--family", str(corpus / "fam4.json"),
+                              "--t", "100")
+    assert code == 0
+    record = json.loads(stdout)
+    assert record["newton_iters"] == 1
+    gamma = [complex(re, im) for re, im in record["gamma"]]
+    for value, expected in zip(gamma, (50, 0, -200, 0)):
+        assert abs(value - expected) <= 1e-9 * 200
+
+
+def test_a_singular_newton_solve_exits_one(corpus, capsys, monkeypatch):
+    import numpy as np
+
+    def singular(matrix, vector):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert main(["track", "--family", str(corpus / "fam4.json"),
+                 "--t", "0.05"]) == 1
+    assert capsys.readouterr() == ("", "track: non-simple singularity\n")
 
 
 def test_jet_verb(corpus):
@@ -491,7 +517,7 @@ def test_selftest_refuses_fewer_than_one_case(cases, capsys):
       "--f", "x1^\u00b2", "--g", "x2"],
      "unexpected character '\u00b2' at position 3"),
     (["track", "--family", os.path.join(GOLDEN_INPUTS, "fam4.json"),
-      "--t", "1e300", "--step", "1e299"],
+      "--t", "1e300"],
      "jet0 overflows double precision at t = (1e+300+0j)"),
 ], ids=["diagonal-random-1", "selftest-cases", "superscript-exponent",
         "track-overflow"])
