@@ -33,10 +33,12 @@ from .structures import CheckFailed, PoissonStructure
 # `newton` compiles the n curl components followed by their n^2 partials
 # (flat, row-major), so both share one monomial table; `residual` and
 # `jacobian` are its coefficient rows for each, to multiply by its
-# monomial vector.  The jets are evaluators of their own.  Points are laid
-# out as the family table's slots: the coordinates, then the parameter.
+# monomial vector.  `jets` compiles Pi_t's coefficients followed by their
+# partials; `jet0` and `jet1` pair each block's rows with the columns of
+# its monomials, in the order a table of its own would list them.  Points
+# are laid out as the family table's slots: the coordinates, then t.
 _NewtonSystem = namedtuple("_NewtonSystem",
-                           "newton residual jacobian jet0 jet1")
+                           "newton residual jacobian jets jet0 jet1")
 
 # Newton iterations tried at one continuation step before it halves.
 NEWTON_ITERATIONS = 50
@@ -146,10 +148,21 @@ class DeformationFamily(Frozen):
 
             newton = FloatPolynomials(table, components + partials(components))
             rows = newton.coefficients
+            derived = partials(coefficients)
+            jets = FloatPolynomials(table, coefficients + derived)
+            column = {e: k for k, e in
+                      enumerate(map(tuple, jets.exponents.tolist()))}
+            # the coefficients' monomials open the jet table in their own
+            # order, the partials' are gathered in theirs; the rows are
+            # C-ordered copies, since layout picks a product's sum order
+            head = slice(0, len({e for f in coefficients for e in f._raw}))
+            own = np.array(list(dict.fromkeys(
+                column[e] for f in derived for e, _ in f.sorted_terms())),
+                dtype=np.intp)
+            rows0, rows1 = np.split(jets.coefficients, [len(coefficients)])
             object.__setattr__(self, "_system", _NewtonSystem(
-                newton, rows[:self.n], rows[self.n:],
-                FloatPolynomials(table, coefficients),
-                FloatPolynomials(table, partials(coefficients))))
+                newton, rows[:self.n], rows[self.n:], jets,
+                (rows0[:, head].copy(), head), (rows1[:, own].copy(), own)))
         return self._system
 
     def at(self, t_value) -> PoissonStructure:
@@ -164,10 +177,11 @@ class DeformationFamily(Frozen):
 class TrackResult(NamedTuple):
     """Degenerate singular point of one family member, as float Newton
     continuation found it: `residual` is the largest |curl(Pi_t)|
-    component at gamma, which each Newton solve brought to at most tol,
-    and `jet0` and `jet1` the largest |coefficient| of Pi_t and of its
-    first partials there.  No exact bound on the distance to a zero of
-    curl(Pi_t) is computed."""
+    component at gamma, read by the check that ended the last Newton
+    solve, made at t itself, so it is at most tol (at t = 0 no solve runs
+    and it is read at the origin); `jet0` and `jet1` are the largest
+    |coefficient| of Pi_t and of its first partials there.  No exact
+    bound on the distance to a zero of curl(Pi_t) is computed."""
 
     t: complex
     gamma: tuple
@@ -200,13 +214,14 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
     residual_rows, jacobian_rows = system.residual, system.jacobian
 
     def newton(point):
-        """Iterations to move `point` in place within tol, or None."""
+        """Iterations to move `point` in place within tol and the residual
+        that the check ending them read there, or None."""
         for iteration in range(NEWTON_ITERATIONS):
             values = monomials(point)
             fvec = residual_rows @ values
             # abs(nan) <= tol is False, so a NaN residual never converges
             if all(abs(z) <= tol for z in fvec.tolist()):
-                return iteration
+                return iteration, fvec
             jmat = (jacobian_rows @ values).reshape(n, n)
             try:
                 delta = np.linalg.solve(jmat, fvec)
@@ -215,15 +230,13 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
             point[:n] -= delta
         return None
 
-    def residual(point):
-        return residual_rows @ monomials(point)
-
-    def peak(evaluate) -> float:
-        with np.errstate(all="ignore"):  # an overflow reads as inf or nan
-            return float(np.abs(evaluate(point)).max(initial=0.0))
+    def peak(vector) -> float:
+        return float(np.abs(vector).max(initial=0.0))
 
     # one buffer holds every attempted point; gamma keeps the last
-    # converged coordinates and restores them after a failed attempt
+    # converged coordinates and restores them after a failed attempt.  The
+    # last attempt runs at t itself, so the check that ended it read the
+    # reported residual; at t = 0 the point is the origin
     point = np.zeros(n + 1, dtype=complex)
     gamma = np.zeros(n, dtype=complex)
     total_iters = 0
@@ -233,19 +246,20 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
         tau = 0.0
         step = radius
         attempts = 0
-        iters = 0
+        solved = True
         stop = None
         while tau < radius:
             if attempts == MAX_STEPS:
                 stop = f"spent all MAX_STEPS = {MAX_STEPS} step attempts"
                 break
-            if iters is None:
+            if solved is None:
                 point[:n] = gamma
             attempts += 1
             tau_next = min(tau + step, radius)
-            point[n] = direction * tau_next
-            iters = newton(point)
-            if iters is not None:
+            point[n] = t if tau_next == radius else direction * tau_next
+            solved = newton(point)
+            if solved is not None:
+                iters, fvec = solved
                 gamma[:] = point[:n]
                 total_iters += iters
                 tau = tau_next
@@ -256,12 +270,18 @@ def track_degenerate_point(family: DeformationFamily, t: complex,
             else:
                 step /= 2
         if stop is not None:
+            with np.errstate(all="ignore"):  # an overflow reads as inf or nan
+                last = peak(residual_rows @ monomials(point))
             raise CheckFailed(
                 f"{stop} (reached tau={tau:.6g} of {radius:.6g}, last step "
-                f"{step:.3g}, last residual {peak(residual):.3g}, "
-                f"tol {tol:g})")
-    point[n] = t
-    reported = [peak(f) for f in (residual, system.jet0, system.jet1)]
+                f"{step:.3g}, last residual {last:.3g}, tol {tol:g})")
+    with np.errstate(all="ignore"):  # an overflow reads as inf or nan
+        if t == 0:
+            fvec = residual_rows @ monomials(point)
+        values = system.jets.monomials(point)
+        reported = [peak(fvec)] + [peak(rows @ values[columns])
+                                   for rows, columns in (system.jet0,
+                                                         system.jet1)]
     for name, value in zip(("residual", "jet0", "jet1"), reported):
         if not isfinite(value):
             raise ValueError(f"{name} overflows double precision at t = {t}")

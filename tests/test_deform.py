@@ -210,15 +210,58 @@ def test_tracking_iterations_and_points_are_unchanged():
                 assert abs(value - expected) <= 1e-12
 
 
+@pytest.mark.parametrize("tol", [1e-12, 0.0])
+def test_the_report_reads_the_jets_as_tables_of_their_own(tol):
+    """jet0 and jet1 are the peaks of Pi_t's coefficients and of their
+    first partials at p = (gamma, t), evaluated on a table of their own,
+    bit for bit; the residual, read by the check that ended the last
+    Newton solve, is at most tol."""
+    from pathlib import Path
+
+    from poissonkit.documents import load_path
+    golden = Path(__file__).parent / "golden" / "inputs"
+    cases = [(build(steps), [0] + [t for t, _, _ in tracked])
+             for steps, tracked in TRACKED]
+    cases += [(load_path(str(golden / f"{name}.json")),
+               [0, 0.05, 0.3, 1, 0.05 + 0.05j, -1.5])
+              for name in ("fam4", "fam4-mixed")]
+    converged = 0
+    for family, ts in cases:
+        table = family.table
+        coefficients = list(family.bivector().terms.values())
+        jet0 = FloatPolynomials(table, coefficients)
+        jet1 = FloatPolynomials(table, [f.partial_derivative(name)
+                                        for f in coefficients
+                                        for name in table.coordinates])
+        for t in ts:
+            try:
+                result = track_degenerate_point(family, t, tol=tol)
+            except CheckFailed:
+                # tol 0 asks for a float residual of exactly 0, which
+                # some tracks never reach
+                assert tol == 0
+                continue
+            p = np.array(result.gamma + (t,), dtype=complex)
+            assert result.jet0 == np.abs(jet0(p)).max(initial=0.0)
+            assert result.jet1 == np.abs(jet1(p)).max(initial=0.0)
+            if t != 0:  # at t = 0 no Newton solve runs
+                assert result.residual <= tol
+                converged += 1
+    assert converged
+
+
 def test_one_newton_evaluation_per_iteration_and_per_check(monkeypatch):
     fam = build(TRACKED[1][0])
     system = fam._newton_system()
     evaluations = []
+    jet_evaluations = []
     monomials = FloatPolynomials.monomials
 
     def counted(self, point):
         if self is system.newton:
             evaluations.append(complex(point[-1]))
+        elif self is system.jets:
+            jet_evaluations.append(complex(point[-1]))
         return monomials(self, point)
 
     class JacobianRows:
@@ -234,9 +277,11 @@ def test_one_newton_evaluation_per_iteration_and_per_check(monkeypatch):
                         lambda self: counting)
     result = track_degenerate_point(fam, 0.08)
     # one attempt goes straight to t: two iterations and the check that
-    # ends them, then the evaluation of the reported residual
+    # ends them, which read the reported residual; the jets take one
+    # evaluation of their own table
     assert result.newton_iters == 2
-    assert evaluations == [0.08] * (2 + 1 + 1)
+    assert evaluations == [0.08] * (2 + 1)
+    assert jet_evaluations == [0.08]
     assert JacobianRows.multiplies == result.newton_iters
 
 
@@ -279,22 +324,28 @@ def test_a_translation_and_scaling_family_reaches_t_in_one_attempt(
     fam = build([("translation", "x1", "1/2*t + t^2"),
                  ("scaling", {"x1": "3", "x3": "-1/2"}),
                  ("translation", "x3", "-2*t")])
-    newton = fam._newton_system().newton
+    system = fam._newton_system()
     evaluations = []
+    jet_evaluations = []
     monomials = FloatPolynomials.monomials
 
     def counted(self, point):
-        if self is newton:
+        if self is system.newton:
             evaluations.append(complex(point[-1]))
+        elif self is system.jets:
+            jet_evaluations.append(complex(point[-1]))
         return monomials(self, point)
 
     monkeypatch.setattr(FloatPolynomials, "monomials", counted)
     for t in (1.0, 0.7 + 0.7j, -150.0):
         evaluations.clear()
+        jet_evaluations.clear()
         result = track_degenerate_point(fam, t)
-        # one iteration, the check that ends it and the reported residual
+        # one iteration and the check that ends it, which read the
+        # reported residual; then one evaluation of the jet table
         assert result.newton_iters == 1
-        assert evaluations == [t] * 3
+        assert evaluations == [t] * 2
+        assert jet_evaluations == [t]
         expected = _origin_image(fam, t)
         drift = np.abs(np.array(result.gamma) - expected).max()
         assert drift <= 1e-12 * np.abs(expected).max()
