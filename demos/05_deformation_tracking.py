@@ -3,8 +3,8 @@
 A deformation family moves a diagonal base structure by parameterized
 translations and shears.  The origin is a degenerate singular point of
 the base: the bivector and its curl both vanish there, and that
-vanishing persists along a curve gamma(t) which Newton continuation
-tracks to high precision.
+vanishing persists along the curve gamma(t) = phi_t(0), the origin
+pushed along the path, which tracking evaluates exactly over Q(i).
 
 Run:  python3 demos/05_deformation_tracking.py
 """
@@ -30,11 +30,13 @@ family = DeformationFamily.build(base, [
 print("family bivector at t:")
 print("   ", family.bivector())
 
+# The tracked point is exact: t is read as the rational its double is,
+# and gamma holds the nearest doubles to the parts of the exact point.
 for t in (0.05, -0.1, 0.03 + 0.04j):
     result = track_degenerate_point(family, t)
     pretty = ", ".join(f"{z.real:+.3f}{z.imag:+.3f}i" for z in result.gamma)
-    print(f"t = {t}: gamma = ({pretty})  residual = {result.residual:.1e}  "
-          f"iters = {result.newton_iters}")
+    exact = ", ".join(str(z) for z in result.point)
+    print(f"t = {t}: gamma = ({pretty})  point = ({exact})")
 
 # The jet certificate: at the tracked point both the structure and its
 # linearization vanish, so the square vanishes to order at least 4.

@@ -3,16 +3,16 @@
 A family is a generic diagonal base structure pushed forward along a
 path of elementary automorphisms whose data is polynomial in a single
 parameter t.  The pushforward is computed once, symbolically, so the
-family is an exactly integrable bivector Pi_t; tracking then follows
-the common zero of Pi_t and curl(Pi_t) by Newton continuation in t, and
-jet orders are read from exact Taylor coefficients evaluated in double
-precision against a tolerance.  These are float checks: no distance to
-an exact zero is bounded.
+family is an exactly integrable bivector Pi_t.  The base degenerates at
+the origin, and every step has a constant Jacobian determinant, so the
+degenerate point of Pi_t is phi_t(0), the origin pushed along the path:
+n polynomials in t over Q(i), composed once and evaluated exactly at
+each t.  Jet orders are read from exact Taylor coefficients evaluated in
+double precision against a tolerance.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import combinations_with_replacement, product
 from cmath import isfinite
 from math import factorial
@@ -25,36 +25,9 @@ from .automorphisms import (DiagonalScaling, ElementaryAutomorphism,
 from .diagonal import DiagonalSpec, _diagonal_bivector, is_generic
 from .multivectors import Multivector, _built, curl
 from .polynomials import (FloatPolynomials, Polynomial, VariableTable,
-                          _substituted, parse_polynomial)
+                          _substituted, _wrapped, parse_polynomial)
 from .scalars import Frozen, GaussRational
-from .structures import CheckFailed, PoissonStructure
-
-
-# `newton` compiles the n curl components followed by their n^2 partials
-# (flat, row-major), so both share one monomial table; `residual` and
-# `jacobian` are its coefficient rows for each, to multiply by its
-# monomial vector.  `jets` compiles Pi_t's coefficients followed by their
-# partials; `jet0` and `jet1` pair each block's rows with the columns of
-# its monomials, in the order a table of its own would list them.  Points
-# are laid out as the family table's slots: the coordinates, then t.
-_NewtonSystem = namedtuple("_NewtonSystem",
-                           "newton residual jacobian jets jet0 jet1")
-
-# Newton iterations tried at one continuation step before it halves.
-NEWTON_ITERATIONS = 50
-# The first continuation step goes to t; the step doubles after every
-# converged Newton solve and halves after every failed one, down to this.
-MIN_STEP = 1e-6
-# Continuation steps one track may attempt; a track that needs more
-# stops there, with a message of its own.  An attempt runs at most
-# NEWTON_ITERATIONS iterations of 13 to 19 us (4 and 12 coordinates,
-# 2-vCPU Xeon, Python 3.11: the least of 15 timed tracks at tol 0, which
-# no iteration meets, over their 800 iterations), so a track ends within
-# 6.5 to 9.5 s.  The budget runs out only when attempts keep failing, as
-# at t = 1e100 on 4 coordinates, where the absolute tol sits below the
-# float residual, about half of the attempts fail and the track stops
-# after 4.2 s (the least of 5).
-MAX_STEPS = 10_000
+from .structures import PoissonStructure
 
 
 def _family_table(base: DiagonalSpec, parameter: str) -> VariableTable:
@@ -66,7 +39,7 @@ class DeformationFamily(Frozen):
     """Diagonal base pushed along parameter-dependent automorphisms; immutable."""
 
     __slots__ = ("base", "parameter", "table", "path",
-                 "_bivector", "_curl", "_system")
+                 "_bivector", "_curl", "_origin")
 
     def __init__(self, base: DiagonalSpec, path=(), parameter: str = "t"):
         if not base.is_numeric():
@@ -133,37 +106,20 @@ class DeformationFamily(Frozen):
             object.__setattr__(self, "_curl", curl(self.bivector()))
         return self._curl
 
-    def _newton_system(self) -> "_NewtonSystem":
-        """Float forms of curl(Pi_t), its Jacobian in the coordinates and
-        the jet polynomials of Pi_t, compiled on first use."""
-        if self._system is None:
+    def _origin_image(self) -> tuple:
+        """phi_t(0) as n polynomials in t alone, composed on first use:
+        from the origin, each step's forward images take the point the
+        steps before it left."""
+        if self._origin is None:
             table = self.table
-            components = [self.curl_field().coefficient((i,))
-                          for i in range(self.n)]
-            coefficients = list(self.bivector().terms.values())
-
-            def partials(polys):
-                return [f.partial_derivative(name)
-                        for f in polys for name in table.coordinates]
-
-            newton = FloatPolynomials(table, components + partials(components))
-            rows = newton.coefficients
-            derived = partials(coefficients)
-            jets = FloatPolynomials(table, coefficients + derived)
-            column = {e: k for k, e in
-                      enumerate(map(tuple, jets.exponents.tolist()))}
-            # the coefficients' monomials open the jet table in their own
-            # order, the partials' are gathered in theirs; the rows are
-            # C-ordered copies, since layout picks a product's sum order
-            head = slice(0, len({e for f in coefficients for e in f._raw}))
-            own = np.array(list(dict.fromkeys(
-                column[e] for f in derived for e, _ in f.sorted_terms())),
-                dtype=np.intp)
-            rows0, rows1 = np.split(jets.coefficients, [len(coefficients)])
-            object.__setattr__(self, "_system", _NewtonSystem(
-                newton, rows[:self.n], rows[self.n:], jets,
-                (rows0[:, head].copy(), head), (rows1[:, own].copy(), own)))
-        return self._system
+            zero = Polynomial.zero(table)
+            point = dict.fromkeys(table.coordinates, zero)
+            for step in self.path:
+                point.update({name: _wrapped(table, _substituted(
+                    image._raw, table, point))
+                    for name, image in step.forward_images().items()})
+            object.__setattr__(self, "_origin", tuple(point.values()))
+        return self._origin
 
     def at(self, t_value) -> PoissonStructure:
         """Exact member structure at a Gaussian-rational parameter value."""
@@ -175,117 +131,40 @@ class DeformationFamily(Frozen):
 
 
 class TrackResult(NamedTuple):
-    """Degenerate singular point of one family member, as float Newton
-    continuation found it: `residual` is the largest |curl(Pi_t)|
-    component at gamma, read by the check that ended the last Newton
-    solve, made at t itself, so it is at most tol (at t = 0 no solve runs
-    and it is read at the origin); `jet0` and `jet1` are the largest
-    |coefficient| of Pi_t and of its first partials there.  No exact
-    bound on the distance to a zero of curl(Pi_t) is computed."""
+    """Degenerate singular point of one family member: `point` is
+    phi_t(0) in Q(i), exact, and `gamma` the nearest doubles to its
+    parts.  Pi_t and curl(Pi_t) vanish exactly there, so `residual`,
+    `jet0` and `jet1`, their peaks at the point, are 0.0, and
+    `newton_iters` is 0; the fields keep the shape of the report."""
 
     t: complex
     gamma: tuple
+    point: tuple
     residual: float
     jet0: float
     jet1: float
     newton_iters: int
 
 
-def track_degenerate_point(family: DeformationFamily, t: complex,
-                           tol: float = 1e-12) -> TrackResult:
-    """Newton continuation for the zero of curl(Pi_t) near the origin.
+def track_degenerate_point(family: DeformationFamily, t: complex) -> TrackResult:
+    """The zero of Pi_t and curl(Pi_t) that starts at the origin.
 
-    t must be finite and tol finite and non-negative.  The first attempt
-    goes straight to t; the step doubles after every converged attempt
-    and halves after every failed one, which restarts from the last
-    converged point.
-    The continuation fails with CheckFailed when it leaves the basin
-    (the step would halve below MIN_STEP), spends MAX_STEPS attempts
-    short of t, or meets a non-simple singularity.
+    t must be finite; it is read exactly from its doubles.  A part of
+    the point that overflows double precision raises ValueError.
     """
     t = complex(t)
     if not isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    if not (isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
-    n = family.n
-    system = family._newton_system()
-    monomials = system.newton.monomials
-    residual_rows, jacobian_rows = system.residual, system.jacobian
-
-    def newton(point):
-        """Iterations to move `point` in place within tol and the residual
-        that the check ending them read there, or None."""
-        for iteration in range(NEWTON_ITERATIONS):
-            values = monomials(point)
-            fvec = residual_rows @ values
-            # abs(nan) <= tol is False, so a NaN residual never converges
-            if all(abs(z) <= tol for z in fvec.tolist()):
-                return iteration, fvec
-            jmat = (jacobian_rows @ values).reshape(n, n)
-            try:
-                delta = np.linalg.solve(jmat, fvec)
-            except np.linalg.LinAlgError:
-                raise CheckFailed("non-simple singularity") from None
-            point[:n] -= delta
-        return None
-
-    def peak(vector) -> float:
-        return float(np.abs(vector).max(initial=0.0))
-
-    # one buffer holds every attempted point; gamma keeps the last
-    # converged coordinates and restores them after a failed attempt.  The
-    # last attempt runs at t itself, so the check that ended it read the
-    # reported residual; at t = 0 the point is the origin
-    point = np.zeros(n + 1, dtype=complex)
-    gamma = np.zeros(n, dtype=complex)
-    total_iters = 0
-    if t != 0:
-        radius = abs(t)
-        direction = t / radius
-        tau = 0.0
-        step = radius
-        attempts = 0
-        solved = True
-        stop = None
-        while tau < radius:
-            if attempts == MAX_STEPS:
-                stop = f"spent all MAX_STEPS = {MAX_STEPS} step attempts"
-                break
-            if solved is None:
-                point[:n] = gamma
-            attempts += 1
-            tau_next = min(tau + step, radius)
-            point[n] = t if tau_next == radius else direction * tau_next
-            solved = newton(point)
-            if solved is not None:
-                iters, fvec = solved
-                gamma[:] = point[:n]
-                total_iters += iters
-                tau = tau_next
-                step *= 2
-            elif step / 2 < MIN_STEP:
-                stop = "left basin"
-                break
-            else:
-                step /= 2
-        if stop is not None:
-            with np.errstate(all="ignore"):  # an overflow reads as inf or nan
-                last = peak(residual_rows @ monomials(point))
-            raise CheckFailed(
-                f"{stop} (reached tau={tau:.6g} of {radius:.6g}, last step "
-                f"{step:.3g}, last residual {last:.3g}, tol {tol:g})")
-    with np.errstate(all="ignore"):  # an overflow reads as inf or nan
-        if t == 0:
-            fvec = residual_rows @ monomials(point)
-        values = system.jets.monomials(point)
-        reported = [peak(fvec)] + [peak(rows @ values[columns])
-                                   for rows, columns in (system.jet0,
-                                                         system.jet1)]
-    for name, value in zip(("residual", "jet0", "jet1"), reported):
-        if not isfinite(value):
-            raise ValueError(f"{name} overflows double precision at t = {t}")
-    return TrackResult(t, tuple(gamma.tolist()), *reported, total_iters)
+    values = {family.parameter: GaussRational(t.real, t.imag)}
+    point = tuple(f.evaluate(values) for f in family._origin_image())
+    try:
+        # int / int rounds to the nearest double
+        gamma = tuple(complex(a / d, b / d) for a, b, d in
+                      (z._t for z in point))
+    except OverflowError:
+        raise ValueError(f"gamma overflows double precision at t = {t}") \
+            from None
+    return TrackResult(t, gamma, point, 0.0, 0.0, 0.0, 0)
 
 
 def jet_vanishing(structure, point, r: int = 3, tol: float = 1e-6) -> int:

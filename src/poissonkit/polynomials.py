@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
 
-from .scalars import (Frozen, GaussRational, _make, _power, _product,
+from .scalars import (Frozen, GaussRational, _make, _norm, _power, _product,
                       _quotient, _reduced, _sum, _triple_text)
 
 # Every field of a packed key is FIELD_BITS wide, and its top bit is a
@@ -387,19 +387,35 @@ class Polynomial(Frozen):
 
     def evaluate(self, values: Mapping[str, object]) -> GaussRational:
         """Exact evaluation; every variable present in the polynomial must
-        be assigned (the error names the first unassigned symbol)."""
-        names = self.table.names
-        missing = sorted(self.variables_present() - set(values))
+        be assigned (the error names the first unassigned symbol).  The
+        powers of each variable that its terms use are built once, each
+        from the one below it, the sum runs on the triples and is reduced
+        once."""
+        table, raw = self.table, self._raw
+        present = 0
+        for key in raw:
+            present |= key
+        used = [(name, shift) for name, shift in zip(table.names, table._shifts)
+                if present >> shift & _FIELD_MASK]
+        missing = sorted(name for name, _ in used if name not in values)
         if missing:
             raise KeyError(f"unassigned variable: {missing[0]!r}")
-        total = GaussRational.zero()
-        for exps, coeff in self.terms.items():
-            acc = coeff
-            for pos, e in enumerate(exps):
-                if e:
-                    acc = acc * _as_scalar(values[names[pos]]) ** e
-            total = total + acc
-        return total
+        tables = []
+        for name, shift in used:
+            x = _as_scalar(values[name])._t
+            powers = {0: (1, 0, 1)}
+            below = 0
+            for e in sorted({key >> shift & _FIELD_MASK for key in raw}):
+                powers[e] = _product(powers[below],
+                                     _power(x, e - below, (1, 0, 1), _product))
+                below = e
+            tables.append((shift, powers))
+        total = (0, 0, 1)
+        for key, t in raw.items():
+            for shift, powers in tables:
+                t = _product(t, powers[key >> shift & _FIELD_MASK])
+            total = _sum(total, t)
+        return _norm(total)
 
     def __str__(self):
         return format_polynomial(self)

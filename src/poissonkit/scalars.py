@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import eq
+from operator import eq, mul
 
 
 def _sum(x: tuple, y: tuple) -> tuple:
@@ -186,15 +186,16 @@ def _make(a: int, b: int, d: int) -> GaussRational:
     return z
 
 
-def _power(base, n: int, one):
-    """base ** n for n >= 0 by repeated squaring, in any ring."""
+def _power(base, n: int, one, mul=mul):
+    """base ** n for n >= 0 by repeated squaring, in any ring whose
+    product is `mul`."""
     result = one
     while n:
         if n & 1:
-            result = result * base
+            result = mul(result, base)
         n >>= 1
         if n:
-            base = base * base
+            base = mul(base, base)
     return result
 
 

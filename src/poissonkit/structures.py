@@ -22,9 +22,9 @@ from .scalars import Frozen
 
 class CheckFailed(ValueError):
     """A well-posed check that fails: a chart that does not extend, a
-    hyperplane that is not invariant, a non-generic spec, a tracked point
-    that leaves its basin or is not simple.  The command line exits 1 on
-    it and 2 on any other ValueError, which is unusable input."""
+    hyperplane that is not invariant, a non-generic spec.  The command
+    line exits 1 on it and 2 on any other ValueError, which is unusable
+    input."""
 
 
 class PoissonStructure(Frozen):

@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -281,8 +283,6 @@ def test_simplex_verb():
 
 
 def test_simplex_past_the_bound_exits_two_fast(capsys):
-    import time
-
     start = time.perf_counter()
     assert main(["simplex", "--k", "11"]) == 2
     # unbounded, --k 11 ran 2.1 s and each further k four times longer
@@ -292,14 +292,14 @@ def test_simplex_past_the_bound_exits_two_fast(capsys):
 
 def test_track_verb(corpus):
     code, stdout, _ = run_cli("track", "--family", str(corpus / "fam4.json"),
-                              "--t", "0.05", "--tol", "1e-12")
+                              "--t", "0.05")
     assert code == 0
     record = json.loads(stdout)
     assert record["kind"] == "track"
-    gamma = [complex(re, im) for re, im in record["gamma"]]
-    assert abs(gamma[0] - 0.025) <= 1e-8
-    assert abs(gamma[2] + 0.1) <= 1e-8
-    assert record["residual"] <= 1e-12
+    assert record["gamma"] == [[0.025, 0], [0, 0], [-0.1, 0], [0, 0]]
+    # the point is exact: Pi_t and its curl vanish there
+    assert [record[k] for k in ("residual", "jet0", "jet1",
+                                "newton_iters")] == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("verb, flags, field", [
@@ -308,15 +308,16 @@ def test_track_verb(corpus):
     ("track", ["--t", "0.05", "--step", "-1"], "unrecognized arguments"),
     ("track", ["--t", "0.05", "--step", "nan"], "unrecognized arguments"),
     ("track", ["--t", "0.05", "--step", "1e-300"], "unrecognized arguments"),
-    ("track", ["--t", "1e300"], "jet0"),
+    ("track", ["--t", "1e308"], "gamma"),
     ("track", ["--t", "inf"], "t"),
     ("track", ["--t", "nan"], "t"),
     ("track", ["--t", "abc"], "argument --t"),
     ("chart", ["--target", "1", "--zero-name", "1x"], "argument --zero-name"),
     ("chart", ["--target", "1", "--zero-name", "i"], "argument --zero-name"),
-    ("track", ["--t", "0.05", "--tol", "nan"], "tol"),
-    ("track", ["--t", "0.05", "--tol", "inf"], "tol"),
-    ("track", ["--t", "0.05", "--tol", "-1"], "tol"),
+    # the point is exact, so `track` takes no tolerance
+    ("track", ["--t", "0.05", "--tol", "nan"], "unrecognized arguments"),
+    ("track", ["--t", "0.05", "--tol", "inf"], "unrecognized arguments"),
+    ("track", ["--t", "0.05", "--tol", "-1"], "unrecognized arguments"),
     ("jet", ["--point", "1,1,1,1", "--tol", "nan"], "tol"),
     ("jet", ["--point", "1,1,1,1", "--tol", "inf"], "tol"),
     ("jet", ["--point", "1,1,1,1", "--tol", "-1"], "tol"),
@@ -345,14 +346,7 @@ def test_unusable_flags_exit_two_naming_the_flag(verb, flags, field, corpus,
     assert f"error: {field} " in last or f"error: {field}:" in last, last
 
 
-def test_only_a_failed_check_exits_one(corpus, tmp_path, capsys,
-                                      monkeypatch):
-    from poissonkit import deform
-    # with no Newton iterations no step converges: tracking leaves the basin
-    monkeypatch.setattr(deform, "NEWTON_ITERATIONS", 0)
-    assert main(["track", "--family", str(corpus / "fam4.json"),
-                 "--t", "0.05"]) == 1
-    assert capsys.readouterr().err.startswith("track: left basin")
+def test_only_a_failed_check_exits_one(tmp_path, capsys):
     spec = tmp_path / "zero5.spec"
     spec.write_text(json.dumps({"kind": "diagonal-spec", "n": 5,
                                 "entries": []}))
@@ -360,46 +354,67 @@ def test_only_a_failed_check_exits_one(corpus, tmp_path, capsys,
     assert capsys.readouterr().err == "logform: non-generic spec\n"
 
 
-def test_a_track_that_spends_its_step_budget_names_max_steps(capsys):
-    from pathlib import Path
-
-    family = Path(__file__).parent / "golden" / "inputs" / "fam4.json"
-    # this far out the residual floor of doubles sits above the absolute
-    # tol, so attempts converge and fail in turn: the step doubles and
-    # halves, never nears MIN_STEP, and the track stops on the step
-    # budget, not in leaving the basin
-    assert main(["track", "--family", str(family), "--t", "1e100"]) == 1
+def test_a_track_at_t_zero_reports_the_point_the_path_puts_there(capsys):
+    # fam4-mixed's path ends with x2 += t^2 - 1/5, so phi_0(0) is not the
+    # origin
+    family = os.path.join(GOLDEN_INPUTS, "fam4-mixed.json")
+    assert main(["track", "--family", family, "--t", "0"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "track: spent all MAX_STEPS = 10000 step attempts (reached "
-        "tau=1e+100 of 1e+100, last step 5.55e+83, last residual 3.89e+84, "
-        "tol 1e-12)\n")
+    assert captured.err == ""
+    assert json.loads(captured.out)["gamma"] == [[0, 0], [-0.2, 0], [0, 0],
+                                                 [0, 0]]
+
+
+def test_a_far_track_exits_zero_at_once(capsys):
+    # t is read exactly, so no tolerance sits below the float residual of
+    # a far point: fam4's image is linear in t
+    family = os.path.join(GOLDEN_INPUTS, "fam4.json")
+    start = time.perf_counter()
+    assert main(["track", "--family", family, "--t", "1e100"]) == 0
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["gamma"] == [[5e99, 0], [0, 0],
+                                                 [-2e100, 0], [0, 0]]
 
 
 def test_a_far_track_goes_straight_to_t(corpus):
-    # the first attempt goes to t; fam4's curl is linear in x, so one
-    # iteration lands on phi_100(0) = (50, 0, -200, 0)
+    # phi_100(0) = (50, 0, -200, 0), read exactly
     code, stdout, _ = run_cli("track", "--family", str(corpus / "fam4.json"),
                               "--t", "100")
     assert code == 0
     record = json.loads(stdout)
-    assert record["newton_iters"] == 1
-    gamma = [complex(re, im) for re, im in record["gamma"]]
-    for value, expected in zip(gamma, (50, 0, -200, 0)):
-        assert abs(value - expected) <= 1e-9 * 200
+    assert record["newton_iters"] == 0
+    assert record["gamma"] == [[50, 0], [0, 0], [-200, 0], [0, 0]]
 
 
-def test_a_singular_newton_solve_exits_one(corpus, capsys, monkeypatch):
-    import numpy as np
-
-    def singular(matrix, vector):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    assert main(["track", "--family", str(corpus / "fam4.json"),
-                 "--t", "0.05"]) == 1
-    assert capsys.readouterr() == ("", "track: non-simple singularity\n")
+@pytest.mark.parametrize("reverse, code, err", [
+    (False, 0, ""),
+    (True, 2, "error: an exponent or degree of a product reaches 32768\n"),
+], ids=["shear-first", "translation-first"])
+def test_a_steep_composed_family_tracks_or_is_refused_within_a_second(
+        tmp_path, capsys, reverse, code, err):
+    # x1 += x2^20, x2 += x3^20, x3 += x4^20, x4 += t^20 on fam4's base.
+    # Shears first, phi_t(0) = (0, 0, 0, t^20), and `track` builds no
+    # bivector; translation first, x1 = t^160000 passes the packed
+    # layout's degree bound
+    document = json.loads(open(os.path.join(GOLDEN_INPUTS, "fam4.json"),
+                               encoding="utf-8").read())
+    path = [{"kind": "shear", "coordinate": f"x{k}", "data": f"x{k + 1}^20"}
+            for k in (1, 2, 3)]
+    path.append({"kind": "translation", "coordinate": "x4", "data": "t^20"})
+    document["path"] = path[::-1] if reverse else path
+    family = tmp_path / "shear4.json"
+    family.write_text(json.dumps(document))
+    start = time.perf_counter()
+    assert main(["track", "--family", str(family), "--t", "0.1"]) == code
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if not code:
+        gamma = json.loads(captured.out)["gamma"]
+        assert gamma == [[0, 0], [0, 0], [0, 0],
+                         [float(Fraction(0.1) ** 20), 0]]
 
 
 def test_jet_verb(corpus):
@@ -516,9 +531,9 @@ def test_selftest_refuses_fewer_than_one_case(cases, capsys):
     (["bracket", "--in", os.path.join(GOLDEN_INPUTS, "diag4.mv"),
       "--f", "x1^\u00b2", "--g", "x2"],
      "unexpected character '\u00b2' at position 3"),
-    (["track", "--family", os.path.join(GOLDEN_INPUTS, "fam4.json"),
+    (["track", "--family", os.path.join(GOLDEN_INPUTS, "fam4-mixed.json"),
       "--t", "1e300"],
-     "jet0 overflows double precision at t = (1e+300+0j)"),
+     "gamma overflows double precision at t = (1e+300+0j)"),
 ], ids=["diagonal-random-1", "selftest-cases", "superscript-exponent",
         "track-overflow"])
 def test_a_refusal_is_one_error_line(argv, message):

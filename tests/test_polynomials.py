@@ -86,6 +86,44 @@ def test_evaluate_exact_and_float():
     assert abs(approx - 5.0) < 1e-12
 
 
+def _term_by_term(f, values):
+    """The sum over the terms of coefficient times each value to its
+    exponent, in GaussRational arithmetic."""
+    total = GaussRational(0)
+    for exps, coeff in f.terms.items():
+        for name, e in zip(T.names, exps):
+            for _ in range(e):
+                coeff = coeff * values[name]
+        total = total + coeff
+    return total
+
+
+def test_evaluate_matches_a_term_by_term_sum():
+    rng = random.Random(2718)
+    for _ in range(200):
+        f = random_polynomial(rng, T, max_terms=8, max_degree=6, bound=5)
+        values = {name: GaussRational(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+            for name in T.names}
+        if rng.random() < 0.25:
+            values[rng.choice(T.names)] = GaussRational(0)
+        value = f.evaluate(values)
+        assert value == _term_by_term(f, values)
+        # the triple is in normal form: the validating constructor agrees
+        assert value._t == GaussRational(value.re, value.im)._t
+    assert p("0").evaluate({}) == GaussRational(0)
+
+
+def test_evaluate_names_first_unassigned_variable():
+    with pytest.raises(KeyError) as caught:
+        p("x3 + a*x2 + x1").evaluate({"x1": 1})
+    assert caught.value.args == ("unassigned variable: 'a'",)
+    # a variable absent from the polynomial need not be assigned
+    assert p("x1 + 2").evaluate({"x1": Fraction(1, 2)}) == \
+        GaussRational(Fraction(5, 2))
+
+
 def test_evaluate_float_names_first_unassigned_variable():
     with pytest.raises(KeyError, match="'x2'"):
         FloatPolynomials(T, [p("x3 + a*x2")]).evaluate({"a": 1.0})
