@@ -11,8 +11,9 @@ Run:  python3 demos/05_deformation_tracking.py
 
 import random
 
-from poissonkit import (DeformationFamily, DiagonalSpec, GaussRational, curl,
-                        jet_vanishing, loads, parse_polynomial,
+from poissonkit import (DeformationFamily, DiagonalSpec, GaussRational,
+                        Polynomial, curl, jet_vanishing, loads,
+                        parse_polynomial,
                         scan_degenerate_points, serialize,
                         track_degenerate_point, wedge_power)
 
@@ -50,11 +51,21 @@ print("order of vanishing of Pi_t^2 at gamma:",
       jet_vanishing(square, point, r=3), "(4 means: everything up to r)")
 
 # Degeneracy does not depend on the volume form used for the curl; a
-# rescaled volume changes the curl field but not its zeros.
+# rescaled volume changes the curl field but not its zeros.  At the
+# exact point, with t read exactly from its double, main + correction/u
+# is exactly zero.
 u = parse_polynomial("1 + x2^2", family.table)
 pair = curl(family.bivector(), u)
-values = max(abs(v) for v in pair.evaluate_float(point).values())
-print("curl w.r.t. (1 + x2^2) * volume at gamma:", f"{values:.1e}")
+exact = dict(zip(family.table.coordinates, result.point))
+exact["t"] = GaussRational(0.05)
+u_value = u.evaluate(exact)
+zero = Polynomial.zero(family.table)
+values = [pair.main.terms.get(ix, zero).evaluate(exact)
+          + pair.correction.terms.get(ix, zero).evaluate(exact) / u_value
+          for ix in sorted(set(pair.main.terms) | set(pair.correction.terms))]
+print("u at the point:", u_value)
+print("curl w.r.t. (1 + x2^2) * volume at the point:",
+      [str(v) for v in values])
 
 # A brute-force grid scan of the base member finds the same point.
 member = family.at(GaussRational(0))

@@ -1,9 +1,9 @@
 """Exact calculus for polynomial Poisson structures.
 
 Scalars are Gaussian rationals, so every algebraic operation here is
-exact; floating point enters only in the numerical tracking and jet
-routines, which compare float values with a tolerance and bound no
-error exactly.
+exact; floating point enters only in the jet check, which compares
+float values with a tolerance and bounds no error exactly, and where
+tracking reads t from a double and reports an exact point's doubles.
 """
 
 from .automorphisms import (DiagonalScaling, ElementaryAutomorphism,

@@ -13,6 +13,7 @@ double precision against a tolerance.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations_with_replacement, product
 from cmath import isfinite
 from math import factorial
@@ -24,8 +25,8 @@ from .automorphisms import (DiagonalScaling, ElementaryAutomorphism,
                             Translation, TriangularShear, pushforward)
 from .diagonal import DiagonalSpec, _diagonal_bivector, is_generic
 from .multivectors import Multivector, _built, curl
-from .polynomials import (FloatPolynomials, Polynomial, VariableTable,
-                          _substituted, _wrapped, parse_polynomial)
+from .polynomials import (Polynomial, VariableTable, _substituted, _wrapped,
+                          parse_polynomial)
 from .scalars import Frozen, GaussRational
 from .structures import PoissonStructure
 
@@ -167,6 +168,33 @@ def track_degenerate_point(family: DeformationFamily, t: complex) -> TrackResult
     return TrackResult(t, gamma, point, 0.0, 0.0, 0.0, 0)
 
 
+def _float_values(table: VariableTable, polynomials: list, point):
+    """Complex-double values of polynomials at named variables, with
+    overflow left as inf or NaN for the caller to refuse.
+
+    The distinct monomials, in canonical order of first appearance, are
+    the rows of an exponent matrix E and the coefficients a matrix C, so
+    the values are C @ prod(x ** E).  A variable of no monomial need not
+    be assigned; the error names the first missing one otherwise.
+    """
+    rows, entries = {}, []
+    for k, f in enumerate(polynomials):
+        for exps, coeff in f.sorted_terms():
+            entries.append((k, rows.setdefault(exps, len(rows)), complex(coeff)))
+    exponents = np.array(list(rows), dtype=np.int64).reshape(-1, table.width)
+    coefficients = np.zeros((len(polynomials), len(rows)), dtype=complex)
+    for k, m, value in entries:
+        coefficients[k, m] = value
+    used = list(zip(table.names, exponents.any(axis=0)))
+    missing = sorted(name for name, u in used if u and name not in point)
+    if missing:
+        raise KeyError(f"unassigned variable: {missing[0]!r}")
+    x = np.array([complex(point[name]) if u else 0j for name, u in used],
+                 dtype=complex)
+    with np.errstate(all="ignore"):
+        return coefficients @ (x ** exponents).prod(axis=1)
+
+
 def jet_vanishing(structure, point, r: int = 3, tol: float = 1e-6) -> int:
     """Least k <= r with a nonzero k-th Taylor coefficient at the point.
 
@@ -191,10 +219,7 @@ def jet_vanishing(structure, point, r: int = 3, tol: float = 1e-6) -> int:
         derived, scales = [], []
         for combo in combinations_with_replacement(table.coordinates, order):
             scale = 1.0
-            counts = {}
-            for name in combo:
-                counts[name] = counts.get(name, 0) + 1
-            for c in counts.values():
+            for c in Counter(combo).values():
                 scale /= factorial(c)
             for f in coefficients:
                 for name in combo:
@@ -202,8 +227,7 @@ def jet_vanishing(structure, point, r: int = 3, tol: float = 1e-6) -> int:
                 if not f.is_zero():
                     derived.append(f)
                     scales.append(scale)
-        with np.errstate(all="ignore"):
-            values = FloatPolynomials(table, derived).evaluate(point)
+        values = _float_values(table, derived, point)
         if not np.isfinite(values).all():
             raise ValueError(f"the order-{order} jet overflows double "
                              "precision at this point")

@@ -276,9 +276,16 @@ def parse_assignments(text: str, table: VariableTable, names=None,
                 raise ValueError("too many positional values")
             name, raw = names[positional], chunk
             positional += 1
-        value = parse_scalar(raw) if exact else complex(raw)
-        if not (exact or isfinite(value)):
-            raise ValueError(f"{name} must be finite, not {raw!r}")
+        if exact:
+            value = parse_scalar(raw)
+        else:
+            try:
+                value = complex(raw)
+            except ValueError:
+                raise ValueError(f"{name} must be a number, not {raw!r}") \
+                    from None
+            if not isfinite(value):
+                raise ValueError(f"{name} must be finite, not {raw!r}")
         if name in values:
             raise ValueError(f"{name} is given twice")
         values[name] = value

@@ -37,8 +37,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from . import polynomials
-from .polynomials import (MASK_SIGN_CACHE, FloatPolynomials, Polynomial,
-                          VariableTable, _mask_sign)
+from .polynomials import MASK_SIGN_CACHE, Polynomial, VariableTable, _mask_sign
 from .scalars import Frozen, GaussRational, _product
 
 
@@ -120,9 +119,6 @@ class _SuperElement(Frozen):
 
     def is_zero(self) -> bool:
         return not self._flat
-
-    def coefficient(self, indices) -> Polynomial:
-        return self.terms.get(tuple(indices), Polynomial.zero(self.table))
 
     def scalar(self) -> Polynomial:
         """The coefficient of a degree-0 element."""
@@ -486,19 +482,6 @@ class VolumeCurl(Frozen):
 
     def __reduce__(self):
         return VolumeCurl, (self.main, self.correction, self.denominator)
-
-    def evaluate_float(self, values: Mapping[str, complex]) -> dict:
-        """Complex-double coefficients of main + correction / u, in
-        canonical index order, from one compiled form of u and both parts."""
-        main = self.main.sorted_terms()
-        correction = self.correction.sorted_terms()
-        polys = [self.denominator] + [c for _, c in main + correction]
-        u, *rest = map(complex, FloatPolynomials(
-            self.denominator.table, polys).evaluate(values))
-        out = {ix: v for (ix, _), v in zip(main, rest)}
-        for (ix, _), v in zip(correction, rest[len(main):]):
-            out[ix] = out.get(ix, 0j) + v / u
-        return out
 
     def __repr__(self):
         return (f"<VolumeCurl main={self.main!r} correction={self.correction!r}"

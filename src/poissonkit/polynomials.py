@@ -545,71 +545,6 @@ def _derivative_terms(raw: Mapping, table: VariableTable, slot: int) -> dict:
     return out
 
 
-class FloatPolynomials(Frozen):
-    """Polynomials on one table compiled for complex-double evaluation.
-
-    The monomials of all the polynomials, in canonical term order, form
-    the rows of an exponent matrix E; the coefficients form a complex
-    matrix C with one row per polynomial.  `monomials` returns the
-    monomial vector prod(x ** E, axis=1) at a point x and the values are
-    C @ that vector, so a whole system costs one vectorized evaluation;
-    a caller that needs only some of the polynomials at a point
-    multiplies their rows of C by the one vector.  Build once and reuse;
-    numpy loads on first use.
-    """
-
-    __slots__ = ("table", "exponents", "coefficients", "_present",
-                 "_polynomials")
-
-    def __init__(self, table: VariableTable, polynomials: Iterable[Polynomial]):
-        import numpy as np
-
-        polynomials = tuple(polynomials)
-        rows = {}
-        entries = []
-        for k, f in enumerate(polynomials):
-            if f.table != table:
-                raise ValueError("polynomials live on different variable tables")
-            for exps, coeff in f.sorted_terms():
-                entries.append((k, rows.setdefault(exps, len(rows)),
-                                complex(coeff)))
-        exponents = np.array(list(rows), dtype=np.int64).reshape(
-            len(rows), table.width)
-        coefficients = np.zeros((len(polynomials), len(rows)), dtype=complex)
-        for k, m, value in entries:
-            coefficients[k, m] = value
-        present = exponents.any(axis=0)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "_present", frozenset(
-            name for name, used in zip(table.names, present) if used))
-        object.__setattr__(self, "_polynomials", polynomials)
-
-    def __reduce__(self):
-        return FloatPolynomials, (self.table, self._polynomials)
-
-    def monomials(self, point):
-        """The monomial vector at a point given as one complex number per
-        table slot, coordinates first, then parameters."""
-        import numpy as np
-
-        return (np.asarray(point, dtype=complex) ** self.exponents).prod(axis=1)
-
-    def __call__(self, point):
-        """Values at a point laid out as for `monomials`."""
-        return self.coefficients @ self.monomials(point)
-
-    def evaluate(self, values: Mapping[str, complex]):
-        """Values at named variables; every variable present must be
-        assigned (the error names the first unassigned symbol)."""
-        missing = sorted(self._present - set(values))
-        if missing:
-            raise KeyError(f"unassigned variable: {missing[0]!r}")
-        return self([complex(values[name]) if name in self._present else 0j
-                     for name in self.table.names])
-
-
 # -- division ------------------------------------------------------------
 
 

@@ -10,9 +10,8 @@ output shows up as a failing case.  Existing files are only overwritten
 with --force; a regenerated corpus is a change of expected output and
 needs its reason stated with the change.
 
-Every verb is covered except `track`, whose floats come from numpy (its
-test in tests/test_cli.py checks them to a tolerance).  An argument
-"@name" stands for the path of inputs/name.
+Every verb is covered.  An argument "@name" stands for the path of
+inputs/name.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 INPUTS = HERE / "inputs"
 EXPECTED = HERE / "expected.json"
-UNCOVERED = {"track"}
 
 
 def _spec(n, values):
@@ -180,6 +178,10 @@ def cases() -> list:
         out += [["jacobi", "--in", "@" + name],
                 ["degeneracy", "--in", "@" + name, "--order", "6"]]
     out += [["schouten", "--in", "@vec4.mv", "--with", "@tri4.mv"]]
+    out += [["track", "--family", "@" + name, "--t=" + t]
+            for name in ("fam4.json", "fam4-mixed.json")
+            for t in ("0", "1", "-1.5", "0.05+0.05j")]
+    out += [["track", "--family", "@fam4-mixed.json", "--t", "1e300"]]
     return out
 
 

@@ -534,8 +534,11 @@ def test_selftest_refuses_fewer_than_one_case(cases, capsys):
     (["track", "--family", os.path.join(GOLDEN_INPUTS, "fam4-mixed.json"),
       "--t", "1e300"],
      "gamma overflows double precision at t = (1e+300+0j)"),
+    (["jet", "--in", os.path.join(GOLDEN_INPUTS, "diag4.mv"),
+      "--point", "abc,1,1,1"],
+     "x1 must be a number, not 'abc'"),
 ], ids=["diagonal-random-1", "selftest-cases", "superscript-exponent",
-        "track-overflow"])
+        "track-overflow", "jet-point-malformed"])
 def test_a_refusal_is_one_error_line(argv, message):
     # no traceback, no numpy warning and nothing on stdout
     assert run_cli(*argv) == (2, "", f"error: {message}\n")

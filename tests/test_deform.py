@@ -5,6 +5,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from poissonkit import (CheckFailed, DeformationFamily, DiagonalScaling,
                         parse_polynomial, random_generic_spec,
                         scan_degenerate_points, schouten,
                         track_degenerate_point)
-from poissonkit import deform, polynomials
-from poissonkit.polynomials import FloatPolynomials
+from poissonkit import deform, documents, polynomials
+from poissonkit.randomized import random_element, random_polynomial
 
 BASE = DiagonalSpec(4, {
     (1, 2): GaussRational(2), (1, 3): GaussRational(3),
@@ -208,6 +209,30 @@ def _oracle_family(rng, n):
                                    steps)
 
 
+def _reference_values(table, polys, values) -> np.ndarray:
+    """Complex-double values of polynomials at named variables in the
+    matrix form the jet check must equal bit for bit: distinct monomials
+    in canonical order of first appearance as the rows of an exponent
+    matrix E, coefficients as a matrix C, values C @ prod(x ** E)."""
+    rows, entries = {}, []
+    for k, f in enumerate(polys):
+        for exps, coeff in f.sorted_terms():
+            entries.append((k, rows.setdefault(exps, len(rows)),
+                            complex(coeff)))
+    exponents = np.array(list(rows), dtype=np.int64).reshape(
+        len(rows), table.width)
+    coefficients = np.zeros((len(polys), len(rows)), dtype=complex)
+    for k, m, value in entries:
+        coefficients[k, m] = value
+    present = {name for name, used in zip(table.names, exponents.any(axis=0))
+               if used}
+    point = [complex(values[name]) if name in present else 0j
+             for name in table.names]
+    with np.errstate(all="ignore"):
+        monomials = (np.asarray(point, dtype=complex) ** exponents).prod(axis=1)
+        return coefficients @ monomials
+
+
 def _origin_image(family, t) -> np.ndarray:
     """phi_t(0) in doubles: the origin pushed along the path in order,
     each step moving the point the steps before it left, as in
@@ -221,8 +246,8 @@ def _origin_image(family, t) -> np.ndarray:
                 point[names.index(name)] *= complex(scale)
         else:
             shift = step.amount if isinstance(step, Translation) else step.shear
-            point[names.index(step.coordinate)] += \
-                FloatPolynomials(family.table, [shift])(point)[0]
+            point[names.index(step.coordinate)] += _reference_values(
+                family.table, [shift], dict(zip(family.table.names, point)))[0]
     return point[:-1]
 
 
@@ -319,7 +344,7 @@ def test_tracking_composes_the_origin_image_once(monkeypatch):
     second = track_degenerate_point(fam, 0.05)
     assert calls == []
     assert second == first
-    # no bivector, curl or compiled form is built to track
+    # no bivector or curl is built to track
     assert fam._bivector is None and fam._curl is None
 
 
@@ -335,6 +360,61 @@ def test_jet_orders():
     assert jet_vanishing(flat, {"x1": 0.0, "x2": 0.0}) == 4
     with pytest.raises(ValueError):
         jet_vanishing(flat, {"x1": 0.0, "x2": 0.0}, r=5)
+
+
+def _jet_cases():
+    """(structure, float point, r): the golden `jet` cases, then seeded
+    random bivectors with parameters at small complex points."""
+    golden = Path(__file__).parent / "golden" / "inputs"
+    cases = []
+    for name, point, params, r in [
+            ("diag4.mv", "0,0,0,0", "", 3), ("diag4.mv", "1,1,0,0", "", 3),
+            ("qi4.mv", "0.5,1,0,1", "", 2),
+            ("sym4.mv", "0,0,1,1", "l12=1,l13=2,l14=3,l23=4,l24=5,l34=6", 3)]:
+        ps = documents.load_path(str(golden / name))
+        table = ps.table
+        values = documents.parse_assignments(point, table, exact=False)
+        values.update(documents.parse_assignments(
+            params, table, names=table.parameters, exact=False))
+        cases.append((ps, values, r))
+    rng = random.Random("jet-reference")
+    for k in range(60):
+        n = 3 + k % 3
+        table = VariableTable([f"x{i}" for i in range(1, n + 1)], ("a", "b"))
+        pi = random_element(rng, table, 2, max_components=4)
+        pi = pi + random_polynomial(rng, table, 4, 3) * pi
+        values = {name: complex(rng.randint(-8, 8), rng.randint(-8, 8)) / 4
+                  for name in table.names}
+        if k % 4 == 0:
+            values[rng.choice(table.coordinates)] = 0j
+        cases.append((pi, values, 3))
+    return cases
+
+
+def test_jet_values_equal_the_compiled_reference_at_every_order(monkeypatch):
+    """Every Taylor coefficient the jet check compares is bit for bit the
+    value of the compiled matrix form, at every order it reaches."""
+    seen = []
+
+    def recording(table, polys, point):
+        values = evaluate(table, polys, point)
+        seen.append((table, polys, point, values))
+        return values
+
+    evaluate = deform._float_values
+    monkeypatch.setattr(deform, "_float_values", recording)
+    cases = _jet_cases()
+    nonzero = 0
+    for structure, point, r in cases:
+        for tol in (1e-6, 1e300):  # the second reaches every order
+            seen.clear()
+            order = jet_vanishing(structure, point, r=r, tol=tol)
+            assert len(seen) == min(order, r) + 1
+            for table, polys, values_at, values in seen:
+                reference = _reference_values(table, polys, values_at)
+                assert values.tolist() == reference.tolist()
+                nonzero += any(values)
+    assert nonzero >= len(cases)
 
 
 def test_jet_overflow_is_an_error_not_a_vanishing_jet():

@@ -26,7 +26,7 @@ def _reference_ideal(ps, two_k):
     if two_k % 2 != 0 or two_k < 0 or two_k >= 2 * (n // 2):
         raise ValueError("bad degeneracy order")
     power = wedge_power(ps.bivector, two_k // 2 + 1)
-    return [power.coefficient(ix) for ix in sorted(power.terms)]
+    return [power.terms[ix] for ix in sorted(power.terms)]
 
 
 def _reference_divisor(ps):
@@ -42,7 +42,7 @@ def _reference_divisor(ps):
         k += 1
     if top is None:
         raise ValueError("zero structure has no degeneracy divisor")
-    generators = [top.coefficient(ix) for ix in sorted(top.terms)]
+    generators = [top.terms[ix] for ix in sorted(top.terms)]
     support = set()
     gcd_exps = None
     for g in generators:

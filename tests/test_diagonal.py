@@ -43,7 +43,8 @@ def test_make_diagonal_is_integrable():
     ps = make_diagonal(DiagonalSpec.symbolic(5))
     assert ps.integrable is True
     T = ps.table
-    assert ps.bivector.coefficient((0, 1)) == parse_polynomial("l12*x1*x2", T)
+    assert ps.bivector.terms.get((0, 1), Polynomial.zero(T)) == \
+        parse_polynomial("l12*x1*x2", T)
 
 
 def test_pfaffian_two_and_four():
@@ -211,8 +212,8 @@ def test_curl_eigenvalues_formula_and_sum():
         # the curl of the structure is sum_i mu_i x_i xi_i
         field = curl(make_diagonal(spec).bivector)
         for i in range(n):
-            assert field.coefficient((i,)) == mu[i] * Polynomial.variable(
-                T, f"x{i + 1}")
+            assert field.terms.get((i,), Polynomial.zero(T)) == \
+                mu[i] * Polynomial.variable(T, f"x{i + 1}")
 
 
 def test_log_annihilator_three_coordinates():

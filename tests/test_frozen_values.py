@@ -14,7 +14,6 @@ from poissonkit import (DeformationFamily, DiagonalScaling, DiagonalSpec,
                         serialize, simplex_multiplicity_filter,
                         track_degenerate_point)
 from poissonkit import curl, deform, exterior_derivative
-from poissonkit.polynomials import FloatPolynomials
 
 SPEC4 = DiagonalSpec(4, {
     (1, 2): GaussRational(2), (1, 3): GaussRational(3, 1),
@@ -46,7 +45,7 @@ def test_no_attribute_can_be_set_after_construction():
     ps = make_diagonal(SPEC4)
     f = parse_polynomial("x1*x2 - t", T)
     values = [SPEC4, family, *family.path, *_steps(), *_records(),
-              GaussRational(1, 2), T, f, FloatPolynomials(T, [f]), ps,
+              GaussRational(1, 2), T, f, ps,
               ps.bivector, exterior_derivative(f),
               curl(ps.bivector, parse_polynomial("x1 + 1", ps.table))]
     for value in values:

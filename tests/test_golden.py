@@ -22,11 +22,11 @@ _spec.loader.exec_module(corpus)
 RECORDS = json.loads((GOLDEN / "expected.json").read_text(encoding="utf-8"))
 
 
-def test_the_corpus_covers_every_verb_but_track():
+def test_the_corpus_covers_every_verb():
     subparsers = next(action for action in build_parser()._actions
                       if action.dest == "verb")
     covered = {record["argv"][0] for record in RECORDS}
-    assert covered == set(subparsers.choices) - corpus.UNCOVERED
+    assert covered == set(subparsers.choices)
     assert [record["argv"] for record in RECORDS] == corpus.cases()
 
 

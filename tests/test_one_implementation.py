@@ -177,8 +177,8 @@ def _reference_rank_at(ps: PoissonStructure, point) -> int:
         if i == j:
             return Polynomial.zero(table)
         if i < j:
-            return ps.bivector.coefficient((i, j))
-        return -ps.bivector.coefficient((j, i))
+            return ps.bivector.terms.get((i, j), Polynomial.zero(table))
+        return -ps.bivector.terms.get((j, i), Polynomial.zero(table))
 
     rows = [{j: entry(i, j).evaluate(point) for j in range(n)}
             for i in range(n)]

@@ -11,9 +11,9 @@ from poissonkit import (GaussRational, Polynomial, PolynomialSyntaxError,
                         VariableTable, format_polynomial, parse_polynomial,
                         parse_scalar, reduce_mod)
 from poissonkit import polynomials
+from poissonkit.deform import _float_values
 from poissonkit.polynomials import (MAX_DEGREE, MAX_EXPONENT, MAX_NESTING,
-                                    MAX_TERMS, MAX_TEXT_TERMS,
-                                    FloatPolynomials, _term_bound)
+                                    MAX_TERMS, MAX_TEXT_TERMS, _term_bound)
 from poissonkit.randomized import random_polynomial, random_scalar
 
 T = VariableTable(("x1", "x2", "x3"), ("a",))
@@ -81,9 +81,13 @@ def test_evaluate_exact_and_float():
     values = {"x1": GaussRational(2), "x2": GaussRational(3),
               "x3": GaussRational(0), "a": GaussRational(Fraction(1, 3))}
     assert f.evaluate(values) == GaussRational(5)
-    (approx,) = FloatPolynomials(T, [f]).evaluate(
-        {"x1": 2.0, "x2": 3.0, "x3": 0.0, "a": 1 / 3})
+    (approx,) = _float_values(
+        T, [f], {"x1": 2.0, "x2": 3.0, "x3": 0.0, "a": 1 / 3})
     assert abs(approx - 5.0) < 1e-12
+    # one value a polynomial, the zero polynomial included
+    assert _float_values(T, [p("x1^2 + 2*x2"), p("x2 - i*a"), p("0")], {
+        "x1": 1.0, "x2": 2.0, "x3": 0.0, "a": 3.0}).tolist() == [5, 2 - 3j, 0]
+    assert _float_values(T, [], {}).tolist() == []
 
 
 def _term_by_term(f, values):
@@ -126,9 +130,9 @@ def test_evaluate_names_first_unassigned_variable():
 
 def test_evaluate_float_names_first_unassigned_variable():
     with pytest.raises(KeyError, match="'x2'"):
-        FloatPolynomials(T, [p("x3 + a*x2")]).evaluate({"a": 1.0})
+        _float_values(T, [p("x3 + a*x2")], {"a": 1.0})
     # a variable absent from the polynomial need not be assigned
-    assert FloatPolynomials(T, [p("x1 + 2")]).evaluate({"x1": 1.0}).tolist() == [3]
+    assert _float_values(T, [p("x1 + 2")], {"x1": 1.0}).tolist() == [3]
 
 
 def _compiled_matches_exact(rng, zeros):
@@ -137,12 +141,12 @@ def _compiled_matches_exact(rng, zeros):
     point = {name: random_scalar(rng, 3) for name in T.names}
     for name in zeros:
         point[name] = GaussRational(0)
-    values = FloatPolynomials(T, polys).evaluate(point)
+    values = _float_values(T, polys, point)
     assert len(values) == len(polys)
     for f, value in zip(polys, values):
         exact = complex(f.evaluate(point))
         assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact))
-        (alone,) = FloatPolynomials(T, [f]).evaluate(point)
+        (alone,) = _float_values(T, [f], point)
         assert alone == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
@@ -158,23 +162,8 @@ def test_compiled_evaluation_at_zero_coordinates():
     for _ in range(40):
         _compiled_matches_exact(rng, rng.sample(T.names, rng.randint(1, 4)))
     f = p("3 + x1^2*x2 + a")
-    assert FloatPolynomials(T, [f]).evaluate(
-        {"x1": 0.0, "x2": 5.0, "a": 0.0}).tolist() == [3]
-
-
-def test_compiled_form_layout():
-    compiled = FloatPolynomials(T, [p("x1^2 + 2*x2"), p("x2 - i*a"), p("0")])
-    # monomials in canonical order of first appearance, one row each
-    assert compiled.exponents.tolist() == [[2, 0, 0, 0], [0, 1, 0, 0],
-                                           [0, 0, 0, 1]]
-    assert compiled.coefficients.tolist() == [[1, 2, 0], [0, 1, -1j],
-                                              [0, 0, 0]]
-    assert compiled([1.0, 2.0, 0.0, 3.0]).tolist() == [5, 2 - 3j, 0]
-    # the monomial vector, one entry per exponent row
-    assert compiled.monomials([1.0, 2.0, 0.0, 3.0]).tolist() == [1, 2, 3]
-    with pytest.raises(ValueError):
-        FloatPolynomials(T, [p("x1"), p("y", VariableTable(("y",)))])
-    assert FloatPolynomials(T, []).evaluate({}).tolist() == []
+    assert _float_values(
+        T, [f], {"x1": 0.0, "x2": 5.0, "a": 0.0}).tolist() == [3]
 
 
 def test_substitute_is_a_ring_map():

@@ -44,7 +44,7 @@ def _reference_constraints(N):
         for mp in range(1, N + 1):
             if mp == m:
                 continue
-            component = field.coefficient((mp - 1,))
+            component = field.terms.get((mp - 1,), Polynomial.zero(table))
             _, remainder = reduce_mod(
                 component, Polynomial.variable(table, f"x{mp}"))
             grouped = {}

@@ -135,17 +135,6 @@ def test_values_copy_deepcopy_and_pickle():
             assert twin == value and hash(twin) == hash(value)
             with pytest.raises(AttributeError):
                 twin.table = T4
-    # a compiled system has no equality; its twins evaluate equal
-    compiled = polynomials.FloatPolynomials(T, [f, p("y*z - i*a")])
-    point = [0.5, 1j, -2, 3 - 1j]
-    for twin in (copy.copy(compiled), copy.deepcopy(compiled),
-                 pickle.loads(pickle.dumps(compiled))):
-        assert type(twin) is polynomials.FloatPolynomials
-        assert list(twin(point)) == list(compiled(point))
-        assert twin.evaluate({"x": 1, "y": 2, "z": 3, "a": 1j}).tolist() == \
-            compiled.evaluate({"x": 1, "y": 2, "z": 3, "a": 1j}).tolist()
-        with pytest.raises(AttributeError):
-            twin.table = T4
 
 
 def test_writing_into_terms_leaves_the_value_unchanged():
