@@ -39,25 +39,23 @@ for t in (0.05, -0.1, 0.03 + 0.04j):
     exact = ", ".join(str(z) for z in result.point)
     print(f"t = {t}: gamma = ({pretty})  point = ({exact})")
 
-# The jet certificate: at the tracked point both the structure and its
-# linearization vanish, so the square vanishes to order at least 4.
+# The jet certificate, read at the exact point with t read exactly from
+# its double: there both the structure and its linearization vanish, so
+# the square vanishes to order at least 4.
 result = track_degenerate_point(family, 0.05)
-point = {f"x{k + 1}": result.gamma[k] for k in range(4)}
-point["t"] = 0.05
+exact = dict(zip(family.table.coordinates, result.point))
+exact["t"] = GaussRational(0.05)
 square = wedge_power(family.bivector(), 2)
 print("\norder of vanishing of Pi_t at gamma:",
-      jet_vanishing(family.bivector(), point, r=3))
+      jet_vanishing(family.bivector(), exact, r=3))
 print("order of vanishing of Pi_t^2 at gamma:",
-      jet_vanishing(square, point, r=3), "(4 means: everything up to r)")
+      jet_vanishing(square, exact, r=3), "(4 means: everything up to r)")
 
 # Degeneracy does not depend on the volume form used for the curl; a
 # rescaled volume changes the curl field but not its zeros.  At the
-# exact point, with t read exactly from its double, main + correction/u
-# is exactly zero.
+# exact point main + correction/u is exactly zero.
 u = parse_polynomial("1 + x2^2", family.table)
 pair = curl(family.bivector(), u)
-exact = dict(zip(family.table.coordinates, result.point))
-exact["t"] = GaussRational(0.05)
 u_value = u.evaluate(exact)
 zero = Polynomial.zero(family.table)
 values = [pair.main.terms.get(ix, zero).evaluate(exact)

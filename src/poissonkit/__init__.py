@@ -1,10 +1,13 @@
 """Exact calculus for polynomial Poisson structures.
 
 Scalars are Gaussian rationals, so every algebraic operation here is
-exact; floating point enters only in the jet check, which compares
-float values with a tolerance and bounds no error exactly, and where
-tracking reads t from a double and reports an exact point's doubles.
+exact; floating point enters only where `jet --point` and tracking read
+a double exactly and where tracking reports an exact point's doubles.
 """
+
+# Unused: perfbench/run.py:probe_children reads numpy's import time
+# unguarded; ROADMAP item 4 drops this line with the dependency.
+import numpy  # noqa: F401
 
 from .automorphisms import (DiagonalScaling, ElementaryAutomorphism,
                             Translation, TriangularShear, pushforward)

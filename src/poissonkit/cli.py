@@ -112,10 +112,12 @@ def cmd_degeneracy(args):
     return _lines(degeneracy_ideal(ps, args.order).generators), 0
 
 
-def _point(args, table: VariableTable, exact: bool = True) -> dict:
-    point = documents.parse_assignments(args.point, table, exact=exact)
+def _point(args, table: VariableTable, float_syntax: bool = False) -> dict:
+    point = documents.parse_assignments(args.point, table,
+                                        float_syntax=float_syntax)
     params = documents.parse_assignments(args.params or "", table,
-                                         names=table.parameters, exact=exact)
+                                         names=table.parameters,
+                                         float_syntax=float_syntax)
     twice = [name for name in params if name in point]
     if twice:
         raise ValueError(f"{twice[0]} is given twice")
@@ -218,8 +220,8 @@ def cmd_track(args):
 
 def cmd_jet(args):
     ps = _load(args.infile, PoissonStructure)
-    point = _point(args, ps.table, exact=False)
-    order = jet_vanishing(ps, point, r=args.r, tol=args.tol)
+    order = jet_vanishing(ps, _point(args, ps.table, float_syntax=True),
+                          r=args.r)
     return (f">= {args.r + 1}" if order > args.r else str(order)) + "\n", 0
 
 
@@ -366,10 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb("jet", cmd_jet, "least nonvanishing jet order at a point")
     p.add_argument("--point", required=True, metavar="CSV",
-                   help="float coordinate values, comma separated")
+                   help="coordinate values, comma separated: decimal or "
+                   "complex literals, each read exactly as its nearest double")
     p.add_argument("--params", default=None, metavar="CSV")
     p.add_argument("--r", type=_integer, default=3)
-    p.add_argument("--tol", type=float, default=1e-6)
 
     p = verb("selftest", cmd_selftest, "run the randomized identity suites",
              infile=False, out=False)

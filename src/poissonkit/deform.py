@@ -7,19 +7,15 @@ family is an exactly integrable bivector Pi_t.  The base degenerates at
 the origin, and every step has a constant Jacobian determinant, so the
 degenerate point of Pi_t is phi_t(0), the origin pushed along the path:
 n polynomials in t over Q(i), composed once and evaluated exactly at
-each t.  Jet orders are read from exact Taylor coefficients evaluated in
-double precision against a tolerance.
+each t.  Jet orders are read from exact Taylor coefficients evaluated
+exactly: a jet vanishes when every coefficient is exactly zero.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations_with_replacement, product
+from itertools import product
 from cmath import isfinite
-from math import factorial
 from typing import NamedTuple
-
-import numpy as np
 
 from .automorphisms import (DiagonalScaling, ElementaryAutomorphism,
                             Translation, TriangularShear, pushforward)
@@ -168,70 +164,36 @@ def track_degenerate_point(family: DeformationFamily, t: complex) -> TrackResult
     return TrackResult(t, gamma, point, 0.0, 0.0, 0.0, 0)
 
 
-def _float_values(table: VariableTable, polynomials: list, point):
-    """Complex-double values of polynomials at named variables, with
-    overflow left as inf or NaN for the caller to refuse.
-
-    The distinct monomials, in canonical order of first appearance, are
-    the rows of an exponent matrix E and the coefficients a matrix C, so
-    the values are C @ prod(x ** E).  A variable of no monomial need not
-    be assigned; the error names the first missing one otherwise.
-    """
-    rows, entries = {}, []
-    for k, f in enumerate(polynomials):
-        for exps, coeff in f.sorted_terms():
-            entries.append((k, rows.setdefault(exps, len(rows)), complex(coeff)))
-    exponents = np.array(list(rows), dtype=np.int64).reshape(-1, table.width)
-    coefficients = np.zeros((len(polynomials), len(rows)), dtype=complex)
-    for k, m, value in entries:
-        coefficients[k, m] = value
-    used = list(zip(table.names, exponents.any(axis=0)))
-    missing = sorted(name for name, u in used if u and name not in point)
-    if missing:
-        raise KeyError(f"unassigned variable: {missing[0]!r}")
-    x = np.array([complex(point[name]) if u else 0j for name, u in used],
-                 dtype=complex)
-    with np.errstate(all="ignore"):
-        return coefficients @ (x ** exponents).prod(axis=1)
-
-
-def jet_vanishing(structure, point, r: int = 3, tol: float = 1e-6) -> int:
+def jet_vanishing(structure, point, r: int = 3) -> int:
     """Least k <= r with a nonzero k-th Taylor coefficient at the point.
 
-    Returns r+1 when every jet through order r vanishes below tolerance.
-    r must lie in 0..3 and tol be finite and non-negative: no value
-    compares above a NaN tolerance.  Taylor coefficients come from exact
-    differentiation, evaluated in double precision; a value that
-    overflows it raises ValueError, since an infinite or NaN value would
-    compare as vanishing.
+    Returns r+1 when every jet through order r vanishes exactly.  r must
+    lie in 0..3, and `point` holds exact values, as `Polynomial.evaluate`
+    takes them.  A k-th Taylor coefficient is a k-th partial derivative
+    of a coefficient over a nonzero factor, so the first derivative of
+    order k that is not exactly zero at the point decides the order.
     """
     if r < 0:
         raise ValueError(f"r must be at least 0, got {r}")
     if r > 3:
         raise ValueError("jet resolution is limited to r <= 3")
-    if not (isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     bivector = structure.bivector if isinstance(structure, PoissonStructure) \
         else structure
-    table = bivector.table
+    names = bivector.table.coordinates
     coefficients = list(bivector.terms.values())
-    for order in range(r + 1):
-        derived, scales = [], []
-        for combo in combinations_with_replacement(table.coordinates, order):
-            scale = 1.0
-            for c in Counter(combo).values():
-                scale /= factorial(c)
-            for f in coefficients:
-                for name in combo:
-                    f = f.partial_derivative(name)
-                if not f.is_zero():
-                    derived.append(f)
-                    scales.append(scale)
-        values = _float_values(table, derived, point)
-        if not np.isfinite(values).all():
-            raise ValueError(f"the order-{order} jet overflows double "
-                             "precision at this point")
-        if any(abs(v) * scale > tol for v, scale in zip(values, scales)):
+    # order 0 evaluates every coefficient, so each variable of the
+    # structure must be assigned, as for rank_at
+    if any([not f.evaluate(point).is_zero() for f in coefficients]):
+        return 0
+    # (first coordinate still to differentiate along, derivative): each
+    # order differentiates only from that coordinate on, so every
+    # multiset of coordinates is taken once
+    derived = [(0, f) for f in coefficients]
+    for order in range(1, r + 1):
+        derived = [(k, g) for first, f in derived
+                   for k in range(first, len(names))
+                   if not (g := f.partial_derivative(names[k])).is_zero()]
+        if any(not g.evaluate(point).is_zero() for _, g in derived):
             return order
     return r + 1
 

@@ -16,7 +16,7 @@ from .diagonal import DiagonalSpec, _coordinate_count
 from .multivectors import DifferentialForm, Multivector, VolumeCurl, _indices
 from .polynomials import (MAX_COORDINATES, MAX_DEGREE, MAX_TERMS, Polynomial,
                           VariableTable, format_polynomial, parse_scalar)
-from .scalars import _PART_LIMIT, _triple_text, format_scalar
+from .scalars import _PART_LIMIT, GaussRational, _triple_text, format_scalar
 from .structures import PoissonStructure
 
 
@@ -250,13 +250,14 @@ def load_path(path: str):
 
 
 def parse_assignments(text: str, table: VariableTable, names=None,
-                      exact: bool = True) -> dict:
+                      float_syntax: bool = False) -> dict:
     """Parse `--point`/`--params` data: positional values or name=value.
 
     Positional values fill `names` (default: the coordinates) in order;
     name=value pairs may be mixed in, and a name filled twice, by name or
-    by position, is refused.  Exact mode parses scalars in the
-    coefficient syntax, float mode accepts finite decimal/complex literals.
+    by position, is refused.  Every value is an exact GaussRational:
+    scalars in the coefficient syntax, or, with `float_syntax`, finite
+    decimal/complex literals, each read exactly as its nearest double.
     """
     if names is None:
         names = table.coordinates
@@ -276,9 +277,7 @@ def parse_assignments(text: str, table: VariableTable, names=None,
                 raise ValueError("too many positional values")
             name, raw = names[positional], chunk
             positional += 1
-        if exact:
-            value = parse_scalar(raw)
-        else:
+        if float_syntax:
             try:
                 value = complex(raw)
             except ValueError:
@@ -286,6 +285,9 @@ def parse_assignments(text: str, table: VariableTable, names=None,
                     from None
             if not isfinite(value):
                 raise ValueError(f"{name} must be finite, not {raw!r}")
+            value = GaussRational(value.real, value.imag)
+        else:
+            value = parse_scalar(raw)
         if name in values:
             raise ValueError(f"{name} is given twice")
         values[name] = value

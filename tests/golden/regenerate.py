@@ -92,6 +92,13 @@ def build_inputs() -> dict:
     docs["rand8.mv"] = rand8
     for c in (3, 8):
         docs[f"rand8-chart{c}.mv"] = chart_extend(rand8, c)
+    # jet inputs whose values no double holds: a nonzero constant below
+    # the old tolerance, and x1^20 = 10^400 at x1 = 1e20
+    plane = VariableTable(("x1", "x2"))
+    docs["tiny.mv"] = Multivector(plane, 2, {
+        (0, 1): parse_polynomial("1/10000000", plane)})
+    docs["steep.mv"] = Multivector(plane, 2, {
+        (0, 1): parse_polynomial("x1^20 + x2", plane)})
     texts = {name: serialize(obj) for name, obj in docs.items()}
     texts["bad-coeff.mv"] = json.dumps({
         "kind": "multivector", "coordinates": ["x1", "x2"], "parameters": [],
@@ -182,6 +189,14 @@ def cases() -> list:
             for name in ("fam4.json", "fam4-mixed.json")
             for t in ("0", "1", "-1.5", "0.05+0.05j")]
     out += [["track", "--family", "@fam4-mixed.json", "--t", "1e300"]]
+    # jets read exactly: a complex point, a decimal no double holds, a
+    # tiny constant, a value past every double, and no tolerance flag
+    out += [["jet", "--in", "@diag4.mv", "--point", "0.5+0.5j,0,0,0"],
+            ["jet", "--in", "@diag4.mv", "--point", "0.1,0,0,0"],
+            ["jet", "--in", "@tiny.mv", "--point", "0,0"],
+            ["jet", "--in", "@steep.mv", "--point", "1e20,1"],
+            ["jet", "--in", "@diag4.mv", "--point", "0,0,0,0",
+             "--tol", "1e-6"]]
     return out
 
 

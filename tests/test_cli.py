@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 from poissonkit import (DeformationFamily, DiagonalSpec, GaussRational,
-                        loads, make_diagonal, serialize)
+                        Multivector, VariableTable, loads, make_diagonal,
+                        parse_polynomial, serialize)
 from poissonkit.cli import _integer, build_parser, main
 from poissonkit.polynomials import MAX_TERMS, MAX_TEXT_TERMS
 from poissonkit.randomized import MAX_CASES
@@ -314,13 +315,13 @@ def test_track_verb(corpus):
     ("track", ["--t", "abc"], "argument --t"),
     ("chart", ["--target", "1", "--zero-name", "1x"], "argument --zero-name"),
     ("chart", ["--target", "1", "--zero-name", "i"], "argument --zero-name"),
-    # the point is exact, so `track` takes no tolerance
+    # the point is exact, so neither `track` nor `jet` takes a tolerance
     ("track", ["--t", "0.05", "--tol", "nan"], "unrecognized arguments"),
     ("track", ["--t", "0.05", "--tol", "inf"], "unrecognized arguments"),
     ("track", ["--t", "0.05", "--tol", "-1"], "unrecognized arguments"),
-    ("jet", ["--point", "1,1,1,1", "--tol", "nan"], "tol"),
-    ("jet", ["--point", "1,1,1,1", "--tol", "inf"], "tol"),
-    ("jet", ["--point", "1,1,1,1", "--tol", "-1"], "tol"),
+    ("jet", ["--point", "1,1,1,1", "--tol", "nan"], "unrecognized arguments"),
+    ("jet", ["--point", "1,1,1,1", "--tol", "inf"], "unrecognized arguments"),
+    ("jet", ["--point", "1,1,1,1", "--tol", "-1"], "unrecognized arguments"),
     ("jet", ["--point", "1,1,1,1", "--r", "-1"], "r"),
     ("jet", ["--point", "1,1,1,1", "--r", "-5"], "r"),
     ("curl", ["--unit", "0"], "--unit"),
@@ -426,18 +427,23 @@ def test_jet_verb(corpus):
     assert stdout.strip() == "0"
 
 
-def test_jet_overflow_exits_two_without_warnings(tmp_path):
-    path = tmp_path / "steep.mv"
-    path.write_text(_multivector_doc(terms=[
-        {"coeff": "1", "exponents": {"x1": 20}, "indices": [0, 1]},
-        {"coeff": "1", "exponents": {"x2": 1}, "indices": [0, 1]}]))
-    code, stdout, stderr = run_cli("jet", "--in", str(path),
-                                   "--point", "1e20,1")
-    assert (code, stdout) == (2, "")
-    assert stderr == ("error: the order-0 jet overflows double precision"
-                      " at this point\n")
-    code, stdout, _ = run_cli("jet", "--in", str(path), "--point", "1e15,1")
-    assert (code, stdout) == (0, "0\n")
+@pytest.mark.parametrize("coeff, point, order", [
+    # x1^20 is 10^400 at x1 = 1e20, past every double, and exact here
+    ("x1^20 + x2", "1e20,1", "0"),
+    ("x2*x1^20", "1e20,0", "1"),
+    # a nonzero constant below any tolerance
+    ("1/10000000", "0,0", "0"),
+    # 0.1 is read as its double, which (x1 - 1/10)^4 does not vanish at
+    ("(x1 - 1/10)^4", "0.1,0", "0"),
+    ("(x1 - 1/8)^4", "0.125,0", ">= 4"),
+], ids=["overflow-sum", "overflow-product", "tiny", "tenth", "eighth"])
+def test_jet_values_are_exact(coeff, point, order, tmp_path, capsys):
+    path = tmp_path / "pi.mv"
+    table = VariableTable(("x1", "x2"))
+    path.write_text(serialize(Multivector(table, 2, {
+        (0, 1): parse_polynomial(coeff, table)})))
+    assert main(["jet", "--in", str(path), "--point", point]) == 0
+    assert capsys.readouterr() == (order + "\n", "")
 
 
 def test_total_degree_bound_exits_two(corpus):

@@ -9,10 +9,14 @@ second ones as references and require the same results.
   pi_ji = -pi_ij, one evaluation per entry;
 * rank at a point: Gauss-Jordan elimination of that matrix, the scan
   reference `test_structures._reference_rref`, where `rank_at` now reads
-  the largest nonzero principal Pfaffian from `_PfaffianMemo`.
+  the largest nonzero principal Pfaffian from `_PfaffianMemo`;
+* evaluation: `Polynomial.evaluate` is the one evaluator, and no module
+  computes in numpy.
 """
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +215,20 @@ def test_rank_at_names_the_unassigned_variable_as_the_skew_fill_did():
             missing_named.add(got[1])
     # several different variables are named first
     assert len(missing_named) >= 4
+
+
+def test_no_module_computes_in_numpy():
+    """The package keeps one bare `import numpy`, which nothing calls, and
+    no module names `np.` or `numpy.`; dropping that line drops numpy."""
+    package = Path(__file__).resolve().parent.parent / "src" / "poissonkit"
+    imports, uses = [], []
+    for path in sorted(package.glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            where = f"{path.name}:{number}"
+            if re.match(r"\s*(import|from)\s+numpy\b", line):
+                imports.append((where, line))
+            if re.search(r"\b(np|numpy)\.", line):
+                uses.append((where, line))
+    assert [line for _, line in imports] == ["import numpy  # noqa: F401"], \
+        imports
+    assert uses == []

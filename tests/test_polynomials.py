@@ -10,8 +10,7 @@ import pytest
 from poissonkit import (GaussRational, Polynomial, PolynomialSyntaxError,
                         VariableTable, format_polynomial, parse_polynomial,
                         parse_scalar, reduce_mod)
-from poissonkit import polynomials
-from poissonkit.deform import _float_values
+from poissonkit import documents, polynomials
 from poissonkit.polynomials import (MAX_DEGREE, MAX_EXPONENT, MAX_NESTING,
                                     MAX_TERMS, MAX_TEXT_TERMS, _term_bound)
 from poissonkit.randomized import random_polynomial, random_scalar
@@ -81,13 +80,13 @@ def test_evaluate_exact_and_float():
     values = {"x1": GaussRational(2), "x2": GaussRational(3),
               "x3": GaussRational(0), "a": GaussRational(Fraction(1, 3))}
     assert f.evaluate(values) == GaussRational(5)
-    (approx,) = _float_values(
-        T, [f], {"x1": 2.0, "x2": 3.0, "x3": 0.0, "a": 1 / 3})
-    assert abs(approx - 5.0) < 1e-12
-    # one value a polynomial, the zero polynomial included
-    assert _float_values(T, [p("x1^2 + 2*x2"), p("x2 - i*a"), p("0")], {
-        "x1": 1.0, "x2": 2.0, "x3": 0.0, "a": 3.0}).tolist() == [5, 2 - 3j, 0]
-    assert _float_values(T, [], {}).tolist() == []
+    # a double is read exactly: 1/3 as a double is not 1/3
+    third = GaussRational(1 / 3)
+    assert third != GaussRational(Fraction(1, 3))
+    assert f.evaluate(dict(values, a=third)) == 4 + 3 * third
+    # a float itself is no scalar
+    with pytest.raises(TypeError, match="float"):
+        f.evaluate(dict(values, a=1 / 3))
 
 
 def _term_by_term(f, values):
@@ -117,6 +116,9 @@ def test_evaluate_matches_a_term_by_term_sum():
         # the triple is in normal form: the validating constructor agrees
         assert value._t == GaussRational(value.re, value.im)._t
     assert p("0").evaluate({}) == GaussRational(0)
+    # 0^0 = 1: a zero value kills only the monomials that contain it
+    assert p("3 + x1^2*x2 + a").evaluate({"x1": 0, "x2": 5, "a": 0}) == \
+        GaussRational(3)
 
 
 def test_evaluate_names_first_unassigned_variable():
@@ -129,41 +131,16 @@ def test_evaluate_names_first_unassigned_variable():
 
 
 def test_evaluate_float_names_first_unassigned_variable():
+    # a point in float syntax, as `jet --point` takes it, is read exactly
+    # and evaluated like any other
+    def point(text):
+        return documents.parse_assignments(text, T, float_syntax=True)
+
     with pytest.raises(KeyError, match="'x2'"):
-        _float_values(T, [p("x3 + a*x2")], {"a": 1.0})
+        p("x3 + a*x2").evaluate(point("a=1.0"))
     # a variable absent from the polynomial need not be assigned
-    assert _float_values(T, [p("x1 + 2")], {"x1": 1.0}).tolist() == [3]
-
-
-def _compiled_matches_exact(rng, zeros):
-    polys = [random_polynomial(rng, T, max_terms=6, max_degree=4, bound=5)
-             for _ in range(5)]
-    point = {name: random_scalar(rng, 3) for name in T.names}
-    for name in zeros:
-        point[name] = GaussRational(0)
-    values = _float_values(T, polys, point)
-    assert len(values) == len(polys)
-    for f, value in zip(polys, values):
-        exact = complex(f.evaluate(point))
-        assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact))
-        (alone,) = _float_values(T, [f], point)
-        assert alone == pytest.approx(exact, rel=1e-12, abs=1e-12)
-
-
-def test_compiled_evaluation_matches_exact():
-    rng = random.Random(1312)
-    for _ in range(40):
-        _compiled_matches_exact(rng, ())
-
-
-def test_compiled_evaluation_at_zero_coordinates():
-    # 0^0 = 1: a zero coordinate kills only the monomials that contain it
-    rng = random.Random(3596)
-    for _ in range(40):
-        _compiled_matches_exact(rng, rng.sample(T.names, rng.randint(1, 4)))
-    f = p("3 + x1^2*x2 + a")
-    assert _float_values(
-        T, [f], {"x1": 0.0, "x2": 5.0, "a": 0.0}).tolist() == [3]
+    assert p("x1 + 2").evaluate(point("0.5")) == GaussRational(Fraction(5, 2))
+    assert p("x1 + 2").evaluate(point("0.1")) == 2 + GaussRational(0.1)
 
 
 def test_substitute_is_a_ring_map():
