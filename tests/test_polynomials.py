@@ -116,7 +116,20 @@ def test_evaluate_matches_a_term_by_term_sum():
         # the triple is in normal form: the validating constructor agrees
         assert value._t == GaussRational(value.re, value.im)._t
     assert p("0").evaluate({}) == GaussRational(0)
-    # 0^0 = 1: a zero value kills only the monomials that contain it
+
+
+def test_compiled_evaluation_at_zero_coordinates():
+    # 0^0 = 1: a zero coordinate kills only the monomials that contain it
+    rng = random.Random(3596)
+    for _ in range(40):
+        f = random_polynomial(rng, T, max_terms=8, max_degree=6, bound=5)
+        values = {name: GaussRational(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+            for name in T.names}
+        for name in rng.sample(T.names, rng.randint(1, 4)):
+            values[name] = GaussRational(0)
+        assert f.evaluate(values) == _term_by_term(f, values)
     assert p("3 + x1^2*x2 + a").evaluate({"x1": 0, "x2": 5, "a": 0}) == \
         GaussRational(3)
 
