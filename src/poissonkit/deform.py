@@ -6,14 +6,14 @@ parameter t.  The pushforward is computed once, symbolically, so the
 family is an exactly integrable bivector Pi_t.  The base degenerates at
 the origin, and every step has a constant Jacobian determinant, so the
 degenerate point of Pi_t is phi_t(0), the origin pushed along the path:
-n polynomials in t over Q(i), composed once and evaluated exactly at
-each t.  Jet orders are read from exact Taylor coefficients evaluated
-exactly: a jet vanishes when every coefficient is exactly zero.
+n polynomials in t over Q(i), composed once and evaluated exactly, in one
+batch, at each t.  Jet orders are read from exact Taylor coefficients
+evaluated exactly: a jet vanishes when every coefficient is exactly zero.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from cmath import isfinite
 from typing import NamedTuple
 
@@ -21,9 +21,9 @@ from .automorphisms import (DiagonalScaling, ElementaryAutomorphism,
                             Translation, TriangularShear, pushforward)
 from .diagonal import DiagonalSpec, _diagonal_bivector, is_generic
 from .multivectors import Multivector, _built, curl
-from .polynomials import (Polynomial, VariableTable, _substituted, _wrapped,
-                          parse_polynomial)
-from .scalars import Frozen, GaussRational
+from .polynomials import (Polynomial, VariableTable, _substituted, _values,
+                          _wrapped, parse_polynomial)
+from .scalars import Frozen, _from_double
 from .structures import PoissonStructure
 
 
@@ -104,9 +104,9 @@ class DeformationFamily(Frozen):
         return self._curl
 
     def _origin_image(self) -> tuple:
-        """phi_t(0) as n polynomials in t alone, composed on first use:
-        from the origin, each step's forward images take the point the
-        steps before it left."""
+        """phi_t(0) as n raw term dicts in t alone, and their t-degree,
+        composed on first use: from the origin, each step's forward images
+        take the point the steps before it left."""
         if self._origin is None:
             table = self.table
             zero = Polynomial.zero(table)
@@ -115,13 +115,13 @@ class DeformationFamily(Frozen):
                 point.update({name: _wrapped(table, _substituted(
                     image._raw, table, point))
                     for name, image in step.forward_images().items()})
-            object.__setattr__(self, "_origin", tuple(point.values()))
+            raws = tuple(f._raw for f in point.values())
+            degree = max(table._degrees(chain.from_iterable(raws)), default=0)
+            object.__setattr__(self, "_origin", (raws, degree))
         return self._origin
 
     def at(self, t_value) -> PoissonStructure:
         """Exact member structure at a Gaussian-rational parameter value."""
-        if not isinstance(t_value, GaussRational):
-            t_value = GaussRational(t_value)
         images = {self.parameter: Polynomial.constant(self.table, t_value)}
         return PoissonStructure(_built(Multivector, self.table, 2, _substituted(
             self.bivector()._flat, self.table, images)))
@@ -143,21 +143,30 @@ class TrackResult(NamedTuple):
     newton_iters: int
 
 
+# phi_t(0) has parts of about t-degree * (largest bit length in t's triple)
+# bits: at most 1,995 in the tests, goldens, demos and perfbench; x1 =
+# t^32000 at t = (127 + i)/128 has 256,000 and tracks in 0.2 s (2-vCPU Xeon).
+MAX_POINT_BITS = 1 << 18
+
+
 def track_degenerate_point(family: DeformationFamily, t: complex) -> TrackResult:
     """The zero of Pi_t and curl(Pi_t) that starts at the origin.
 
-    t must be finite; it is read exactly from its doubles.  A part of
-    the point that overflows double precision raises ValueError.
+    t must be finite; it is read exactly from its doubles.  A point past
+    MAX_POINT_BITS estimated bits or past double range raises ValueError.
     """
     t = complex(t)
     if not isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    values = {family.parameter: GaussRational(t.real, t.imag)}
-    point = tuple(f.evaluate(values) for f in family._origin_image())
+    exact = _from_double(t)
+    raws, degree = family._origin_image()
+    bits = degree * max(map(int.bit_length, map(abs, exact._t)))
+    if bits > MAX_POINT_BITS:
+        raise ValueError(f"the exact point at t = {t} would have about {bits} "
+                         f"bits, past the bound of {MAX_POINT_BITS}")
+    point = tuple(_values(family.table, raws, {family.parameter: exact}))
     try:
-        # int / int rounds to the nearest double
-        gamma = tuple(complex(a / d, b / d) for a, b, d in
-                      (z._t for z in point))
+        gamma = tuple(map(complex, point))  # int / int rounds to nearest
     except OverflowError:
         raise ValueError(f"gamma overflows double precision at t = {t}") \
             from None
@@ -183,7 +192,7 @@ def jet_vanishing(structure, point, r: int = 3) -> int:
     coefficients = list(bivector.terms.values())
     # order 0 evaluates every coefficient, so each variable of the
     # structure must be assigned, as for rank_at
-    if any([not f.evaluate(point).is_zero() for f in coefficients]):
+    if any(_values(bivector.table, [f._raw for f in coefficients], point)):
         return 0
     # (first coordinate still to differentiate along, derivative): each
     # order differentiates only from that coordinate on, so every
@@ -193,7 +202,7 @@ def jet_vanishing(structure, point, r: int = 3) -> int:
         derived = [(k, g) for first, f in derived
                    for k in range(first, len(names))
                    if not (g := f.partial_derivative(names[k])).is_zero()]
-        if any(not g.evaluate(point).is_zero() for _, g in derived):
+        if any(_values(bivector.table, [g._raw for _, g in derived], point)):
             return order
     return r + 1
 

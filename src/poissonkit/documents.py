@@ -16,7 +16,7 @@ from .diagonal import DiagonalSpec, _coordinate_count
 from .multivectors import DifferentialForm, Multivector, VolumeCurl, _indices
 from .polynomials import (MAX_COORDINATES, MAX_DEGREE, MAX_TERMS, Polynomial,
                           VariableTable, format_polynomial, parse_scalar)
-from .scalars import _PART_LIMIT, GaussRational, _triple_text, format_scalar
+from .scalars import _PART_LIMIT, _from_double, _triple_text, format_scalar
 from .structures import PoissonStructure
 
 
@@ -285,7 +285,7 @@ def parse_assignments(text: str, table: VariableTable, names=None,
                     from None
             if not isfinite(value):
                 raise ValueError(f"{name} must be finite, not {raw!r}")
-            value = GaussRational(value.real, value.imag)
+            value = _from_double(value)
         else:
             value = parse_scalar(raw)
         if name in values:

@@ -28,8 +28,10 @@ from __future__ import annotations
 import re
 import struct
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import chain
 from math import comb
+from operator import or_
 from typing import Iterable, Mapping
 
 from .scalars import (Frozen, GaussRational, _make, _norm, _power, _product,
@@ -280,9 +282,7 @@ class Polynomial(Frozen):
         return _make(*next(iter(self._raw.values())))
 
     def variables_present(self) -> set:
-        present = 0
-        for key in self._raw:
-            present |= key
+        present = reduce(or_, self._raw, 0)
         return {name for name, e in zip(self.table.names,
                                         self.table._unpack(present)) if e}
 
@@ -297,12 +297,6 @@ class Polynomial(Frozen):
         top = self.table._degree_shifts[0]
         degrees = {key >> top for key in self._raw}
         return degrees.pop() if len(degrees) == 1 else None
-
-    def sorted_terms(self) -> list:
-        """Terms in canonical (descending) monomial order."""
-        unpack, raw = self.table._unpack, self._raw
-        return [(unpack(key), _make(*raw[key]))
-                for key in sorted(raw, reverse=True)]
 
     # -- arithmetic -----------------------------------------------------
 
@@ -386,36 +380,9 @@ class Polynomial(Frozen):
             self._raw, self.table, self.table.slot(name)))
 
     def evaluate(self, values: Mapping[str, object]) -> GaussRational:
-        """Exact evaluation; every variable present in the polynomial must
-        be assigned (the error names the first unassigned symbol).  The
-        powers of each variable that its terms use are built once, each
-        from the one below it, the sum runs on the triples and is reduced
-        once."""
-        table, raw = self.table, self._raw
-        present = 0
-        for key in raw:
-            present |= key
-        used = [(name, shift) for name, shift in zip(table.names, table._shifts)
-                if present >> shift & _FIELD_MASK]
-        missing = sorted(name for name, _ in used if name not in values)
-        if missing:
-            raise KeyError(f"unassigned variable: {missing[0]!r}")
-        tables = []
-        for name, shift in used:
-            x = _as_scalar(values[name])._t
-            powers = {0: (1, 0, 1)}
-            below = 0
-            for e in sorted({key >> shift & _FIELD_MASK for key in raw}):
-                powers[e] = _product(powers[below],
-                                     _power(x, e - below, (1, 0, 1), _product))
-                below = e
-            tables.append((shift, powers))
-        total = (0, 0, 1)
-        for key, t in raw.items():
-            for shift, powers in tables:
-                t = _product(t, powers[key >> shift & _FIELD_MASK])
-            total = _sum(total, t)
-        return _norm(total)
+        """Exact evaluation by `_values`; every variable present must be
+        assigned (the error names the first unassigned one, by name)."""
+        return _values(self.table, (self._raw,), values)[0]
 
     def __str__(self):
         return format_polynomial(self)
@@ -476,6 +443,37 @@ def _substituted(raw: Mapping, table: VariableTable,
         _mul_into(acc, one if factor is None else factor._raw,
                   {residual: t}, table)
     return _normalized(acc)
+
+
+def _values(table: VariableTable, raws, values: Mapping) -> list:
+    """The exact values of a sequence of raw term dicts at one point, the
+    one evaluator: each variable's powers are built once, each from the one
+    below it, and each sum runs on the triples and is reduced once."""
+    present = reduce(or_, chain.from_iterable(raws), 0)
+    used = [(name, shift) for name, shift in zip(table.names, table._shifts)
+            if present >> shift & _FIELD_MASK]
+    missing = sorted(name for name, _ in used if name not in values)
+    if missing:  # raise what evaluating one dict at a time would raise
+        for raw in raws[:-1]:
+            _values(table, (raw,), values)
+        raise KeyError(f"unassigned variable: {missing[0]!r}")
+    tables = []
+    for name, shift in used:
+        x = _as_scalar(values[name])._t
+        powers = {0: (1, 0, 1)}
+        exps = sorted({k >> shift & _FIELD_MASK for raw in raws for k in raw})
+        for below, e in zip([0] + exps, exps):
+            powers[e] = _power(x, e - below, powers[below], _product)
+        tables.append((shift, powers))
+    results = []
+    for raw in raws:
+        total = (0, 0, 1)
+        for key, t in raw.items():
+            for shift, powers in tables:
+                t = _product(t, powers[key >> shift & _FIELD_MASK])
+            total = _sum(total, t)
+        results.append(_norm(total))
+    return results
 
 
 def _add_into(acc: dict, raw: Mapping) -> None:

@@ -186,6 +186,15 @@ def _make(a: int, b: int, d: int) -> GaussRational:
     return z
 
 
+def _from_double(x) -> GaussRational:
+    """The exact value of a finite double or complex number, trusted: each
+    part is over a power of two, so the larger is the lcm, and the triple
+    is reduced, since unless that is 1 its numerator over it is odd."""
+    (a, p), (b, q) = x.real.as_integer_ratio(), x.imag.as_integer_ratio()
+    d = max(p, q)
+    return _make(a * (d // p), b * (d // q), d)
+
+
 def _power(base, n: int, one, mul=mul):
     """base ** n for n >= 0 by repeated squaring, in any ring whose
     product is `mul`."""

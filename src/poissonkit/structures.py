@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple
 from . import multivectors, polynomials
 from .multivectors import Multivector, contract, exterior_derivative, schouten
 from .polynomials import (_FIELD_MASK, FIELD_BITS, Polynomial, VariableTable,
-                          reduce_mod)
+                          _values, reduce_mod)
 from .scalars import Frozen
 
 
@@ -203,18 +203,17 @@ def rank_at(ps: PoissonStructure, point: Mapping[str, object]) -> int:
     """Rank of the skew coefficient matrix at an exact point: 2k for the
     largest k with a nonzero principal Pfaffian of size 2k.
 
-    Each pi_ij is evaluated once, in sorted index order, into a Pfaffian
-    memo of constants.  The search keeps one S with Pf(A_S) nonzero and
-    borders it by a pair {a, b} outside S until every Pf(A_S+{a,b})
-    vanishes; then the rank is |S|, since those Pfaffians are
-    +-Pf(A_S) times the entries of the Schur complement of A_S.
+    Every pi_ij is evaluated in one batch, in sorted index order, into a
+    Pfaffian memo of constants.  The search keeps one S with Pf(A_S)
+    nonzero and borders it by a pair {a, b} outside S until every
+    Pf(A_S+{a,b}) vanishes; then the rank is |S|, since those Pfaffians
+    are +-Pf(A_S) times the entries of the Schur complement of A_S.
     """
     n = ps.table.n_coordinates
-    entries = {}
-    for (i, j), coefficient in ps.bivector.sorted_terms():
-        value = coefficient.evaluate(point)
-        if not value.is_zero():
-            entries[1 << i | 1 << j] = {0: value._t}
+    terms = ps.bivector.sorted_terms()
+    values = _values(ps.table, [f._raw for _, f in terms], point)
+    entries = {1 << i | 1 << j: {0: value._t}
+               for ((i, j), _), value in zip(terms, values) if value}
     pf = _PfaffianMemo(entries, ps.table)
     chosen = ()
     while True:

@@ -15,6 +15,7 @@ from poissonkit import (DeformationFamily, DiagonalSpec, GaussRational,
                         Multivector, VariableTable, loads, make_diagonal,
                         parse_polynomial, serialize)
 from poissonkit.cli import _integer, build_parser, main
+from poissonkit.deform import MAX_POINT_BITS
 from poissonkit.polynomials import MAX_TERMS, MAX_TEXT_TERMS
 from poissonkit.randomized import MAX_CASES
 
@@ -416,6 +417,36 @@ def test_a_steep_composed_family_tracks_or_is_refused_within_a_second(
         gamma = json.loads(captured.out)["gamma"]
         assert gamma == [[0, 0], [0, 0], [0, 0],
                          [float(Fraction(0.1) ** 20), 0]]
+
+
+@pytest.mark.parametrize("t, code", [("0.3+0.1j", 2), ("0.5", 0)])
+def test_a_point_of_too_many_bits_is_refused_within_a_second(tmp_path, t,
+                                                             code):
+    # x4 += t^20, x3 += x4^20, x2 += x3^20, x1 += x2^4 on fam4's base:
+    # x1 = t^32000.  At t = 0.3+0.1j, whose triple has 56-bit parts, the
+    # exact point would need about 1,792,000 bits; at t = 1/2, 64,000
+    document = json.loads(open(os.path.join(GOLDEN_INPUTS, "fam4.json"),
+                               encoding="utf-8").read())
+    document["path"] = [
+        {"kind": "translation", "coordinate": "x4", "data": "t^20"},
+        {"kind": "shear", "coordinate": "x3", "data": "x4^20"},
+        {"kind": "shear", "coordinate": "x2", "data": "x3^20"},
+        {"kind": "shear", "coordinate": "x1", "data": "x2^4"}]
+    family = tmp_path / "steep.json"
+    family.write_text(json.dumps(document))
+    start = time.perf_counter()
+    got, stdout, stderr = run_cli("track", "--family", str(family), "--t", t)
+    assert time.perf_counter() - start < 1
+    assert got == code
+    if code:
+        assert stdout == ""
+        assert stderr == (
+            "error: the exact point at t = (0.3+0.1j) would have about "
+            f"1792000 bits, past the bound of {MAX_POINT_BITS}\n")
+    else:
+        assert stderr == ""
+        gamma = json.loads(stdout)["gamma"]
+        assert gamma == [[0, 0], [0, 0], [2.0 ** -400, 0], [2.0 ** -20, 0]]
 
 
 def test_jet_verb(corpus):

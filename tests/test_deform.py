@@ -162,24 +162,25 @@ def test_tracking_iterations_and_points_are_unchanged():
 
 def test_a_translation_and_scaling_family_reaches_t_in_one_attempt(
         monkeypatch):
-    # a track evaluates the n composed coordinates of phi_t(0) once each,
-    # at t itself
+    # a track evaluates the n composed coordinates of phi_t(0) in one
+    # batch, at t itself
     fam = build([("translation", "x1", "1/2*t + t^2"),
                  ("scaling", {"x1": "3", "x3": "-1/2"}),
                  ("translation", "x3", "-2*t")])
     evaluations = []
-    evaluate = Polynomial.evaluate
+    values = polynomials._values
 
-    def counted(self, values):
-        evaluations.append(values[fam.parameter])
-        return evaluate(self, values)
+    def counted(table, raws, point):
+        evaluations.append((len(raws), point))
+        return values(table, raws, point)
 
-    monkeypatch.setattr(Polynomial, "evaluate", counted)
+    monkeypatch.setattr(polynomials, "_values", counted)
+    monkeypatch.setattr(deform, "_values", counted)
     for t in (1.0, 0.7 + 0.7j, -150.0):
         evaluations.clear()
         result = track_degenerate_point(fam, t)
         exact = _exact(t)
-        assert evaluations == [exact] * 4
+        assert evaluations == [(4, {fam.parameter: exact})]
         zero = GaussRational(0)
         assert result.point == (3 * (exact / 2 + exact * exact), zero,
                                 -2 * exact, zero)

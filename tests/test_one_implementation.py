@@ -10,8 +10,9 @@ second ones as references and require the same results.
 * rank at a point: Gauss-Jordan elimination of that matrix, the scan
   reference `test_structures._reference_rref`, where `rank_at` now reads
   the largest nonzero principal Pfaffian from `_PfaffianMemo`;
-* evaluation: `Polynomial.evaluate` is the one evaluator, and no module
-  computes in numpy.
+* evaluation: `polynomials._values` is the one evaluator, which
+  `Polynomial.evaluate` calls on one polynomial, and no module computes
+  in numpy.
 """
 
 import random
@@ -89,7 +90,7 @@ def test_division_matches_the_step_loop(table):
         assert reduce_mod(multiple, g) == (q, Polynomial.zero(table))
         assert _reference_reduce_mod(multiple, g) == (q, Polynomial.zero(table))
         inexact += not remainder.is_zero()
-        complex_quotients += any(c.im for _, c in quotient.sorted_terms())
+        complex_quotients += any(c.im for c in quotient.terms.values())
     assert inexact and complex_quotients
 
 
@@ -101,7 +102,7 @@ def test_division_covers_complex_and_fractional_coefficients():
     assert reduce_mod(f, g) == _reference_reduce_mod(f, g)
     quotient, remainder = reduce_mod(f, g)
     assert quotient * g + remainder == f
-    coefficients = [c for _, c in quotient.sorted_terms()]
+    coefficients = list(quotient.terms.values())
     assert any(c.im and c.re.denominator > 1 for c in coefficients)
 
 
@@ -154,7 +155,7 @@ def test_division_runs_in_the_product_loop(monkeypatch):
     quotient, remainder = reduce_mod(f, g)
     monkeypatch.undo()
     # one call per quotient term, on that term and the two of g's tail
-    assert calls == [(1, 2)] * len(quotient.sorted_terms())
+    assert calls == [(1, 2)] * len(quotient.terms)
     assert quotient * g + remainder == f
 
 

@@ -165,9 +165,9 @@ def test_text_form_parses_back(data):
     table = data.draw(tables)
     f = data.draw(polynomial(table))
     assert parse_polynomial(format_polynomial(f), table) == f
-    terms = f.sorted_terms()
-    assert [e for e, _ in terms] == sorted(
-        f.terms, key=lambda e: order_key(table, e), reverse=True)
+    # descending packed keys are descending graded-lex order
+    assert [table._unpack(key) for key in sorted(f._raw, reverse=True)] == \
+        sorted(f.terms, key=lambda e: order_key(table, e), reverse=True)
 
 
 @derandomized

@@ -156,6 +156,69 @@ def test_evaluate_float_names_first_unassigned_variable():
     assert p("x1 + 2").evaluate(point("0.1")) == 2 + GaussRational(0.1)
 
 
+def _restricted(f, keep):
+    """The terms of f whose variables all lie in `keep`."""
+    return Polynomial(T, {exps: c for exps, c in f.terms.items()
+                          if all(name in keep for name, e in zip(T.names, exps)
+                                 if e)})
+
+
+def test_batch_evaluation_matches_a_term_by_term_sum():
+    # shared and disjoint variables, zero polynomials, zero coordinates
+    # (0^0 = 1), the parameter, and one polynomial given twice
+    rng = random.Random(1414)
+    disjoint = zeros = 0
+    for _ in range(150):
+        fs = [_restricted(random_polynomial(rng, T, max_terms=6, max_degree=5,
+                                            bound=5),
+                          rng.sample(T.names, rng.randint(0, len(T.names))))
+              for _ in range(rng.randint(1, 5))]
+        fs.insert(rng.randrange(len(fs) + 1), rng.choice(fs))
+        fs.insert(rng.randrange(len(fs) + 1), Polynomial.zero(T))
+        values = {name: GaussRational(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+            for name in T.names}
+        for name in rng.sample(T.names, rng.randint(0, 2)):
+            values[name] = GaussRational(0)
+        got = polynomials._values(T, [f._raw for f in fs], values)
+        assert got == [_term_by_term(f, values) for f in fs]
+        assert all(z._t == GaussRational(z.re, z.im)._t for z in got)
+        used = [f.variables_present() for f in fs if not f.is_zero()]
+        disjoint += any(not a & b for a in used for b in used if a and b)
+        zeros += any(not v for v in values.values())
+    assert disjoint and zeros
+    assert polynomials._values(T, [], {}) == []
+
+
+def _outcome(function):
+    try:
+        return function()
+    except (KeyError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_batch_evaluation_names_the_variable_one_at_a_time_would():
+    rng = random.Random(1732)
+    named = set()
+    for _ in range(300):
+        fs = [random_polynomial(rng, T, max_terms=4, max_degree=3)
+              for _ in range(rng.randint(1, 5))]
+        # each point leaves out a different subset of the variables
+        values = {name: GaussRational(rng.randint(-3, 3))
+                  for name in T.names if rng.random() < 0.7}
+        batch = _outcome(lambda: polynomials._values(
+            T, [f._raw for f in fs], values))
+        assert batch == _outcome(lambda: [f.evaluate(values) for f in fs])
+        if batch[0] == "KeyError":
+            named.add(batch[1])
+    assert len(named) == len(T.names)
+    # a float is no scalar, in a batch as alone
+    with pytest.raises(TypeError, match="float"):
+        polynomials._values(T, [p("x1")._raw, p("a")._raw],
+                            {"x1": 1, "a": 0.5})
+
+
 def test_substitute_is_a_ring_map():
     def substitute(f, images):
         return polynomials._wrapped(T, polynomials._substituted(
@@ -167,11 +230,12 @@ def test_substitute_is_a_ring_map():
 
 
 def test_graded_lex_leading_monomial():
-    # total degree first, then lexicographic position by position
+    # total degree first, then lexicographic position by position: the
+    # leading monomial is the largest packed key
     f = p("x1^2 + x1*x2^2")
-    assert f.sorted_terms()[0][0] == (1, 2, 0, 0)
+    assert T._unpack(max(f._raw)) == (1, 2, 0, 0)
     g = p("x1 + x2")
-    assert g.sorted_terms()[0][0] == (1, 0, 0, 0)
+    assert T._unpack(max(g._raw)) == (1, 0, 0, 0)
 
 
 def test_reduce_mod_exact_division():

@@ -1,10 +1,13 @@
 """Field arithmetic and text round-trips for Gaussian rationals."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from poissonkit import GaussRational, format_scalar, parse_scalar
+from poissonkit.scalars import _from_double
 
 
 def g(re, im=0):
@@ -74,3 +77,23 @@ def test_zero_and_unit_triples_are_unique():
     assert GaussRational(Fraction(2, 4), Fraction(-3, 6))._t == (1, -1, 2)
     with pytest.raises(AttributeError):
         GaussRational(1).re = Fraction(2)
+
+
+@pytest.mark.parametrize("x", [
+    0.0, -0.0, complex(-0.0, -0.0), 5e-324, -5e-324, 1e308, -1e308, 0.1,
+    0.1 - 0.3j, -2.5j, complex(5e-324, -1e308), complex(1e308, -5e-324),
+    complex(0.5, -0.1), 3.0, 1.0 + 1.0j])
+def test_the_double_reader_agrees_with_the_validating_constructor(x):
+    assert _from_double(x)._t == GaussRational(x.real, x.imag)._t
+
+
+def test_the_double_reader_on_seeded_doubles_of_wide_exponents():
+    rng = random.Random(5303)
+
+    def draw():
+        return math.ldexp(rng.uniform(-1, 1), rng.randint(-1080, 1024))
+
+    for _ in range(10_000):
+        x = complex(draw(), draw() if rng.random() < 0.8 else 0.0)
+        assert _from_double(x)._t == GaussRational(x.real, x.imag)._t
+        assert _from_double(x.real)._t == GaussRational(x.real)._t

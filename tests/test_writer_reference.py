@@ -55,7 +55,10 @@ def reference_polynomial(f):
     if f.is_zero():
         return "0"
     out = []
-    for exps, coeff in f.sorted_terms():
+    terms = f.terms
+    # the writer prints in descending graded-lex order: descending keys
+    for exps in sorted(terms, key=f.table._pack, reverse=True):
+        coeff = terms[exps]
         mono = reference_monomial(f.table, exps)
         if coeff.im == 0:
             negative = coeff.re < 0
